@@ -220,11 +220,7 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 	if d.Pair != nil {
 		failures = append(failures, versionSkewOracle(cases)...)
 	}
-	if opts.Tracer != nil {
-		for i := range failures {
-			failures[i].Chain = obs.RenderChain(opts.Tracer.Chain(failures[i].Case.Span))
-		}
-	}
+	attachChains(opts.Tracer, failures)
 	emitFailures(opts.OnFailure, failures)
 	report := buildReport(failures)
 	if opts.Metrics != nil {
@@ -311,6 +307,26 @@ func tableRank(ord int64, column int) string {
 // are emitted in tag order by applyOracles.
 func failureRank(block string, caseRank string) string {
 	return block + rankSep + caseRank
+}
+
+// attachChains renders each failure's propagation chain from its case's
+// span subtree (a no-op when the run did not trace). Failures sharing a
+// case span — a differential base and its peers, the columns of one
+// table case — share one rendering.
+func attachChains(tr *obs.Tracer, failures []Failure) {
+	if tr == nil {
+		return
+	}
+	rendered := map[*obs.Span]string{}
+	for i := range failures {
+		sp := failures[i].Case.Span
+		chain, ok := rendered[sp]
+		if !ok {
+			chain = obs.RenderChain(tr.Chain(sp))
+			rendered[sp] = chain
+		}
+		failures[i].Chain = chain
+	}
 }
 
 // emitFailures forwards failures to a streaming hook, in order.

@@ -84,7 +84,7 @@ func RunTables(cases []*TableCase, opts RunOptions) (*RunResult, error) {
 			outcome = d.readTable(span, tc.Plan.Read, tc.Label)
 		}
 		span.Fail(write.Err).Fail(outcome.ReadErr).End()
-		tc.results = columnResults(tc, write, outcome)
+		tc.results = columnResults(tc, span, write, outcome)
 		if opts.Metrics != nil {
 			opts.Metrics.Counter("crossfuzz_cases_total").Inc()
 			opts.Metrics.Counter("crossfuzz_plan_cases_total", "plan", tc.Plan.Name(), "format", tc.Format).Inc()
@@ -102,11 +102,7 @@ func RunTables(cases []*TableCase, opts RunOptions) (*RunResult, error) {
 		all = append(all, tc.results...)
 	}
 	failures := applyOracles(all)
-	if opts.Tracer != nil {
-		for i := range failures {
-			failures[i].Chain = obs.RenderChain(opts.Tracer.Chain(failures[i].Case.Span))
-		}
-	}
+	attachChains(opts.Tracer, failures)
 	emitFailures(opts.OnFailure, failures)
 	return &RunResult{Cases: all, Failures: failures, Report: buildReport(failures)}, nil
 }
@@ -115,8 +111,10 @@ func RunTables(cases []*TableCase, opts RunOptions) (*RunResult, error) {
 // onto one pseudo CaseResult per column, the granularity the oracles
 // operate at. Row-level warnings attach to every column: the engines
 // report feedback per statement, not per column, so a warning caused by
-// one column also counts as feedback for its neighbours.
-func columnResults(tc *TableCase, write WriteOutcome, outcome WideOutcome) []*CaseResult {
+// one column also counts as feedback for its neighbours. Every column
+// carries the table case's span (nil when untraced), so a column's
+// failure chain is its table case's subtree.
+func columnResults(tc *TableCase, span *obs.Span, write WriteOutcome, outcome WideOutcome) []*CaseResult {
 	out := make([]*CaseResult, len(tc.Columns))
 	for i, col := range tc.Columns {
 		in := col.Input
@@ -126,6 +124,7 @@ func columnResults(tc *TableCase, write WriteOutcome, outcome WideOutcome) []*Ca
 			Format: tc.Format,
 			Table:  tc.Label,
 			Write:  WriteOutcome{Err: write.Err, Warnings: write.Warnings},
+			Span:   span,
 			Rank:   tableRank(tc.Ord, i),
 		}
 		pseudo.Read.Err = outcome.ReadErr

@@ -254,9 +254,10 @@ func (fs *FileSystem) List(prefix string) []string {
 	prefix = clean(prefix)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	dir := prefix + "/"
 	var out []string
 	for p := range fs.files {
-		if strings.HasPrefix(p, prefix+"/") || p == prefix {
+		if strings.HasPrefix(p, dir) || p == prefix {
 			out = append(out, p)
 		}
 	}

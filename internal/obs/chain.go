@@ -1,8 +1,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/csi"
@@ -27,42 +28,67 @@ func (h Hop) Failed() bool { return h.Error != "" }
 // consecutive spans of the same system fold into one hop. The result
 // reads the way the paper narrates its incidents — which system an
 // interaction entered, where it went next, and where it failed.
+//
+// A subtree chain costs in proportion to the subtree, not to the
+// retained trace. If the tracer's cap evicted root itself, its
+// surviving descendants still form the chain.
 func (t *Tracer) Chain(root *Span) []Hop {
-	spans := t.Snapshot()
-	if root != nil {
-		spans = subtree(spans, root.ID)
+	if t == nil {
+		return nil
 	}
-	sort.SliceStable(spans, func(i, j int) bool {
-		if spans[i].StartMs != spans[j].StartMs {
-			return spans[i].StartMs < spans[j].StartMs
+	spans := t.hopSpans(root)
+	slices.SortStableFunc(spans, func(a, b hopSpan) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
 		}
-		return spans[i].ID < spans[j].ID
+		return cmp.Compare(a.id, b.id)
 	})
 	var hops []Hop
 	for _, s := range spans {
-		if n := len(hops); n > 0 && hops[n-1].System == s.System {
+		if n := len(hops); n > 0 && hops[n-1].System == s.system {
 			h := &hops[n-1]
 			h.Spans++
 			if h.Error == "" {
-				h.Error = s.Error
+				h.Error = s.err
 			}
 			continue
 		}
-		hops = append(hops, Hop{System: s.System, Plane: s.Plane, Name: s.Name, Spans: 1, Error: s.Error})
+		hops = append(hops, Hop{System: s.system, Plane: s.plane, Name: s.name, Spans: 1, Error: s.err})
 	}
 	return hops
 }
 
-// subtree keeps the spans rooted at rootID. Parents are created before
-// children, so one forward pass suffices.
-func subtree(spans []Span, rootID int64) []Span {
-	in := map[int64]bool{rootID: true}
-	var out []Span
+// hopSpan is the part of a span a Hop is folded from.
+type hopSpan struct {
+	id, start int64
+	system    csi.System
+	plane     csi.Plane
+	name, err string
+}
+
+// hopSpans copies, under one lock, the spans of root's subtree (every
+// retained span when root is nil) in creation order. Spans are
+// retained in ID order and a parent's ID is below its children's, so
+// the subtree starts at the first retained ID >= root.ID and one
+// forward pass finds it: a span belongs when its parent is root or an
+// already collected span, which the ascending IDs of the collected
+// prefix let a binary search answer.
+func (t *Tracer) hopSpans(root *Span) []hopSpan {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	spans := t.spans
+	if root != nil {
+		i, _ := slices.BinarySearchFunc(spans, root.ID, func(s *Span, id int64) int { return cmp.Compare(s.ID, id) })
+		spans = spans[i:]
+	}
+	var out []hopSpan
 	for _, s := range spans {
-		if in[s.ID] || in[s.ParentID] {
-			in[s.ID] = true
-			out = append(out, s)
+		if root != nil && s.ID != root.ID && s.ParentID != root.ID {
+			if _, in := slices.BinarySearchFunc(out, s.ParentID, func(h hopSpan, id int64) int { return cmp.Compare(h.id, id) }); !in {
+				continue
+			}
 		}
+		out = append(out, hopSpan{id: s.ID, start: s.StartMs, system: s.System, plane: s.Plane, name: s.Name, err: s.Error})
 	}
 	return out
 }
