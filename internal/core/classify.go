@@ -16,25 +16,26 @@ import (
 // signatures, and every failure with the same signature is the same
 // discrepancy observed through a different input or interface pair.
 func classifyError(err error) string {
-	var ae *sparksim.AvroUnavailableError
-	if errors.As(err, &ae) {
+	// errors.As moves its target to the heap; one struct holds all five
+	// targets, so a call allocates once rather than once per target.
+	var t struct {
+		ae  *sparksim.AvroUnavailableError
+		ise *sparksim.IncompatibleSchemaError
+		sde *hivesim.SerDeError
+		ue  *serde.UnsupportedError
+		ce  *sqlval.CastError
+	}
+	switch {
+	case errors.As(err, &t.ae):
 		return "avro-unavailable"
-	}
-	var ise *sparksim.IncompatibleSchemaError
-	if errors.As(err, &ise) {
+	case errors.As(err, &t.ise):
 		return "avro-incompatible-schema"
-	}
-	var sde *hivesim.SerDeError
-	if errors.As(err, &sde) {
+	case errors.As(err, &t.sde):
 		return "legacy-binary-decimal"
-	}
-	var ue *serde.UnsupportedError
-	if errors.As(err, &ue) {
+	case errors.As(err, &t.ue):
 		return "avro-map-key"
-	}
-	var ce *sqlval.CastError
-	if errors.As(err, &ce) {
-		return classifyCast(ce)
+	case errors.As(err, &t.ce):
+		return classifyCast(t.ce)
 	}
 	// Unrecognized errors cluster by their leading token so genuinely
 	// new failure modes remain visible instead of merging.
@@ -129,5 +130,5 @@ func outcomeKey(c *CaseResult) string {
 		return "norow"
 	}
 	v := c.Read.Value
-	return fmt.Sprintf("ok:%s:%s", v.Type.Kind, v.String())
+	return "ok:" + v.Type.Kind.String() + ":" + v.String()
 }

@@ -191,10 +191,10 @@ func (d *Deployment) ReaderWriteSpan(parent *obs.Span, iface Iface, table, forma
 func writeVia(spark *sparksim.Session, hive *hivesim.Hive, parent *obs.Span, iface Iface, table, format string, in Input) WriteOutcome {
 	switch iface {
 	case SparkSQL:
-		if _, err := spark.SQLSpan(parent, fmt.Sprintf("CREATE TABLE %s (%s %s) STORED AS %s", table, ColumnName, in.Type, format)); err != nil {
+		if _, err := spark.SQLSpan(parent, "CREATE TABLE "+table+" ("+ColumnName+" "+in.Type.String()+") STORED AS "+format); err != nil {
 			return WriteOutcome{Err: err}
 		}
-		res, err := spark.SQLSpan(parent, fmt.Sprintf("INSERT INTO %s VALUES (%s)", table, in.Literal))
+		res, err := spark.SQLSpan(parent, "INSERT INTO "+table+" VALUES ("+in.Literal+")")
 		if err != nil {
 			return WriteOutcome{Err: err}
 		}
@@ -207,10 +207,10 @@ func writeVia(spark *sparksim.Session, hive *hivesim.Hive, parent *obs.Span, ifa
 		}
 		return WriteOutcome{Err: df.SaveAsTableSpan(parent, table, format)}
 	case HiveQL:
-		if _, err := hive.ExecuteSpan(parent, fmt.Sprintf("CREATE TABLE %s (%s %s) STORED AS %s", table, ColumnName, in.Type, format)); err != nil {
+		if _, err := hive.ExecuteSpan(parent, "CREATE TABLE "+table+" ("+ColumnName+" "+in.Type.String()+") STORED AS "+format); err != nil {
 			return WriteOutcome{Err: err}
 		}
-		res, err := hive.ExecuteSpan(parent, fmt.Sprintf("INSERT INTO %s VALUES (%s)", table, in.Literal))
+		res, err := hive.ExecuteSpan(parent, "INSERT INTO "+table+" VALUES ("+in.Literal+")")
 		if err != nil {
 			return WriteOutcome{Err: err}
 		}
@@ -223,7 +223,7 @@ func writeVia(spark *sparksim.Session, hive *hivesim.Hive, parent *obs.Span, ifa
 func readVia(spark *sparksim.Session, hive *hivesim.Hive, parent *obs.Span, iface Iface, table string) ReadOutcome {
 	switch iface {
 	case SparkSQL:
-		res, err := spark.SQLSpan(parent, fmt.Sprintf("SELECT * FROM %s", table))
+		res, err := spark.SQLSpan(parent, "SELECT * FROM "+table)
 		if err != nil {
 			return ReadOutcome{Err: err}
 		}
@@ -235,7 +235,7 @@ func readVia(spark *sparksim.Session, hive *hivesim.Hive, parent *obs.Span, ifac
 		}
 		return readOutcome(res.Columns, res.Rows, res.Warnings)
 	case HiveQL:
-		res, err := hive.ExecuteSpan(parent, fmt.Sprintf("SELECT * FROM %s", table))
+		res, err := hive.ExecuteSpan(parent, "SELECT * FROM "+table)
 		if err != nil {
 			return ReadOutcome{Err: err}
 		}

@@ -3,7 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -45,7 +46,7 @@ type CaseResult struct {
 
 // Describe renders the case coordinates for logs.
 func (c *CaseResult) Describe() string {
-	return fmt.Sprintf("%s/%s input=%s(%s)", c.Plan.Name(), c.Format, c.Input.Name, c.Input.Literal)
+	return c.Plan.Name() + "/" + c.Format + " input=" + c.Input.Name + "(" + c.Input.Literal + ")"
 }
 
 // Failure is one oracle violation.
@@ -158,9 +159,8 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 		in := &inputs[i]
 		for _, plan := range plans {
 			for fi, format := range Formats() {
-				table := fmt.Sprintf("t_%s_%s_%04d", plan.Name(), format, in.ID)
 				cases = append(cases, &CaseResult{
-					Input: in, Plan: plan, Format: format, Table: table,
+					Input: in, Plan: plan, Format: format, Table: caseTable(plan.Name(), format, in.ID),
 					Rank: caseRank(i, planPos[plan.Name()], fi),
 				})
 			}
@@ -216,8 +216,10 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 		return nil, err
 	}
 
+	// The oracles read only the cases; past this point the deployment
+	// (its warehouse and metastore) is garbage.
 	failures := applyOracles(cases)
-	if d.Pair != nil {
+	if opts.Versions != nil {
 		failures = append(failures, versionSkewOracle(cases)...)
 	}
 	attachChains(opts.Tracer, failures)
@@ -291,22 +293,71 @@ func runPool[T any](ctx context.Context, n int, items []T, run func(T)) error {
 // plain string order over ranks is enumeration order.
 const rankSep = "\x1f"
 
+// appendPadded appends v in decimal, zero-padded to width exactly as
+// fmt's %0<width>d renders it: a minus sign counts toward the width
+// (-5 at width 6 is "-00005") and a wider value is never truncated.
+func appendPadded(dst []byte, v int64, width int) []byte {
+	u := uint64(v)
+	if v < 0 {
+		dst = append(dst, '-')
+		u = -u
+		width--
+	}
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], u, 10)
+	for n := len(d); n < width; n++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, d...)
+}
+
+// caseTable names Run's table for one input×plan×format case:
+// t_<plan>_<format>_<id, zero-padded to 4>.
+func caseTable(plan, format string, id int) string {
+	var buf [64]byte
+	b := append(buf[:0], "t_"...)
+	b = append(b, plan...)
+	b = append(b, '_')
+	b = append(b, format...)
+	b = append(b, '_')
+	return string(appendPadded(b, int64(id), 4))
+}
+
 // caseRank encodes an input×plan×format coordinate of Run's
 // enumeration (input slice index, unfiltered plan index, format index).
 func caseRank(input, plan, format int) string {
-	return fmt.Sprintf("%06d%s%03d%s%03d", input, rankSep, plan, rankSep, format)
+	var buf [32]byte
+	b := appendPadded(buf[:0], int64(input), 6)
+	b = append(b, rankSep...)
+	b = appendPadded(b, int64(plan), 3)
+	b = append(b, rankSep...)
+	return string(appendPadded(b, int64(format), 3))
 }
 
 // tableRank encodes a column of an explicitly-ordered TableCase
 // (RunTables enumeration: case ordinal, then column).
 func tableRank(ord int64, column int) string {
-	return fmt.Sprintf("%010d%s%03d", ord, rankSep, column)
+	var buf [32]byte
+	b := appendPadded(buf[:0], ord, 10)
+	b = append(b, rankSep...)
+	return string(appendPadded(b, int64(column), 3))
 }
 
 // failureRank prefixes a case rank with its oracle-block tag; blocks
 // are emitted in tag order by applyOracles.
 func failureRank(block string, caseRank string) string {
 	return block + rankSep + caseRank
+}
+
+// diffRank ranks a differential failure: its block tag, its probe
+// group's key, then the peer's ordinal within the group.
+func diffRank(tag, groupKey string, peer int) string {
+	var buf [64]byte
+	b := append(buf[:0], tag...)
+	b = append(b, rankSep...)
+	b = append(b, groupKey...)
+	b = append(b, rankSep...)
+	return string(appendPadded(b, int64(peer), 6))
 }
 
 // attachChains renders each failure's propagation chain from its case's
@@ -422,53 +473,100 @@ func errorHandlingOracle(cases []*CaseResult) []Failure {
 // interfaces (within a plan family, per format) and across backend
 // formats (within a plan).
 func differentialOracle(cases []*CaseResult) []Failure {
-	var out []Failure
-	byFamilyFormat := map[string][]*CaseResult{}
-	byPlan := map[string][]*CaseResult{}
-	for _, c := range cases {
-		kf := fmt.Sprintf("%d|%s|%s", c.Input.ID, c.Plan.Family, c.Format)
-		byFamilyFormat[kf] = append(byFamilyFormat[kf], c)
-		kp := fmt.Sprintf("%d|%s", c.Input.ID, c.Plan.Name())
-		byPlan[kp] = append(byPlan[kp], c)
+	type familyFormat struct {
+		id             int
+		family, format string
 	}
-	out = append(out, diffGroups(byFamilyFormat, "across interfaces", "2")...)
-	out = append(out, diffGroups(byPlan, "across formats", "3")...)
-	return out
+	type inputPlan struct {
+		id   int
+		plan string
+	}
+	byFamilyFormat := diffGrouper[familyFormat]{index: map[familyFormat]int{}}
+	byPlan := diffGrouper[inputPlan]{index: map[inputPlan]int{}}
+	for ci, c := range cases {
+		byFamilyFormat.add(familyFormat{c.Input.ID, c.Plan.Family, c.Format}, ci, func() string {
+			return strconv.Itoa(c.Input.ID) + "|" + c.Plan.Family + "|" + c.Format
+		})
+		name := c.Plan.Name()
+		byPlan.add(inputPlan{c.Input.ID, name}, ci, func() string {
+			return strconv.Itoa(c.Input.ID) + "|" + name
+		})
+	}
+	keys := outcomeKeys{cases: cases, memo: make([]string, len(cases))}
+	out := diffGroups(byFamilyFormat.groups, &keys, "across interfaces", "2")
+	return append(out, diffGroups(byPlan.groups, &keys, "across formats", "3")...)
 }
 
-func diffGroups(groups map[string][]*CaseResult, scope, rankTag string) []Failure {
-	// Iterate in sorted key order: failure order (and therefore cluster
-	// membership order and report examples) must not depend on map
-	// iteration, or two identical runs render different reports.
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+// diffGroup is one differential probe group: the indexes of its cases
+// in run order, under the group's string key. The key is formatted once
+// per group and orders both the groups and the failures' ranks.
+type diffGroup struct {
+	key     string
+	members []int
+}
+
+// diffGrouper collects cases into groups under a comparable struct key.
+// The struct key and the string key are one-to-one because no family,
+// format or plan name contains '|'.
+type diffGrouper[K comparable] struct {
+	index  map[K]int
+	groups []diffGroup
+}
+
+func (g *diffGrouper[K]) add(k K, ci int, key func() string) {
+	gi, ok := g.index[k]
+	if !ok {
+		gi = len(g.groups)
+		g.index[k] = gi
+		g.groups = append(g.groups, diffGroup{key: key()})
 	}
-	sort.Strings(keys)
+	g.groups[gi].members = append(g.groups[gi].members, ci)
+}
+
+// outcomeKeys memoizes outcomeKey per case: a case joins two probe
+// groups, but its outcome is summarized once.
+type outcomeKeys struct {
+	cases []*CaseResult
+	memo  []string // "" until computed; outcomeKey is never empty
+}
+
+func (o *outcomeKeys) get(ci int) string {
+	if o.memo[ci] == "" {
+		o.memo[ci] = outcomeKey(o.cases[ci])
+	}
+	return o.memo[ci]
+}
+
+func diffGroups(groups []diffGroup, keys *outcomeKeys, scope, rankTag string) []Failure {
+	// Iterate in sorted key order: failure order (and therefore cluster
+	// membership order and report examples) must not depend on grouping
+	// order, or two identical runs render different reports. The order
+	// is string order, so input 10 sorts before input 9.
+	slices.SortFunc(groups, func(a, b diffGroup) int { return strings.Compare(a.key, b.key) })
 	var out []Failure
-	for _, k := range keys {
-		group := groups[k]
-		if len(group) < 2 {
+	for _, g := range groups {
+		if len(g.members) < 2 {
 			continue
 		}
-		base := group[0]
-		baseKey := outcomeKey(base)
-		for pi, peer := range group[1:] {
-			peerKey := outcomeKey(peer)
+		base := keys.cases[g.members[0]]
+		baseKey := keys.get(g.members[0])
+		for pi, ci := range g.members[1:] {
+			peerKey := keys.get(ci)
 			if peerKey == baseKey {
 				continue
 			}
+			peer := keys.cases[ci]
 			out = append(out, Failure{
 				Oracle:    csi.OracleDifferential,
 				Case:      base,
 				Peer:      peer,
 				Signature: classifyDiffPair(base, peer),
-				Detail:    fmt.Sprintf("inconsistent %s: %s [%s] vs %s [%s]", scope, base.Describe(), baseKey, peer.Describe(), peerKey),
+				Detail:    "inconsistent " + scope + ": " + base.Describe() + " [" + baseKey + "] vs " + peer.Describe() + " [" + peerKey + "]",
 				// The group key (sorted-string order) then the peer ordinal:
 				// diff groups never straddle a family or seed-range shard, so
 				// this reproduces the unsharded emission order within the
 				// block.
-				Rank: failureRank(rankTag, k+rankSep+fmt.Sprintf("%06d", pi)),
+				Rank: diffRank(rankTag, g.key, pi),
 			})
 		}
 	}

@@ -7,19 +7,30 @@ type Plan struct {
 	Read   Iface
 }
 
+// planNames holds every plan label, indexed by ifaceSlot of the write
+// then the read interface, so Name allocates nothing.
+var planNames = [3][3]string{
+	{"w_sql_r_sql", "w_sql_r_df", "w_sql_r_hive"},
+	{"w_df_r_sql", "w_df_r_df", "w_df_r_hive"},
+	{"w_hive_r_sql", "w_hive_r_df", "w_hive_r_hive"},
+}
+
+// ifaceSlot indexes planNames; any interface other than SparkSQL and
+// DataFrame labels as "hive".
+func ifaceSlot(i Iface) int {
+	switch i {
+	case SparkSQL:
+		return 0
+	case DataFrame:
+		return 1
+	default:
+		return 2
+	}
+}
+
 // Name is the artifact's plan label, e.g. "w_sql_r_df".
 func (p Plan) Name() string {
-	short := func(i Iface) string {
-		switch i {
-		case SparkSQL:
-			return "sql"
-		case DataFrame:
-			return "df"
-		default:
-			return "hive"
-		}
-	}
-	return "w_" + short(p.Write) + "_r_" + short(p.Read)
+	return planNames[ifaceSlot(p.Write)][ifaceSlot(p.Read)]
 }
 
 // Plans returns the eight write/read pairs of the Figure 6 setup:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/csi"
@@ -113,13 +114,17 @@ func RunTables(cases []*TableCase, opts RunOptions) (*RunResult, error) {
 // report feedback per statement, not per column, so a warning caused by
 // one column also counts as feedback for its neighbours. Every column
 // carries the table case's span (nil when untraced), so a column's
-// failure chain is its table case's subtree.
+// failure chain is its table case's subtree. The results and their
+// inputs live in one slab each per table case.
 func columnResults(tc *TableCase, span *obs.Span, write WriteOutcome, outcome WideOutcome) []*CaseResult {
 	out := make([]*CaseResult, len(tc.Columns))
+	results := make([]CaseResult, len(tc.Columns))
+	inputs := make([]Input, len(tc.Columns))
 	for i, col := range tc.Columns {
-		in := col.Input
-		pseudo := &CaseResult{
-			Input:  &in,
+		inputs[i] = col.Input
+		pseudo := &results[i]
+		*pseudo = CaseResult{
+			Input:  &inputs[i],
 			Plan:   tc.Plan,
 			Format: tc.Format,
 			Table:  tc.Label,
@@ -196,7 +201,7 @@ func (d *Deployment) readTable(parent *obs.Span, iface Iface, table string) Wide
 	}
 	switch iface {
 	case SparkSQL:
-		res, err := d.ReadSpark.SQLSpan(parent, fmt.Sprintf("SELECT * FROM %s", table))
+		res, err := d.ReadSpark.SQLSpan(parent, "SELECT * FROM "+table)
 		if err != nil {
 			out.ReadErr = err
 			return out
@@ -210,7 +215,7 @@ func (d *Deployment) readTable(parent *obs.Span, iface Iface, table string) Wide
 		}
 		fill(res.Columns, res.Rows, res.Warnings)
 	case HiveQL:
-		res, err := d.ReadHive.ExecuteSpan(parent, fmt.Sprintf("SELECT * FROM %s", table))
+		res, err := d.ReadHive.ExecuteSpan(parent, "SELECT * FROM "+table)
 		if err != nil {
 			out.ReadErr = err
 			return out
@@ -223,23 +228,46 @@ func (d *Deployment) readTable(parent *obs.Span, iface Iface, table string) Wide
 }
 
 func createTableSQL(table, format string, cols []WideColumn) string {
-	defs := make([]byte, 0, 64)
+	types := make([]string, len(cols))
+	n := len("CREATE TABLE  () STORED AS ") + len(table) + len(format)
+	for i, c := range cols {
+		types[i] = c.Input.Type.String()
+		n += len(", ") + len(c.Name) + len(" ") + len(types[i])
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString("CREATE TABLE ")
+	b.WriteString(table)
+	b.WriteString(" (")
 	for i, c := range cols {
 		if i > 0 {
-			defs = append(defs, ", "...)
+			b.WriteString(", ")
 		}
-		defs = append(defs, fmt.Sprintf("%s %s", c.Name, c.Input.Type)...)
+		b.WriteString(c.Name)
+		b.WriteByte(' ')
+		b.WriteString(types[i])
 	}
-	return fmt.Sprintf("CREATE TABLE %s (%s) STORED AS %s", table, defs, format)
+	b.WriteString(") STORED AS ")
+	b.WriteString(format)
+	return b.String()
 }
 
 func insertSQL(table string, cols []WideColumn) string {
-	lits := make([]byte, 0, 64)
+	n := len("INSERT INTO  VALUES ()") + len(table)
+	for _, c := range cols {
+		n += len(", ") + len(c.Input.Literal)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString("INSERT INTO ")
+	b.WriteString(table)
+	b.WriteString(" VALUES (")
 	for i, c := range cols {
 		if i > 0 {
-			lits = append(lits, ", "...)
+			b.WriteString(", ")
 		}
-		lits = append(lits, c.Input.Literal...)
+		b.WriteString(c.Input.Literal)
 	}
-	return fmt.Sprintf("INSERT INTO %s VALUES (%s)", table, lits)
+	b.WriteByte(')')
+	return b.String()
 }

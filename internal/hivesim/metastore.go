@@ -21,6 +21,7 @@ package hivesim
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -173,7 +174,10 @@ func (m *Metastore) NextPartIn(t *Table, partitionDir string) string {
 	if partitionDir != "" {
 		base += "/" + partitionDir
 	}
-	p := fmt.Sprintf("%s/part-%05d.%s", base, t.partSeq, t.Format)
+	// part-%05d: the sequence only counts up from zero, so padding the
+	// plain decimal matches fmt byte for byte.
+	seq := strconv.Itoa(t.partSeq)
+	p := base + "/part-" + "00000"[min(len(seq), 5):] + seq + "." + t.Format
 	t.partSeq++
 	return p
 }

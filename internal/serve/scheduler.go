@@ -63,8 +63,9 @@ type Job struct {
 	finished time.Time
 	result   []byte // marshaled JobResult, exactly what /result serves
 
-	events []StreamEvent      // full history, so late stream subscribers replay
-	subs   []chan StreamEvent // live subscribers
+	events     []StreamEvent      // full history, so late stream subscribers replay
+	subs       []chan StreamEvent // live subscribers
+	subsClosed bool               // the terminal event is in events; no more subscribers
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -111,13 +112,15 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Subscribe returns the event history so far plus a channel carrying
 // subsequent events; the channel is closed after the terminal event.
-// A terminal job returns its full history and a closed channel.
+// A finished job returns its full history and a closed channel. The
+// channel may skip events when its reader falls behind (see emit); a
+// gap in Seq shows where.
 func (j *Job) Subscribe() ([]StreamEvent, <-chan StreamEvent) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	history := append([]StreamEvent(nil), j.events...)
 	ch := make(chan StreamEvent, 64)
-	if j.state == StateDone || j.state == StateFailed || j.state == StateCancelled {
+	if j.subsClosed {
 		close(ch)
 		return history, ch
 	}
@@ -125,10 +128,20 @@ func (j *Job) Subscribe() ([]StreamEvent, <-chan StreamEvent) {
 	return history, ch
 }
 
+// eventsFrom returns the recorded events whose Seq is at least seq.
+func (j *Job) eventsFrom(seq int) []StreamEvent {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if seq >= len(j.events) {
+		return nil
+	}
+	return append([]StreamEvent(nil), j.events[seq:]...)
+}
+
 // emit appends an event and fans it out. Slow subscribers lose events
 // (non-blocking send) rather than stalling the worker; the history
-// replay on subscribe keeps the NDJSON stream complete for readers
-// that connect after the fact.
+// keeps every event, so a reader that sees a gap in Seq refills it
+// from there (eventsFrom).
 func (j *Job) emit(ev StreamEvent) {
 	j.mu.Lock()
 	ev.Seq = len(j.events)
@@ -149,6 +162,7 @@ func (j *Job) closeSubs() {
 	j.mu.Lock()
 	subs := j.subs
 	j.subs = nil
+	j.subsClosed = true
 	j.mu.Unlock()
 	for _, ch := range subs {
 		close(ch)

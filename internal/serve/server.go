@@ -186,19 +186,39 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		return true
 	}
-	history, live := job.Subscribe()
-	for _, ev := range history {
-		if !write(ev) {
-			return
+	// The live channel drops events when this reader falls behind a
+	// burst; next is the Seq owed to the client, and any gap (or a tail
+	// lost before the channel closed) is refilled from the job's
+	// history, so a live stream equals the replay.
+	next := 0
+	send := func(evs []StreamEvent) bool {
+		for _, ev := range evs {
+			if ev.Seq < next {
+				continue
+			}
+			if !write(ev) {
+				return false
+			}
+			next = ev.Seq + 1
 		}
+		return true
+	}
+	history, live := job.Subscribe()
+	if !send(history) {
+		return
 	}
 	for {
 		select {
 		case ev, open := <-live:
 			if !open {
+				send(job.eventsFrom(next))
 				return
 			}
-			if !write(ev) {
+			batch := []StreamEvent{ev}
+			if ev.Seq > next {
+				batch = job.eventsFrom(next)
+			}
+			if !send(batch) {
 				return
 			}
 		case <-r.Context().Done():

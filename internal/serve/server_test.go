@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/csi"
 	"repro/internal/obs"
 )
 
@@ -172,6 +174,108 @@ func TestServerStream(t *testing.T) {
 		if replay[i] != live[i] {
 			t.Errorf("replay event %d differs: %+v vs %+v", i, replay[i], live[i])
 		}
+	}
+}
+
+// burstRunner emits one failure, waits for burst to close, then emits
+// n more failures back to back — more than a subscriber's channel
+// buffers — and succeeds.
+type burstRunner struct {
+	n     int
+	burst chan struct{}
+}
+
+func (r *burstRunner) Execute(ctx context.Context, spec JobSpec, onFailure func(core.Failure)) (*JobResult, error) {
+	fail := func(i int) {
+		onFailure(core.Failure{Oracle: csi.OracleWriteRead, Signature: "burst", Detail: fmt.Sprint(i)})
+	}
+	fail(0)
+	select {
+	case <-r.burst:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	for i := 1; i <= r.n; i++ {
+		fail(i)
+	}
+	key, err := spec.CacheKey()
+	if err != nil {
+		return nil, err
+	}
+	return &JobResult{Key: key, Kind: spec.Kind, Spec: spec, Rendered: "burst", ReportSHA: core.HashBytes([]byte("burst"))}, nil
+}
+
+// stallingWriter is a stream client that stops reading: its first
+// Write signals first and then blocks until release closes.
+type stallingWriter struct {
+	header  http.Header
+	first   chan struct{}
+	release chan struct{}
+	stalled bool
+	body    bytes.Buffer
+}
+
+func (w *stallingWriter) Header() http.Header { return w.header }
+func (w *stallingWriter) WriteHeader(int)     {}
+func (w *stallingWriter) Write(p []byte) (int, error) {
+	if !w.stalled {
+		w.stalled = true
+		close(w.first)
+		<-w.release
+	}
+	return w.body.Write(p)
+}
+
+// A burst of failures larger than the live channel's buffer, read by a
+// client that stalls before reading, still reaches the client whole:
+// every event exactly once, in Seq order, equal to the replay.
+func TestServerStreamLosslessUnderBurst(t *testing.T) {
+	runner := &burstRunner{n: 200, burst: make(chan struct{})}
+	sched, _ := newTestScheduler(t, SchedulerOptions{Workers: 1, Executor: runner})
+	srv := NewServer(sched, ServerOptions{Version: "test-build"})
+	job, err := sched.Submit(JobSpec{Kind: KindFuzz, Seed: 400, N: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w := &stallingWriter{header: http.Header{}, first: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.ServeHTTP(w, httptest.NewRequest("GET", "/api/v1/jobs/"+job.ID+"/stream", nil))
+	}()
+	<-w.first // the handler has subscribed and is stuck writing event 0
+	close(runner.burst)
+	<-job.Done() // the whole burst went out while the client stalled
+	close(w.release)
+	<-served
+
+	var live []StreamEvent
+	sc := bufio.NewScanner(&w.body)
+	for sc.Scan() {
+		var ev StreamEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		live = append(live, ev)
+	}
+	replay, _ := job.Subscribe()
+	if want := runner.n + 2; len(replay) != want {
+		t.Fatalf("history has %d events, want %d", len(replay), want)
+	}
+	if len(live) != len(replay) {
+		t.Fatalf("live stream has %d events, replay has %d", len(live), len(replay))
+	}
+	for i := range live {
+		if live[i].Seq != i {
+			t.Fatalf("live event %d has seq %d", i, live[i].Seq)
+		}
+		if live[i] != replay[i] {
+			t.Errorf("live event %d differs from replay: %+v vs %+v", i, live[i], replay[i])
+		}
+	}
+	if last := live[len(live)-1]; last.Type != StateDone {
+		t.Errorf("terminal event: %+v", last)
 	}
 }
 

@@ -187,7 +187,7 @@ func (s *Session) sqlSelect(sp *obs.Span, st *sqlparse.Select) (*Result, error) 
 }
 
 func fallbackWarning(table string) string {
-	return fmt.Sprintf("WARN HiveExternalCatalog: reading table %s using the Hive schema, which is not case preserving", table)
+	return "WARN HiveExternalCatalog: reading table " + table + " using the Hive schema, which is not case preserving"
 }
 
 // projectSpark adapts the shared projection helper to Spark's result

@@ -46,7 +46,9 @@ type lexer struct {
 }
 
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	// Statements average well over three bytes per token, so one
+	// allocation usually holds every token.
+	l := &lexer{src: src, toks: make([]token, 0, len(src)/3+2)}
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.src) {
@@ -102,7 +104,8 @@ func lex(src string) ([]token, error) {
 				}
 			}
 			l.pos++
-			l.toks = append(l.toks, token{kind: tokPunct, text: string(c), raw: string(c), pos: start})
+			one := l.src[start:l.pos]
+			l.toks = append(l.toks, token{kind: tokPunct, text: one, raw: one, pos: start})
 		case c == '!':
 			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '=' {
 				l.pos += 2

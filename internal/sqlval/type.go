@@ -10,6 +10,7 @@ package sqlval
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -151,11 +152,11 @@ func StructType(fields ...Field) Type {
 func (t Type) String() string {
 	switch t.Kind {
 	case KindDecimal:
-		return fmt.Sprintf("DECIMAL(%d,%d)", t.Precision, t.Scale)
+		return "DECIMAL(" + strconv.Itoa(t.Precision) + "," + strconv.Itoa(t.Scale) + ")"
 	case KindChar:
-		return fmt.Sprintf("CHAR(%d)", t.Length)
+		return "CHAR(" + strconv.Itoa(t.Length) + ")"
 	case KindVarchar:
-		return fmt.Sprintf("VARCHAR(%d)", t.Length)
+		return "VARCHAR(" + strconv.Itoa(t.Length) + ")"
 	case KindArray:
 		return fmt.Sprintf("ARRAY<%s>", t.Elem)
 	case KindMap:

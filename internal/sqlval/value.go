@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -116,7 +117,7 @@ func (v Value) String() string {
 		}
 		return "false"
 	case KindTinyInt, KindSmallInt, KindInt, KindBigInt:
-		return fmt.Sprintf("%d", v.I)
+		return strconv.FormatInt(v.I, 10)
 	case KindFloat, KindDouble:
 		if math.IsNaN(v.F) {
 			return "NaN"
