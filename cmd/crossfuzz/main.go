@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -106,39 +105,17 @@ func main() {
 	}
 
 	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "crossfuzz: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(filepath.Join(*traceDir, "spans.jsonl"))
+		path, err := opts.Tracer.WriteSpansFile(*traceDir, "spans.jsonl")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "crossfuzz: %v\n", err)
-			os.Exit(1)
-		}
-		if err := opts.Tracer.WriteSpans(f); err != nil {
-			f.Close()
 			fmt.Fprintf(os.Stderr, "crossfuzz: writing spans: %v\n", err)
 			os.Exit(1)
 		}
-		f.Close()
-		fmt.Printf("wrote %d spans to %s\n", opts.Tracer.Len(), filepath.Join(*traceDir, "spans.jsonl"))
+		fmt.Printf("wrote %d spans to %s\n", opts.Tracer.Len(), path)
 	}
 	if *metricsFile != "" {
-		if err := writeMetrics(opts.Metrics, *metricsFile); err != nil {
+		if err := opts.Metrics.WritePrometheusFile(*metricsFile); err != nil {
 			fmt.Fprintf(os.Stderr, "crossfuzz: writing metrics: %v\n", err)
 			os.Exit(1)
 		}
 	}
-}
-
-func writeMetrics(reg *obs.Registry, dest string) error {
-	if dest == "-" {
-		return reg.WritePrometheus(os.Stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return reg.WritePrometheus(f)
 }

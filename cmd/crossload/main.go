@@ -30,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -99,14 +98,15 @@ func main() {
 	}
 
 	if tracer != nil {
-		if err := writeSpans(tracer, *traceDir); err != nil {
+		path, err := tracer.WriteSpansFile(*traceDir, "spans.jsonl")
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "crossload: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %d spans to %s\n", tracer.Len(), filepath.Join(*traceDir, "spans.jsonl"))
+		fmt.Printf("wrote %d spans to %s\n", tracer.Len(), path)
 	}
 	if metrics != nil {
-		if err := writeMetrics(metrics, *metricsFile); err != nil {
+		if err := metrics.WritePrometheusFile(*metricsFile); err != nil {
 			fmt.Fprintf(os.Stderr, "crossload: writing metrics: %v\n", err)
 			os.Exit(1)
 		}
@@ -258,28 +258,4 @@ func runStorm(seed uint64, sessions int, policies []string) error {
 	fmt.Printf("  rejected: queue=%d throttled=%d breaker_shed=%d give_ups=%d breaker_opens=%d\n",
 		stats.RejectQueue, stats.RejectThrottle, stats.BreakerShed, stats.GiveUps, stats.BreakerOpens)
 	return nil
-}
-
-func writeSpans(tr *obs.Tracer, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, "spans.jsonl"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return tr.WriteSpans(f)
-}
-
-func writeMetrics(reg *obs.Registry, dest string) error {
-	if dest == "-" {
-		return reg.WritePrometheus(os.Stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return reg.WritePrometheus(f)
 }

@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/buildinfo"
@@ -35,8 +34,8 @@ func main() {
 	seed := flag.Uint64("seed", 1, "campaign seed (drives the random baseline's schedules)")
 	strategy := flag.String("strategy", "compare", "injection strategy: "+strings.Join(partition.Strategies(), "|"))
 	scenarios := flag.String("scenarios", "", "comma-separated scenario names (empty = full registry)")
-	trials := flag.Int("trials", 20, "random trials per scenario")
-	hold := flag.Int64("hold", 1000, "random-cut hold in virtual ms before healing")
+	trials := flag.Int("trials", partition.DefaultTrials, "random trials per scenario")
+	hold := flag.Int64("hold", partition.DefaultHoldMs, "random-cut hold in virtual ms before healing")
 	parallel := flag.Int("parallel", 1, "concurrent campaign units")
 	plan := flag.Bool("plan", false, "print the deterministic random-cut schedule and exit (runs nothing)")
 	list := flag.Bool("list", false, "list the scenario registry and exit")
@@ -105,40 +104,17 @@ func main() {
 	fmt.Printf("\nreport-hash: %s\n", res.Hash())
 
 	if *traceDir != "" {
-		if err := writeSpans(opts.Tracer, *traceDir); err != nil {
+		path, err := opts.Tracer.WriteSpansFile(*traceDir, "spans.jsonl")
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "crosspart: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %d spans to %s\n", opts.Tracer.Len(), filepath.Join(*traceDir, "spans.jsonl"))
+		fmt.Printf("wrote %d spans to %s\n", opts.Tracer.Len(), path)
 	}
 	if *metricsFile != "" {
-		if err := writeMetrics(opts.Metrics, *metricsFile); err != nil {
+		if err := opts.Metrics.WritePrometheusFile(*metricsFile); err != nil {
 			fmt.Fprintf(os.Stderr, "crosspart: writing metrics: %v\n", err)
 			os.Exit(1)
 		}
 	}
-}
-
-func writeSpans(tr *obs.Tracer, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, "spans.jsonl"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return tr.WriteSpans(f)
-}
-
-func writeMetrics(reg *obs.Registry, dest string) error {
-	if dest == "-" {
-		return reg.WritePrometheus(os.Stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return reg.WritePrometheus(f)
 }

@@ -35,7 +35,7 @@ func TestMetricsExportArithmetic(t *testing.T) {
 	// Exercise the same path the -metrics flag takes, then parse the
 	// file back.
 	dest := filepath.Join(t.TempDir(), "metrics.prom")
-	if err := writeMetrics(reg, dest); err != nil {
+	if err := reg.WritePrometheusFile(dest); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(dest)
@@ -77,7 +77,7 @@ func TestTraceExportWritesSpans(t *testing.T) {
 		t.Fatal("traced run recorded no spans")
 	}
 	dir := t.TempDir()
-	if err := writeSpans(tr, dir); err != nil {
+	if _, err := tr.WriteSpansFile(dir, "spans.jsonl"); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

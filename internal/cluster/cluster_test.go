@@ -235,31 +235,41 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // The headline determinism contract for fuzz: a campaign split across
 // 3 nodes merges byte-identically — the full stored JobResult,
 // rendered report and hash included — to the same campaign on a single
-// unsplit node.
+// unsplit node. The offset campaign pins that the merge keeps the
+// parent's From (its report prints "from=7" like the unsplit run).
 func TestClusterFuzzByteIdenticalToSingleNode(t *testing.T) {
-	spec := serve.JobSpec{Kind: serve.KindFuzz, Seed: 5, N: 60, Parallel: 2}
-	direct := runDirect(t, spec)
+	for _, spec := range []serve.JobSpec{
+		{Kind: serve.KindFuzz, Seed: 5, N: 60, Parallel: 2},
+		{Kind: serve.KindFuzz, Seed: 5, N: 20, From: 7},
+	} {
+		t.Run(fmt.Sprintf("n=%d,from=%d", spec.N, spec.From), func(t *testing.T) {
+			direct := runDirect(t, spec)
 
-	nodes, front := newCluster(t, 3, 6)
-	got := runCluster(t, front, spec)
-	if !bytes.Equal(got, direct) {
-		t.Errorf("3-node merged fuzz result differs from single-node run:\n got: %s\nwant: %s", got, direct)
-	}
-	if n := sumExecutions(nodes); n != 6 {
-		t.Errorf("campaign executed %d sub-jobs, want 6", n)
-	}
+			nodes, front := newCluster(t, 3, 6)
+			got := runCluster(t, front, spec)
+			if !bytes.Equal(got, direct) {
+				t.Errorf("3-node merged fuzz result differs from single-node run:\n got: %s\nwant: %s", got, direct)
+			}
+			if n := sumExecutions(nodes); n != 6 {
+				t.Errorf("campaign executed %d sub-jobs, want 6", n)
+			}
 
-	// Every sub-job ran remotely; the coordinator's own registry only
-	// saw fan-out, never a harness execution.
-	var res serve.JobResult
-	if err := json.Unmarshal(got, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Fuzz == nil || res.Fuzz.Failures == 0 {
-		t.Errorf("merged campaign found no failures: %+v", res.Fuzz)
-	}
-	if res.Merge != nil {
-		t.Error("merged parent result leaks shard MergeMeta")
+			// Every sub-job ran remotely; the coordinator's own registry
+			// only saw fan-out, never a harness execution.
+			var res serve.JobResult
+			if err := json.Unmarshal(got, &res); err != nil {
+				t.Fatal(err)
+			}
+			if res.Fuzz == nil || res.Fuzz.Failures == 0 {
+				t.Fatalf("merged campaign found no failures: %+v", res.Fuzz)
+			}
+			if res.Fuzz.From != spec.From {
+				t.Errorf("merged campaign from = %d, want %d", res.Fuzz.From, spec.From)
+			}
+			if res.Merge != nil {
+				t.Error("merged parent result leaks shard MergeMeta")
+			}
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster/chash"
+	"repro/internal/cluster/merge"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -120,6 +121,24 @@ func (c *Coordinator) Execute(ctx context.Context, spec serve.JobSpec, onFailure
 	merged, err := Merge(spec, results)
 	c.stage(obs.StageMerge, time.Since(mergeStart))
 	return merged, err
+}
+
+// Merge reassembles sub-results (in Split's sub-job order) into the
+// parent result. The heavy lifting lives in cluster/merge, which
+// crossvet holds to the determinism contract; this is the kind
+// dispatch, the only branch on the job kind outside internal/serve.
+func Merge(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, error) {
+	switch spec.Kind {
+	case serve.KindCorpus:
+		return merge.Corpus(spec, subs)
+	case serve.KindFuzz:
+		return merge.Fuzz(spec, subs)
+	case serve.KindSkew:
+		return merge.Skew(spec, subs)
+	case serve.KindPartition:
+		return merge.Partition(spec, subs)
+	}
+	return nil, fmt.Errorf("cluster: kind %q does not merge", spec.Kind)
 }
 
 // fanout dispatches the sub-jobs and blocks until every result is in,

@@ -14,6 +14,13 @@
 //   - partition: one scenario per sub, concatenated in expanded
 //     registry order into a partition.Result.
 //
+// Every merged payload is built and stamped by the serve code Execute
+// uses (the spec's resolved options, serve.FuzzResult,
+// serve.SkewResult, JobSpec.Stamp), so a merged result cannot drift
+// from the single-node one. The merges stay in this package rather than
+// in serve's kind files because crossvet holds this package to the
+// determinism contract, while serve is allowed the wall clock.
+//
 // Everything here is deterministic: map iteration is always sorted
 // before it can reach rendered output, and the merged result depends
 // only on the multiset of sub-results, not their arrival order.
@@ -30,21 +37,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/versions"
 )
-
-// finish stamps the fields every merged result shares: the parent
-// content address, the rendered report's hash, and the spec echo.
-func finish(spec serve.JobSpec, res *serve.JobResult) (*serve.JobResult, error) {
-	key, err := spec.CacheKey()
-	if err != nil {
-		return nil, err
-	}
-	res.Key = key
-	res.Kind = spec.Kind
-	res.Spec = spec
-	res.Conf = spec.Conf
-	res.ReportSHA = core.HashBytes([]byte(res.Rendered))
-	return res, nil
-}
 
 // subRank returns the merge rank a sub-result recorded for a cluster
 // signature ("" when absent — absent ranks lose every comparison).
@@ -161,21 +153,14 @@ func Corpus(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, erro
 	for c, n := range inject.CategoryCounts(merged.KnownNumbers) {
 		merged.Categories[string(c)] = n
 	}
-	res := &serve.JobResult{Report: &merged, Rendered: core.RenderReportJSON(merged)}
-	return finish(spec, res)
+	return spec.Stamp(&serve.JobResult{Report: &merged, Rendered: core.RenderReportJSON(merged)})
 }
 
 // Fuzz merges seed-range shard campaigns into the parent campaign
-// result, rebuilding a fuzzgen.Result so the real Render produces the
-// report text.
+// result, rebuilding a fuzzgen.Result under the parent's resolved
+// options so the real Render produces the report text.
 func Fuzz(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, error) {
-	confs := spec.Confs
-	if confs == 0 {
-		confs = 6 // the fuzzgen default the campaign normalizes to
-	}
-	camp := &fuzzgen.Result{
-		Opts: fuzzgen.Options{Seed: spec.Seed, N: spec.N, Confs: confs},
-	}
+	camp := &fuzzgen.Result{Opts: spec.FuzzOptions()}
 	type acc struct {
 		cl   fuzzgen.Cluster
 		rank string
@@ -242,31 +227,13 @@ func Fuzz(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, error)
 	}
 	sort.Ints(camp.KnownHit)
 
-	fj := &serve.FuzzJSON{
-		Seed:          camp.Opts.Seed,
-		N:             camp.Opts.N,
-		Confs:         camp.Opts.Confs,
-		Executed:      camp.Executed,
-		TableCases:    camp.TableCases,
-		Failures:      camp.Failures,
-		Clusters:      make([]serve.ClusterJSON, 0, len(camp.Clusters)),
-		KnownHit:      camp.KnownHit,
-		NewSignatures: camp.NewSigs,
-	}
-	for _, cl := range camp.Clusters {
-		fj.Clusters = append(fj.Clusters, serve.ClusterJSON{
-			Signature: cl.Signature, Known: cl.Known, Count: cl.Count, Example: cl.Example,
-		})
-	}
-	res := &serve.JobResult{Fuzz: fj, Rendered: camp.Render()}
-	return finish(spec, res)
+	return spec.Stamp(serve.FuzzResult(camp))
 }
 
 // Skew merges per-pair skew cells, in parent pair order (the sub-result
 // order), into the parent matrix.
 func Skew(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, error) {
 	m := &core.SkewMatrix{}
-	sj := &serve.SkewJSON{}
 	for _, sub := range subs {
 		if sub == nil || sub.Skew == nil {
 			return nil, fmt.Errorf("merge: skew sub-result missing matrix payload")
@@ -284,41 +251,21 @@ func Skew(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, error)
 				Failures:       cell.Failures,
 				SkewFailures:   cell.SkewFailures,
 			})
-			sj.Pairs = append(sj.Pairs, pair.String())
-			sj.Cells = append(sj.Cells, cell)
 		}
 	}
-	res := &serve.JobResult{Skew: sj, Rendered: m.Render()}
-	return finish(spec, res)
+	return spec.Stamp(serve.SkewResult(m))
 }
 
 // Partition merges per-scenario campaign outcomes, in parent scenario
 // order (the sub-result order), into the parent campaign result.
 func Partition(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, error) {
-	strategy := spec.Strategy
-	if strategy == "" {
-		strategy = string(partition.StrategyGuided)
-	}
-	trials := spec.Trials
-	if trials <= 0 {
-		trials = 20 // partition.Run's default
-	}
-	hold := spec.HoldMs
-	if hold <= 0 {
-		hold = 1000 // partition.Run's default
-	}
-	pres := &partition.Result{
-		Seed:     spec.Seed,
-		Strategy: partition.Strategy(strategy),
-		Trials:   trials,
-		HoldMs:   hold,
-	}
+	o := spec.PartitionOptions()
+	pres := &partition.Result{Seed: o.Seed, Strategy: o.Strategy, Trials: o.Trials, HoldMs: o.HoldMs}
 	for _, sub := range subs {
 		if sub == nil || sub.Partition == nil {
 			return nil, fmt.Errorf("merge: partition sub-result missing campaign payload")
 		}
 		pres.Outcomes = append(pres.Outcomes, sub.Partition.Outcomes...)
 	}
-	res := &serve.JobResult{Partition: pres, Rendered: pres.Render()}
-	return finish(spec, res)
+	return spec.Stamp(&serve.JobResult{Partition: pres, Rendered: pres.Render()})
 }

@@ -11,10 +11,7 @@ package cluster
 import (
 	"fmt"
 
-	"repro/internal/cluster/merge"
-	"repro/internal/partition"
 	"repro/internal/serve"
-	"repro/internal/versions"
 )
 
 // SubJob is one fragment of a split parent job: a plain, independently
@@ -25,99 +22,14 @@ type SubJob struct {
 	Key  string
 }
 
-// corpusFamilies is the canonical family order ("ss", "sh", "hs" —
-// core.Plans() order), so corpus shards dispatch in a stable order
-// regardless of how the submission spelled its family list.
-var corpusFamilies = []string{"ss", "sh", "hs"}
-
-// Split breaks a validated parent spec into sub-jobs:
-//
-//   - corpus: one shard per plan family (Shard sub-specs, so each
-//     carries MergeMeta ranks for the deterministic merge);
-//   - fuzz: factor contiguous [From, From+N) seed-index ranges (Shard
-//     sub-specs, same reason);
-//   - skew: one plain spec per writer->reader pair, in submission
-//     order — these are the exact specs a user could submit directly,
-//     so the cache tier serves either from the other;
-//   - partition: one plain spec per scenario, in campaign order —
-//     sound because each scenario's schedule derives from (seed,
-//     scenario, trial) alone. The fixed strategy does not split: its
-//     explicit cut schedule is validated against the scenario union.
-//
-// A job that does not split (sweep, fixed-strategy partition, or a
+// Split breaks a parent spec into sub-jobs by its kind's split rule
+// (serve.JobSpec.SubSpecs; each rule lives in serve/kind_<name>.go). A
+// job that does not split (sweep, a scheduled partition, or a
 // degenerate size) returns ok=false and should run as a single unit.
 func Split(spec serve.JobSpec, factor int) (subs []SubJob, ok bool, err error) {
-	if err := spec.Validate(); err != nil {
+	specs, err := spec.SubSpecs(factor)
+	if err != nil {
 		return nil, false, err
-	}
-	var specs []serve.JobSpec
-	switch spec.Kind {
-	case serve.KindCorpus:
-		requested := map[string]bool{}
-		for _, f := range spec.Families {
-			requested[f] = true
-		}
-		for _, f := range corpusFamilies {
-			if len(spec.Families) > 0 && !requested[f] {
-				continue
-			}
-			sub := spec
-			sub.Families = []string{f}
-			sub.Shard = true
-			specs = append(specs, sub)
-		}
-	case serve.KindFuzz:
-		if factor < 2 || spec.N < 2 {
-			return nil, false, nil
-		}
-		if factor > spec.N {
-			factor = spec.N
-		}
-		// Contiguous ranges, remainder spread over the first shards so
-		// sizes differ by at most one.
-		base, rem := spec.N/factor, spec.N%factor
-		from := spec.From
-		for i := 0; i < factor; i++ {
-			n := base
-			if i < rem {
-				n++
-			}
-			sub := spec
-			sub.From = from
-			sub.N = n
-			sub.Shard = true
-			specs = append(specs, sub)
-			from += n
-		}
-	case serve.KindSkew:
-		pairs := spec.Pairs
-		if len(pairs) == 0 {
-			for _, p := range versions.DefaultPairs() {
-				pairs = append(pairs, p.String())
-			}
-		}
-		for _, p := range pairs {
-			sub := spec
-			sub.Pairs = []string{p}
-			specs = append(specs, sub)
-		}
-	case serve.KindPartition:
-		if spec.Strategy == string(partition.StrategyFixed) {
-			return nil, false, nil
-		}
-		scenarios := spec.Scenarios
-		if len(scenarios) == 0 {
-			for _, sc := range partition.Scenarios() {
-				scenarios = append(scenarios, sc.Name)
-			}
-		}
-		for _, name := range scenarios {
-			sub := spec
-			sub.Scenarios = []string{name}
-			specs = append(specs, sub)
-		}
-	default:
-		return nil, false, nil
 	}
 	if len(specs) < 2 {
 		return nil, false, nil
@@ -131,21 +43,4 @@ func Split(spec serve.JobSpec, factor int) (subs []SubJob, ok bool, err error) {
 		subs = append(subs, SubJob{Spec: s, Key: key})
 	}
 	return subs, true, nil
-}
-
-// Merge reassembles sub-results (in Split's sub-job order) into the
-// parent result. The heavy lifting lives in cluster/merge; this is the
-// kind dispatch.
-func Merge(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, error) {
-	switch spec.Kind {
-	case serve.KindCorpus:
-		return merge.Corpus(spec, subs)
-	case serve.KindFuzz:
-		return merge.Fuzz(spec, subs)
-	case serve.KindSkew:
-		return merge.Skew(spec, subs)
-	case serve.KindPartition:
-		return merge.Partition(spec, subs)
-	}
-	return nil, fmt.Errorf("cluster: kind %q does not merge", spec.Kind)
 }

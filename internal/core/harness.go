@@ -212,7 +212,7 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 				Observe(float64(time.Since(started)) / float64(time.Millisecond))
 		}
 	}
-	if err := runPool(opts.Context, opts.Parallel, cases, execute); err != nil {
+	if err := RunPool(opts.Context, opts.Parallel, cases, execute); err != nil {
 		return nil, err
 	}
 
@@ -238,13 +238,14 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 	}, nil
 }
 
-// runPool drains work through n worker goroutines (n < 2 runs
-// sequentially). Workers only write into their own work item, so the
-// caller observes results in the deterministic order of the slice
-// regardless of scheduling. A cancelled ctx stops dispatching new
-// items (in-flight items finish) and returns ctx.Err(); a nil ctx
-// always drains everything.
-func runPool[T any](ctx context.Context, n int, items []T, run func(T)) error {
+// RunPool drains items through n worker goroutines (n < 2 runs them
+// sequentially on the caller's goroutine). It is the one ordered worker
+// pool of the fault planes: when run writes only into its own item's
+// slot, the caller observes results in the deterministic order of the
+// slice regardless of scheduling. A cancelled ctx stops dispatching
+// new items (in-flight items finish) and returns ctx.Err(); a nil ctx
+// always drains everything and returns nil.
+func RunPool[T any](ctx context.Context, n int, items []T, run func(T)) error {
 	done := func() <-chan struct{} {
 		if ctx == nil {
 			return nil

@@ -94,7 +94,7 @@ func RunTables(cases []*TableCase, opts RunOptions) (*RunResult, error) {
 				Observe(float64(time.Since(started)) / float64(time.Millisecond))
 		}
 	}
-	if err := runPool(opts.Context, opts.Parallel, cases, execute); err != nil {
+	if err := RunPool(opts.Context, opts.Parallel, cases, execute); err != nil {
 		return nil, err
 	}
 

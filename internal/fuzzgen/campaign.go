@@ -64,6 +64,10 @@ type Options struct {
 	OnFailure func(core.Failure)
 }
 
+// DefaultConfs is the configuration-pool size a zero Options.Confs
+// means.
+const DefaultConfs = 6
+
 // Cluster is one failure signature's campaign-level tally.
 type Cluster struct {
 	Signature string
@@ -122,7 +126,7 @@ func RunCampaign(opts Options) (*Result, error) {
 		return nil, fmt.Errorf("fuzzgen: From must be non-negative, got %d", opts.From)
 	}
 	if opts.Confs == 0 {
-		opts.Confs = 6
+		opts.Confs = DefaultConfs
 	}
 	started := time.Now() //crossvet:wallclock Elapsed is operator-facing; the campaign hash covers Render, which excludes it
 	deadline := time.Time{}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fuzzgen"
 	"repro/internal/serve"
 )
@@ -128,22 +129,14 @@ func DriveScheduler(sched *serve.Scheduler, opts CrossdStormOptions) (*CrossdSto
 	//crossvet:wallclock breaker timestamps measure the same wall-clock storm, not virtual time
 	nowMs := func() int64 { return time.Since(start).Milliseconds() }
 
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for c := 0; c < opts.Clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				runStormSession(sched, opts, i, breaker, nowMs, stats, &mu)
-			}
-		}()
+	sessions := make([]int, opts.Sessions)
+	for i := range sessions {
+		sessions[i] = i
 	}
-	for i := 0; i < opts.Sessions; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	// A nil context never stops the pool, so it returns no error.
+	_ = core.RunPool(nil, opts.Clients, sessions, func(i int) {
+		runStormSession(sched, opts, i, breaker, nowMs, stats, &mu)
+	})
 	stats.BreakerOpens = breaker.opens()
 	return stats, nil
 }

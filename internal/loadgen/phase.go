@@ -160,8 +160,7 @@ func RunPhaseDiagram(opts PhaseOptions) (*PhaseResult, error) {
 	cells := make([]Cell, len(coords))
 	var firstErr error
 	var errMu sync.Mutex
-	runCell := func(i int) {
-		co := coords[i]
+	runCell := func(co coord) {
 		spec, peak := specs[co.row], peaks[co.col]
 		cfg := CellConfig(opts.Seed, spec, peak, opts.Admission)
 		cfg.Arrivals = schedules[peak]
@@ -177,31 +176,11 @@ func RunPhaseDiagram(opts PhaseOptions) (*PhaseResult, error) {
 			return
 		}
 		cls := Classify(stats, cfg.Server, cfg.WindowMs, OverloadEndMs(cfg.Curve, cfg.HorizonMs), spec.Policy.Jittered())
-		cells[i] = Cell{Policy: spec.Label, PeakRPS: peak, Stats: stats, Classification: cls}
+		// coords are row-major, so a cell's slot is row*len(peaks)+col.
+		cells[co.row*len(peaks)+co.col] = Cell{Policy: spec.Label, PeakRPS: peak, Stats: stats, Classification: cls}
 	}
 
-	if opts.Parallel == 1 {
-		for i := range coords {
-			runCell(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < opts.Parallel; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runCell(i)
-				}
-			}()
-		}
-		for i := range coords {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	_ = core.RunPool(nil, opts.Parallel, coords, runCell) // a nil context never stops the pool
 	if firstErr != nil {
 		return nil, firstErr
 	}

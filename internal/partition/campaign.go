@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/csi"
@@ -178,10 +177,10 @@ func PlanRandom(seed uint64, scenarios []string, trials int, holdMs int64) ([]Pl
 		return nil, err
 	}
 	if trials <= 0 {
-		trials = defaultTrials
+		trials = DefaultTrials
 	}
 	if holdMs <= 0 {
-		holdMs = defaultHoldMs
+		holdMs = DefaultHoldMs
 	}
 	var out []PlannedCut
 	for _, sc := range scs {
@@ -197,9 +196,11 @@ func PlanRandom(seed uint64, scenarios []string, trials int, holdMs int64) ([]Pl
 	return out, nil
 }
 
+// The campaign defaults Run and PlanRandom apply to a zero Trials or
+// HoldMs; crossd resolves partition job specs to the same values.
 const (
-	defaultTrials = 20
-	defaultHoldMs = 1000
+	DefaultTrials = 20
+	DefaultHoldMs = 1000
 )
 
 func selectScenarios(names []string) ([]*Scenario, error) {
@@ -348,10 +349,10 @@ func Run(opts Options) (*Result, error) {
 		return nil, fmt.Errorf("partition: unknown strategy %q (have %s)", opts.Strategy, strings.Join(Strategies(), ", "))
 	}
 	if opts.Trials <= 0 {
-		opts.Trials = defaultTrials
+		opts.Trials = DefaultTrials
 	}
 	if opts.HoldMs <= 0 {
-		opts.HoldMs = defaultHoldMs
+		opts.HoldMs = DefaultHoldMs
 	}
 	if opts.Parallel <= 0 {
 		opts.Parallel = 1
@@ -370,47 +371,30 @@ func Run(opts Options) (*Result, error) {
 		scIdx int
 		mode  Strategy
 		trial int
+		res   unitResult
 	}
-	var units []unit
+	var units []*unit
 	for i := range scs {
-		units = append(units, unit{i, StrategyObserve, -1})
+		add := func(mode Strategy, trial int) {
+			units = append(units, &unit{scIdx: i, mode: mode, trial: trial})
+		}
+		add(StrategyObserve, -1)
 		if opts.Strategy == StrategyGuided || opts.Strategy == StrategyCompare {
-			units = append(units, unit{i, StrategyGuided, -1})
+			add(StrategyGuided, -1)
 		}
 		if opts.Strategy == StrategyRandom || opts.Strategy == StrategyCompare {
 			for k := 0; k < opts.Trials; k++ {
-				units = append(units, unit{i, StrategyRandom, k})
+				add(StrategyRandom, k)
 			}
 		}
 		if opts.Strategy == StrategyFixed {
-			units = append(units, unit{i, StrategyFixed, -1})
+			add(StrategyFixed, -1)
 		}
 	}
-
-	results := make([]unitResult, len(units))
-	if opts.Parallel == 1 {
-		for i, u := range units {
-			results[i] = runUnit(scs[u.scIdx], u.mode, u.trial, opts)
-		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < opts.Parallel; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					u := units[i]
-					results[i] = runUnit(scs[u.scIdx], u.mode, u.trial, opts)
-				}
-			}()
-		}
-		for i := range units {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	// A nil context never stops the pool, so it returns no error.
+	_ = core.RunPool(nil, opts.Parallel, units, func(u *unit) {
+		u.res = runUnit(scs[u.scIdx], u.mode, u.trial, opts)
+	})
 
 	// Deterministic assembly, in scenario order then mode then trial —
 	// the order units were enumerated in.
@@ -431,9 +415,9 @@ func Run(opts Options) (*Result, error) {
 			}
 		}
 	}
-	for i, u := range units {
+	for _, u := range units {
 		out := &outcomes[u.scIdx]
-		r := results[i]
+		r := u.res
 		switch u.mode {
 		case StrategyObserve:
 			out.WindowOpenMs, out.WindowCloseMs = r.windowOpen, r.windowClose

@@ -11,14 +11,12 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/fuzzgen"
 	"repro/internal/partition"
-	"repro/internal/versions"
 )
 
 // Job kinds.
@@ -96,107 +94,21 @@ type JobSpec struct {
 
 // Validate rejects malformed specs before admission.
 func (s *JobSpec) Validate() error {
-	switch s.Kind {
-	case KindCorpus, KindSweep, KindSkew:
-		for _, f := range s.Families {
-			if f != "ss" && f != "sh" && f != "hs" {
-				return fmt.Errorf("serve: unknown plan family %q", f)
-			}
-		}
-		if s.Kind == KindSkew {
-			for _, spec := range s.Pairs {
-				if _, err := versions.ParsePair(spec); err != nil {
-					return fmt.Errorf("serve: bad version pair %q: %w", spec, err)
-				}
-			}
-		}
-	case KindFuzz:
-		if s.N <= 0 {
-			return fmt.Errorf("serve: fuzz job needs n > 0, got %d", s.N)
-		}
-		if s.N > 1_000_000 {
-			return fmt.Errorf("serve: fuzz n %d exceeds the 1000000 admission limit", s.N)
-		}
-		if s.Confs < 0 {
-			return fmt.Errorf("serve: confs must be non-negative, got %d", s.Confs)
-		}
-		if s.From < 0 {
-			return fmt.Errorf("serve: from must be non-negative, got %d", s.From)
-		}
-	case KindPartition:
-		if err := s.validatePartition(); err != nil {
-			return err
-		}
-	default:
+	k, ok := kinds[s.Kind]
+	if !ok {
 		return fmt.Errorf("serve: unknown job kind %q (want %s, %s, %s, %s, or %s)", s.Kind, KindCorpus, KindSweep, KindFuzz, KindSkew, KindPartition)
 	}
-	if s.From != 0 && s.Kind != KindFuzz {
+	if err := k.validate(s); err != nil {
+		return err
+	}
+	if s.From != 0 && !k.ranged {
 		return fmt.Errorf("serve: from applies only to fuzz jobs, got kind %q", s.Kind)
 	}
-	if s.Shard && s.Kind != KindCorpus && s.Kind != KindFuzz {
+	if s.Shard && !k.sharded {
 		return fmt.Errorf("serve: shard applies only to corpus and fuzz jobs, got kind %q", s.Kind)
 	}
 	if s.Parallel < 0 {
 		return fmt.Errorf("serve: parallel must be non-negative, got %d", s.Parallel)
-	}
-	return nil
-}
-
-// validatePartition rejects malformed partition campaigns at admission:
-// unknown scenario names, unknown strategies, a fixed strategy without a
-// schedule, and schedule cuts naming nodes no selected scenario has.
-func (s *JobSpec) validatePartition() error {
-	known := map[string]bool{}
-	for _, name := range s.Scenarios {
-		sc := partition.ByName(name)
-		if sc == nil {
-			return fmt.Errorf("serve: unknown partition scenario %q (have %s)", name, strings.Join(partition.Names(), ", "))
-		}
-		for _, n := range sc.Nodes {
-			known[n] = true
-		}
-	}
-	if len(s.Scenarios) == 0 {
-		for _, sc := range partition.Scenarios() {
-			for _, n := range sc.Nodes {
-				known[n] = true
-			}
-		}
-	}
-	strategy := s.Strategy
-	if strategy == "" {
-		strategy = string(partition.StrategyGuided)
-	}
-	if !partition.ValidStrategy(strategy) {
-		return fmt.Errorf("serve: unknown partition strategy %q (have %s)", s.Strategy, strings.Join(partition.Strategies(), ", "))
-	}
-	if strategy == string(partition.StrategyFixed) && len(s.Schedule) == 0 {
-		return fmt.Errorf("serve: partition strategy %q needs a non-empty schedule", partition.StrategyFixed)
-	}
-	for _, c := range s.Schedule {
-		if c.From == "" || c.To == "" {
-			return fmt.Errorf("serve: partition schedule cut needs both node names, got %q->%q", c.From, c.To)
-		}
-		for _, n := range []string{c.From, c.To} {
-			if !known[n] {
-				return fmt.Errorf("serve: partition schedule names node %q, which no selected scenario has", n)
-			}
-		}
-		if c.AtMs < 0 {
-			return fmt.Errorf("serve: partition schedule cut time must be non-negative, got %d", c.AtMs)
-		}
-		if c.HealAtMs != 0 && c.HealAtMs <= c.AtMs {
-			return fmt.Errorf("serve: partition cut heal time %d must follow the cut at %d (or be 0 to hold)", c.HealAtMs, c.AtMs)
-		}
-	}
-	if s.Trials < 0 {
-		return fmt.Errorf("serve: trials must be non-negative, got %d", s.Trials)
-	}
-	if s.Trials > 10_000 {
-		return fmt.Errorf("serve: trials %d exceeds the 10000 admission limit", s.Trials)
-	}
-	if s.HoldMs < 0 {
-		return fmt.Errorf("serve: hold_ms must be non-negative, got %d", s.HoldMs)
 	}
 	return nil
 }
@@ -250,80 +162,17 @@ var corpusFingerprint = sync.OnceValues(func() (string, error) {
 })
 
 // CacheKey returns the spec's content address: the hex sha256 of its
-// canonical encoding (sorted families, canonical JSON map order,
-// corpus fingerprint for corpus-backed kinds, no execution hints).
+// canonical encoding (defaults resolved, sorted families, canonical JSON
+// map order, corpus fingerprint for corpus-backed kinds, no execution
+// hints).
 func (s *JobSpec) CacheKey() (string, error) {
 	if err := s.Validate(); err != nil {
 		return "", err
 	}
-	ks := keySpec{V: cacheKeyVersion, Kind: s.Kind}
-	switch s.Kind {
-	case KindCorpus, KindSweep, KindSkew:
-		fp, err := corpusFingerprint()
-		if err != nil {
-			return "", err
-		}
-		ks.Corpus = fp
-		ks.Families = append([]string(nil), s.Families...)
-		sort.Strings(ks.Families)
-		if s.Kind == KindCorpus {
-			// A sweep replaces the session conf per cell, so the
-			// submitted conf cannot change its result.
-			ks.Conf = s.Conf
-		}
-		ks.Prefix = s.InputPrefix
-		if s.Kind == KindSkew {
-			// The version pairs are part of the content address, in
-			// canonical (validated, writer->reader) spelling and in
-			// submission order — pair order is cell order in the result.
-			for _, spec := range s.Pairs {
-				p, err := versions.ParsePair(spec)
-				if err != nil {
-					return "", err
-				}
-				ks.Pairs = append(ks.Pairs, p.String())
-			}
-			if len(s.Pairs) == 0 {
-				for _, p := range versions.DefaultPairs() {
-					ks.Pairs = append(ks.Pairs, p.String())
-				}
-			}
-		}
-	case KindFuzz:
-		ks.Seed = s.Seed
-		ks.N = s.N
-		ks.Confs = s.Confs
-		if ks.Confs == 0 {
-			ks.Confs = 6 // the fuzzgen default, so 0 and 6 share a key
-		}
-		ks.From = s.From
-	case KindPartition:
-		ks.Seed = s.Seed
-		// Defaults are normalized into the key (a 0-trials and a
-		// 20-trials campaign are one result), and an empty scenario list
-		// expands to the explicit registry, so growing the registry mints
-		// new keys instead of serving stale "all scenarios" results.
-		ks.Scenarios = append([]string(nil), s.Scenarios...)
-		if len(ks.Scenarios) == 0 {
-			for _, sc := range partition.Scenarios() {
-				ks.Scenarios = append(ks.Scenarios, sc.Name)
-			}
-		}
-		ks.Strategy = s.Strategy
-		if ks.Strategy == "" {
-			ks.Strategy = string(partition.StrategyGuided)
-		}
-		ks.Trials = s.Trials
-		if ks.Trials == 0 {
-			ks.Trials = 20 // the campaign default
-		}
-		ks.HoldMs = s.HoldMs
-		if ks.HoldMs == 0 {
-			ks.HoldMs = 1000 // the campaign default
-		}
-		ks.Schedule = append([]partition.Cut(nil), s.Schedule...)
+	ks := keySpec{V: cacheKeyVersion, Kind: s.Kind, Shard: s.Shard}
+	if err := kinds[s.Kind].key(s, &ks); err != nil {
+		return "", err
 	}
-	ks.Shard = s.Shard
 	return core.HashSpec(ks)
 }
 

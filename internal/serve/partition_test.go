@@ -118,19 +118,58 @@ func TestPartitionCacheKeySemantics(t *testing.T) {
 	}
 }
 
-// TestPrePartitionKeysUnchanged pins a pre-partition cache key as a hex
-// literal: adding the partition fields to keySpec (omitempty) must not
-// move a single existing key, or every cached crossd result would be
-// silently orphaned on upgrade.
+// TestPrePartitionKeysUnchanged pins one cache key per kind as a hex
+// literal: adding fields to keySpec (omitempty), or moving where a
+// kind's defaults are resolved, must not move a single existing key, or
+// every cached crossd result would be silently orphaned on upgrade.
 func TestPrePartitionKeysUnchanged(t *testing.T) {
-	spec := JobSpec{Kind: KindFuzz, Seed: 5, N: 40, Parallel: 2}
-	key, err := spec.CacheKey()
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		want string
+	}{
+		{"fuzz", JobSpec{Kind: KindFuzz, Seed: 5, N: 40, Parallel: 2},
+			"c403914af57ba99c6c7c648fe9d85e8a9d0cea7fc46f8770d4232a8041769e66"},
+		{"corpus", JobSpec{Kind: KindCorpus, Families: []string{"sh", "ss"},
+			Conf: map[string]string{"spark.sql.ansi.enabled": "false"}, InputPrefix: "int_"},
+			"b65c11f825ab12e74c94324cb3c2b00fc8cd3ff4ca79064000f80484114de0b3"},
+		{"sweep", JobSpec{Kind: KindSweep, InputPrefix: "char"},
+			"101c1c904ec2ecfe1b5da64b35f1d1d2a5f74225029d203f530de184ccb581ff"},
+		{"skew pairs", JobSpec{Kind: KindSkew, Pairs: []string{"3.2.1/3.1.2", "2.3.0/2.3.9->3.2.1/3.1.2"}},
+			"008e61aba42dc718b8a2415da3f6733799f7552e7d2c68d4fc62a0b2c77ff67d"},
+		{"skew default", JobSpec{Kind: KindSkew},
+			"e7c67db03bd8eda35f454c199ad49735b9e35c065cd9a5245aa1ad63ce9fff9e"},
+		{"fuzz shard", JobSpec{Kind: KindFuzz, Seed: 5, N: 20, From: 20, Shard: true},
+			"05fa3bdb8b47d59e35ae354af148c2a6e25e3233e1074970936dc22321745356"},
+		{"partition", JobSpec{Kind: KindPartition, Seed: 42},
+			"6d3d4864e5a7bda4b917ca7bc21e5d40bd9d47e2a8f01e1830cf243d3308e4bf"},
+		{"partition fixed", JobSpec{Kind: KindPartition, Seed: 3, Strategy: "fixed",
+			Scenarios: []string{"hdfs-replica"},
+			Schedule:  []partition.Cut{{From: "nn", To: "dn1", AtMs: 100, HealAtMs: 400}}},
+			"3aad07214ffc00079937568b3e52d5f95bbf382bfb2be7da1b99193830ab76f3"},
+	} {
+		key, err := tc.spec.CacheKey()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if key != tc.want {
+			t.Errorf("%s cache key moved: %s (pinned %s)", tc.name, key, tc.want)
+		}
 	}
-	const pinned = "c403914af57ba99c6c7c648fe9d85e8a9d0cea7fc46f8770d4232a8041769e66"
-	if key != pinned {
-		t.Errorf("fuzz cache key moved: %s (pinned %s) — keySpec changed shape for pre-partition kinds", key, pinned)
+}
+
+// A guided campaign may carry a cut schedule (only the fixed strategy
+// runs it, but it is validated against the selected scenarios' nodes).
+// Split per scenario, the schedule would name nodes a sub-spec's single
+// scenario lacks, so such a spec runs as one unit instead.
+func TestPartitionWithScheduleDoesNotSplit(t *testing.T) {
+	spec := JobSpec{Kind: KindPartition, Schedule: []partition.Cut{{From: "nn", To: "dn1"}}}
+	subs, err := spec.SubSpecs(3)
+	if err != nil || subs != nil {
+		t.Fatalf("SubSpecs = %d sub-specs, err %v; want none", len(subs), err)
+	}
+	if subs, _ := (&JobSpec{Kind: KindPartition}).SubSpecs(3); len(subs) != len(partition.Scenarios()) {
+		t.Errorf("schedule-free campaign split into %d sub-specs, want one per scenario", len(subs))
 	}
 }
 
