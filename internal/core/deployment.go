@@ -98,10 +98,6 @@ func NewSkewDeployment(pair versions.Pair) (*Deployment, error) {
 	return d, nil
 }
 
-// Skewed reports whether the deployment runs distinct writer and reader
-// stacks.
-func (d *Deployment) Skewed() bool { return d.ReadSpark != d.Spark || d.ReadHive != d.Hive }
-
 // SetConf applies deployment configuration overrides to every Spark
 // session — overrides beat version-profile defaults, exactly as
 // deployment configuration beats shipped defaults.
@@ -126,7 +122,6 @@ type ReadOutcome struct {
 	Warnings []string
 	HasRow   bool
 	Value    sqlval.Value
-	Column   string
 }
 
 // SetTracer attaches an observability tracer to every engine; spans
@@ -160,7 +155,7 @@ func (d *Deployment) Write(iface Iface, table, format string, in Input) WriteOut
 // WriteSpan is Write under an explicit parent span: each engine call
 // emits its span tree as a child of parent.
 func (d *Deployment) WriteSpan(parent *obs.Span, iface Iface, table, format string, in Input) WriteOutcome {
-	return writeVia(d.Spark, d.Hive, parent, iface, table, format, in)
+	return writeVia(d.Spark, d.Hive, parent, iface, table, format, []WideColumn{{ColumnName, in}})
 }
 
 // Read fetches the single test row through the interface, on the
@@ -171,88 +166,111 @@ func (d *Deployment) Read(iface Iface, table string) ReadOutcome {
 
 // ReadSpan is Read under an explicit parent span.
 func (d *Deployment) ReadSpan(parent *obs.Span, iface Iface, table string) ReadOutcome {
-	return readVia(d.ReadSpark, d.ReadHive, parent, iface, table)
+	return readVia(d.ReadSpark, d.ReadHive, parent, iface, table).column(0)
 }
 
 // WriterReadSpan reads through the *writer* stack — the skew probe's
 // control: in the writer's own deployment generation, what does the
 // table read back as?
 func (d *Deployment) WriterReadSpan(parent *obs.Span, iface Iface, table string) ReadOutcome {
-	return readVia(d.Spark, d.Hive, parent, iface, table)
+	return readVia(d.Spark, d.Hive, parent, iface, table).column(0)
 }
 
 // ReaderWriteSpan writes through the *reader* stack — the skew probe's
 // second control: had the upgraded (or downgraded) stack produced the
 // table itself, what would it contain?
 func (d *Deployment) ReaderWriteSpan(parent *obs.Span, iface Iface, table, format string, in Input) WriteOutcome {
-	return writeVia(d.ReadSpark, d.ReadHive, parent, iface, table, format, in)
+	return writeVia(d.ReadSpark, d.ReadHive, parent, iface, table, format, []WideColumn{{ColumnName, in}})
 }
 
-func writeVia(spark *sparksim.Session, hive *hivesim.Hive, parent *obs.Span, iface Iface, table, format string, in Input) WriteOutcome {
+// writeVia is the harness's one writer: it creates table with one
+// column per cols entry and inserts their single row through iface on
+// the given stack. The SQL interfaces keep the INSERT's warnings (the
+// error-handling oracle reads them); the DataFrame writer reports none.
+func writeVia(spark *sparksim.Session, hive *hivesim.Hive, parent *obs.Span, iface Iface, table, format string, cols []WideColumn) WriteOutcome {
 	switch iface {
-	case SparkSQL:
-		if _, err := spark.SQLSpan(parent, "CREATE TABLE "+table+" ("+ColumnName+" "+in.Type.String()+") STORED AS "+format); err != nil {
-			return WriteOutcome{Err: err}
-		}
-		res, err := spark.SQLSpan(parent, "INSERT INTO "+table+" VALUES ("+in.Literal+")")
-		if err != nil {
-			return WriteOutcome{Err: err}
-		}
-		return WriteOutcome{Warnings: res.Warnings}
+	case SparkSQL, HiveQL:
+		return createInsert(spark, hive, parent, iface, createTableSQL(table, format, cols), insertSQL(table, cols))
 	case DataFrame:
-		schema := serde.Schema{Columns: []serde.Column{{Name: ColumnName, Type: in.Type}}}
-		df, err := spark.CreateDataFrame(schema, []sqlval.Row{{in.Value}})
+		schema := serde.Schema{Columns: make([]serde.Column, len(cols))}
+		row := make(sqlval.Row, 0, 8) // CreateDataFrame copies the row: common widths stay off the heap
+		for i, c := range cols {
+			schema.Columns[i] = serde.Column{Name: c.Name, Type: c.Input.Type}
+			row = append(row, c.Input.Value)
+		}
+		df, err := spark.CreateDataFrame(schema, []sqlval.Row{row})
 		if err != nil {
 			return WriteOutcome{Err: err}
 		}
 		return WriteOutcome{Err: df.SaveAsTableSpan(parent, table, format)}
-	case HiveQL:
-		if _, err := hive.ExecuteSpan(parent, "CREATE TABLE "+table+" ("+ColumnName+" "+in.Type.String()+") STORED AS "+format); err != nil {
-			return WriteOutcome{Err: err}
-		}
-		res, err := hive.ExecuteSpan(parent, "INSERT INTO "+table+" VALUES ("+in.Literal+")")
-		if err != nil {
-			return WriteOutcome{Err: err}
-		}
-		return WriteOutcome{Warnings: res.Warnings}
 	default:
 		return WriteOutcome{Err: fmt.Errorf("core: unknown interface %q", iface)}
 	}
 }
 
-func readVia(spark *sparksim.Session, hive *hivesim.Hive, parent *obs.Span, iface Iface, table string) ReadOutcome {
-	switch iface {
-	case SparkSQL:
-		res, err := spark.SQLSpan(parent, "SELECT * FROM "+table)
-		if err != nil {
-			return ReadOutcome{Err: err}
-		}
-		return readOutcome(res.Columns, res.Rows, res.Warnings)
-	case DataFrame:
-		res, err := spark.TableSpan(parent, table)
-		if err != nil {
-			return ReadOutcome{Err: err}
-		}
-		return readOutcome(res.Columns, res.Rows, res.Warnings)
-	case HiveQL:
-		res, err := hive.ExecuteSpan(parent, "SELECT * FROM "+table)
-		if err != nil {
-			return ReadOutcome{Err: err}
-		}
-		return readOutcome(res.Columns, res.Rows, res.Warnings)
-	default:
-		return ReadOutcome{Err: fmt.Errorf("core: unknown interface %q", iface)}
+// createInsert runs a CREATE TABLE and then an INSERT through a SQL
+// interface, keeping the INSERT's warnings.
+func createInsert(spark *sparksim.Session, hive *hivesim.Hive, parent *obs.Span, iface Iface, create, insert string) WriteOutcome {
+	if _, err := execSQL(spark, hive, parent, iface, create); err != nil {
+		return WriteOutcome{Err: err}
 	}
+	res, err := execSQL(spark, hive, parent, iface, insert)
+	if err != nil {
+		return WriteOutcome{Err: err}
+	}
+	return WriteOutcome{Warnings: res.Warnings}
 }
 
-func readOutcome(cols []serde.Column, rows []sqlval.Row, warnings []string) ReadOutcome {
-	out := ReadOutcome{Warnings: warnings}
-	if len(cols) > 0 {
-		out.Column = cols[0].Name
+// execSQL runs one statement on the engine behind a SQL interface:
+// HiveQL on hive, Spark SQL on spark. The two engines' results share
+// one shape.
+func execSQL(spark *sparksim.Session, hive *hivesim.Hive, parent *obs.Span, iface Iface, stmt string) (*sparksim.Result, error) {
+	if iface == HiveQL {
+		res, err := hive.ExecuteSpan(parent, stmt)
+		return (*sparksim.Result)(res), err
 	}
-	if len(rows) > 0 && len(rows[0]) > 0 {
+	return spark.SQLSpan(parent, stmt)
+}
+
+// WideOutcome is one interface's view of a table: its first row, the
+// columns that row carries and the read's warnings.
+type WideOutcome struct {
+	ReadErr  error
+	Row      sqlval.Row
+	Columns  []serde.Column
+	Warnings []string
+}
+
+// readVia is the harness's one reader: it fetches table's first row
+// through iface on the given stack.
+func readVia(spark *sparksim.Session, hive *hivesim.Hive, parent *obs.Span, iface Iface, table string) WideOutcome {
+	var res *sparksim.Result
+	var err error
+	switch iface {
+	case SparkSQL, HiveQL:
+		res, err = execSQL(spark, hive, parent, iface, "SELECT * FROM "+table)
+	case DataFrame:
+		res, err = spark.TableSpan(parent, table)
+	default:
+		err = fmt.Errorf("core: unknown interface %q", iface)
+	}
+	if err != nil {
+		return WideOutcome{ReadErr: err}
+	}
+	out := WideOutcome{Columns: res.Columns, Warnings: res.Warnings}
+	if len(res.Rows) > 0 {
+		out.Row = res.Rows[0]
+	}
+	return out
+}
+
+// column projects the read onto its i-th column; a row too short to
+// carry it reads as no row.
+func (r WideOutcome) column(i int) ReadOutcome {
+	out := ReadOutcome{Err: r.ReadErr, Warnings: r.Warnings}
+	if 0 <= i && i < len(r.Row) {
 		out.HasRow = true
-		out.Value = rows[0][0]
+		out.Value = r.Row[i]
 	}
 	return out
 }

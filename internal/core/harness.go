@@ -107,16 +107,10 @@ type RunOptions struct {
 	OnFailure func(Failure)
 }
 
-// RunResult is the outcome of a harness run.
-type RunResult struct {
-	Cases    []*CaseResult
-	Failures []Failure
-	Report   *Report
-}
-
-// Run executes the full cross-test: every input × plan × format, then
-// applies the three oracles and clusters failures into discrepancies.
-func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
+// deployment stands up the system under test every harness mode runs
+// on: a skew deployment when Versions is set, the SparkConf overrides
+// applied and the Tracer attached.
+func (opts RunOptions) deployment() (*Deployment, error) {
 	if opts.Parallel < 0 {
 		return nil, fmt.Errorf("core: Parallel must be non-negative, got %d", opts.Parallel)
 	}
@@ -130,6 +124,41 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 	d.SetConf(opts.SparkConf)
 	if opts.Tracer != nil {
 		d.SetTracer(opts.Tracer)
+	}
+	return d, nil
+}
+
+// caseSpan opens a case's root span (nil when untraced), named after
+// its plan and format: attrs are its key/value attributes, followed on
+// a skew deployment by the writer and reader stacks.
+func (d *Deployment) caseSpan(tr *obs.Tracer, plan Plan, format string, attrs ...string) *obs.Span {
+	if tr == nil {
+		return nil
+	}
+	sp := tr.Span(nil, IfaceSystem(plan.Write), csi.DataPlane, plan.Name()+"/"+format)
+	for i := 0; i+1 < len(attrs); i += 2 {
+		sp.Set(attrs[i], attrs[i+1])
+	}
+	if d.Pair != nil {
+		sp.Set(obs.AttrWriterStack, d.Pair.Writer.String()).
+			Set(obs.AttrReaderStack, d.Pair.Reader.String())
+	}
+	return sp
+}
+
+// RunResult is the outcome of a harness run.
+type RunResult struct {
+	Cases    []*CaseResult
+	Failures []Failure
+	Report   *Report
+}
+
+// Run executes the full cross-test: every input × plan × format, then
+// applies the three oracles and clusters failures into discrepancies.
+func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
+	d, err := opts.deployment()
+	if err != nil {
+		return nil, err
 	}
 	// Plan positions are indexes into the unfiltered Plans() slice: a
 	// family-restricted run (a corpus shard) stamps the same case ranks
@@ -171,14 +200,7 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 		if opts.Metrics != nil {
 			started = time.Now() //crossvet:wallclock case timing feeds only the obs histogram, never the report or its hash
 		}
-		if opts.Tracer != nil {
-			c.Span = opts.Tracer.Span(nil, IfaceSystem(c.Plan.Write), csi.DataPlane, c.Plan.Name()+"/"+c.Format).
-				Set("input", c.Input.Name).Set("table", c.Table)
-			if d.Pair != nil {
-				c.Span.Set(obs.AttrWriterStack, d.Pair.Writer.String()).
-					Set(obs.AttrReaderStack, d.Pair.Reader.String())
-			}
-		}
+		c.Span = d.caseSpan(opts.Tracer, c.Plan, c.Format, "input", c.Input.Name, "table", c.Table)
 		c.Write = d.WriteSpan(c.Span, c.Plan.Write, c.Table, c.Format, *c.Input)
 		if c.Write.Err == nil {
 			c.Read = d.ReadSpan(c.Span, c.Plan.Read, c.Table)
@@ -474,28 +496,41 @@ func errorHandlingOracle(cases []*CaseResult) []Failure {
 // interfaces (within a plan family, per format) and across backend
 // formats (within a plan).
 func differentialOracle(cases []*CaseResult) []Failure {
+	keys := newOutcomeKeys(cases)
+	return append(acrossInterfaces(cases, keys), acrossFormats(cases, keys)...)
+}
+
+// acrossInterfaces is the differential oracle's first half: one probe
+// group per input, plan family and format.
+func acrossInterfaces(cases []*CaseResult, keys *outcomeKeys) []Failure {
 	type familyFormat struct {
 		id             int
 		family, format string
 	}
+	groups := diffGrouper[familyFormat]{index: map[familyFormat]int{}}
+	for ci, c := range cases {
+		groups.add(familyFormat{c.Input.ID, c.Plan.Family, c.Format}, ci, func() string {
+			return strconv.Itoa(c.Input.ID) + "|" + c.Plan.Family + "|" + c.Format
+		})
+	}
+	return diffGroups(groups.groups, keys, "across interfaces", "2")
+}
+
+// acrossFormats is the differential oracle's second half: one probe
+// group per input and plan.
+func acrossFormats(cases []*CaseResult, keys *outcomeKeys) []Failure {
 	type inputPlan struct {
 		id   int
 		plan string
 	}
-	byFamilyFormat := diffGrouper[familyFormat]{index: map[familyFormat]int{}}
-	byPlan := diffGrouper[inputPlan]{index: map[inputPlan]int{}}
+	groups := diffGrouper[inputPlan]{index: map[inputPlan]int{}}
 	for ci, c := range cases {
-		byFamilyFormat.add(familyFormat{c.Input.ID, c.Plan.Family, c.Format}, ci, func() string {
-			return strconv.Itoa(c.Input.ID) + "|" + c.Plan.Family + "|" + c.Format
-		})
 		name := c.Plan.Name()
-		byPlan.add(inputPlan{c.Input.ID, name}, ci, func() string {
+		groups.add(inputPlan{c.Input.ID, name}, ci, func() string {
 			return strconv.Itoa(c.Input.ID) + "|" + name
 		})
 	}
-	keys := outcomeKeys{cases: cases, memo: make([]string, len(cases))}
-	out := diffGroups(byFamilyFormat.groups, &keys, "across interfaces", "2")
-	return append(out, diffGroups(byPlan.groups, &keys, "across formats", "3")...)
+	return diffGroups(groups.groups, keys, "across formats", "3")
 }
 
 // diffGroup is one differential probe group: the indexes of its cases
@@ -529,6 +564,10 @@ func (g *diffGrouper[K]) add(k K, ci int, key func() string) {
 type outcomeKeys struct {
 	cases []*CaseResult
 	memo  []string // "" until computed; outcomeKey is never empty
+}
+
+func newOutcomeKeys(cases []*CaseResult) *outcomeKeys {
+	return &outcomeKeys{cases: cases, memo: make([]string, len(cases))}
 }
 
 func (o *outcomeKeys) get(ci int) string {

@@ -343,14 +343,53 @@ func TestWideTableBuild(t *testing.T) {
 	}
 }
 
+// failureOrder lists a run's failures in emission order, one line per
+// failure with every field a consumer sees.
+func failureOrder(failures []Failure) []string {
+	out := make([]string, len(failures))
+	for i, f := range failures {
+		peer := ""
+		if f.Peer != nil {
+			peer = f.Peer.Describe()
+		}
+		out[i] = f.Oracle.String() + "|" + f.Signature + "|" + f.Case.Describe() + "|" + peer + "|" + f.Detail
+	}
+	return out
+}
+
+// sameFailureOrder fails the test where two runs emitted different
+// failures or the same failures in a different order.
+func sameFailureOrder(t *testing.T, mode string, first, second []Failure) {
+	t.Helper()
+	a, b := failureOrder(first), failureOrder(second)
+	if len(a) != len(b) {
+		t.Fatalf("%s rerun: %d failures, first run %d", mode, len(b), len(a))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("%s rerun differs at failure %d:\n first: %s\nsecond: %s", mode, i, a[i], b[i])
+		}
+	}
+}
+
 func TestRunWideFindsCrossColumnDiscrepancies(t *testing.T) {
 	res, err := RunWide(corpus(t), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Failures) == 0 {
-		t.Fatal("wide run found nothing")
+	// The counts crosstest -wide prints.
+	if len(res.Columns) != 20 || len(res.Failures) != 374 {
+		t.Errorf("wide run: %d columns, %d failures; want 20, 374", len(res.Columns), len(res.Failures))
 	}
+	if got := res.Report.DistinctKnown(); !reflect.DeepEqual(got, []int{2, 4, 6, 8}) {
+		t.Errorf("wide run known = %v, want [2 4 6 8]", got)
+	}
+	// Failures come out in one deterministic order, run after run.
+	again, err := RunWide(corpus(t), RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFailureOrder(t, "wide", res.Failures, again.Failures)
 	if unknown := res.Report.UnknownSignatures(); len(unknown) != 0 {
 		t.Errorf("unknown signatures = %v", unknown)
 	}
@@ -461,9 +500,15 @@ func TestRunPartitionsSurfacesCandidateDiscrepancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Failures) == 0 {
-		t.Fatal("partition mode found nothing")
+	// The count crosstest -partitions prints.
+	if len(res.Failures) != 16 {
+		t.Errorf("partition mode: %d failures, want 16", len(res.Failures))
 	}
+	again, err := RunPartitions("orc", RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFailureOrder(t, "partitions", res.Failures, again.Failures)
 	// The escaping divergence is NOT one of the known 15: it must
 	// surface as an unmapped signature — a candidate new discrepancy.
 	unknown := res.Report.UnknownSignatures()

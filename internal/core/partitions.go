@@ -56,33 +56,42 @@ func partitionPlans() []Plan {
 // and applies the write-read and differential oracles to the partition
 // value read back.
 func RunPartitions(format string, opts RunOptions) (*RunResult, error) {
-	d := NewDeployment()
-	for k, v := range opts.SparkConf {
-		d.Spark.Conf().Set(k, v)
+	d, err := opts.deployment()
+	if err != nil {
+		return nil, err
 	}
-	inputs := PartitionCorpus()
+	plans := partitionPlans()
 	var cases []*CaseResult
-	for i := range inputs {
-		pin := inputs[i]
+	for _, pin := range PartitionCorpus() {
 		// Adapt to the harness's Input carrier: the column under test is
 		// the partition column.
-		in := Input{
-			ID:      pin.ID,
-			Name:    "partition_" + pin.Name,
-			Type:    sqlval.String,
-			Literal: pin.Literal,
-			Valid:   true,
+		in := &Input{
+			ID:       pin.ID,
+			Name:     "partition_" + pin.Name,
+			Type:     sqlval.String,
+			Literal:  pin.Literal,
+			Valid:    true,
+			Expected: sqlval.StringVal(pin.Value),
 		}
-		in.Expected = sqlval.StringVal(pin.Value)
-		for _, plan := range partitionPlans() {
+		for _, plan := range plans {
 			table := fmt.Sprintf("pt_%s_%s_%02d", plan.Name(), format, pin.ID)
-			c := &CaseResult{Input: &in, Plan: plan, Format: format, Table: table}
-			c.Write = writePartitioned(d, plan.Write, table, format, pin)
-			if c.Write.Err == nil {
-				c.Read = readPartitionValue(d, plan.Read, table)
-			}
-			cases = append(cases, c)
+			cases = append(cases, &CaseResult{Input: in, Plan: plan, Format: format, Table: table})
 		}
+	}
+	execute := func(c *CaseResult) {
+		c.Span = d.caseSpan(opts.Tracer, c.Plan, c.Format, "input", c.Input.Name, "table", c.Table)
+		c.Write = createInsert(d.Spark, d.Hive, c.Span, c.Plan.Write,
+			"CREATE TABLE "+c.Table+" (N INT) PARTITIONED BY (Tag STRING) STORED AS "+c.Format,
+			"INSERT INTO "+c.Table+" VALUES (1, "+c.Input.Literal+")")
+		if c.Write.Err == nil {
+			// The partition column comes last in a SELECT *.
+			read := readVia(d.ReadSpark, d.ReadHive, c.Span, c.Plan.Read, c.Table)
+			c.Read = read.column(len(read.Row) - 1)
+		}
+		c.Span.Fail(c.Write.Err).Fail(c.Read.Err).End()
+	}
+	if err := RunPool(opts.Context, opts.Parallel, cases, execute); err != nil {
+		return nil, err
 	}
 
 	var failures []Failure
@@ -114,12 +123,10 @@ func RunPartitions(format string, opts RunOptions) (*RunResult, error) {
 			})
 		}
 	}
-	// Differential across plans per input.
-	byInput := map[int][]*CaseResult{}
-	for _, c := range cases {
-		byInput[c.Input.ID] = append(byInput[c.Input.ID], c)
-	}
-	for _, group := range byInput {
+	// Differential across plans per input, in input order: each input's
+	// cases are one consecutive run of len(plans).
+	for i := 0; i < len(cases); i += len(plans) {
+		group := cases[i : i+len(plans)]
 		base := group[0]
 		baseKey := outcomeKey(base)
 		for _, peer := range group[1:] {
@@ -134,73 +141,7 @@ func RunPartitions(format string, opts RunOptions) (*RunResult, error) {
 			})
 		}
 	}
+	attachChains(opts.Tracer, failures)
+	emitFailures(opts.OnFailure, failures)
 	return &RunResult{Cases: cases, Failures: failures, Report: buildReport(failures)}, nil
-}
-
-func writePartitioned(d *Deployment, iface Iface, table, format string, pin PartitionInput) WriteOutcome {
-	create := fmt.Sprintf("CREATE TABLE %s (N INT) PARTITIONED BY (Tag STRING) STORED AS %s", table, format)
-	insert := fmt.Sprintf("INSERT INTO %s VALUES (1, %s)", table, pin.Literal)
-	switch iface {
-	case SparkSQL:
-		if _, err := d.Spark.SQL(create); err != nil {
-			return WriteOutcome{Err: err}
-		}
-		res, err := d.Spark.SQL(insert)
-		if err != nil {
-			return WriteOutcome{Err: err}
-		}
-		return WriteOutcome{Warnings: res.Warnings}
-	case HiveQL:
-		if _, err := d.Hive.Execute(create); err != nil {
-			return WriteOutcome{Err: err}
-		}
-		res, err := d.Hive.Execute(insert)
-		if err != nil {
-			return WriteOutcome{Err: err}
-		}
-		return WriteOutcome{Warnings: res.Warnings}
-	default:
-		return WriteOutcome{Err: fmt.Errorf("core: interface %q cannot write partitioned tables", iface)}
-	}
-}
-
-func readPartitionValue(d *Deployment, iface Iface, table string) ReadOutcome {
-	out := d.Read(iface, table)
-	if out.Err != nil || !out.HasRow {
-		return out
-	}
-	// The deployment's Read returns the first column; re-read and take
-	// the partition column.
-	switch iface {
-	case SparkSQL:
-		res, err := d.Spark.SQL(fmt.Sprintf("SELECT Tag FROM %s", table))
-		if err != nil {
-			return ReadOutcome{Err: err}
-		}
-		if len(res.Rows) == 0 {
-			return ReadOutcome{}
-		}
-		return ReadOutcome{HasRow: true, Value: res.Rows[0][0], Warnings: res.Warnings}
-	case DataFrame:
-		res, err := d.Spark.Table(table)
-		if err != nil {
-			return ReadOutcome{Err: err}
-		}
-		if len(res.Rows) == 0 {
-			return ReadOutcome{}
-		}
-		last := len(res.Rows[0]) - 1
-		return ReadOutcome{HasRow: true, Value: res.Rows[0][last], Warnings: res.Warnings}
-	case HiveQL:
-		hres, err := d.Hive.Execute(fmt.Sprintf("SELECT tag FROM %s", table))
-		if err != nil {
-			return ReadOutcome{Err: err}
-		}
-		if len(hres.Rows) == 0 {
-			return ReadOutcome{}
-		}
-		return ReadOutcome{HasRow: true, Value: hres.Rows[0][0], Warnings: hres.Warnings}
-	default:
-		return ReadOutcome{Err: fmt.Errorf("core: unknown interface %q", iface)}
-	}
 }

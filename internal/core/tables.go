@@ -1,14 +1,11 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/csi"
 	"repro/internal/obs"
-	"repro/internal/serde"
-	"repro/internal/sqlval"
 )
 
 // Explicit-assignment table cases generalize the harness beyond the
@@ -49,43 +46,30 @@ func (tc *TableCase) Results() []*CaseResult { return tc.results }
 // the same columns through different plans of a family (or different
 // formats of a plan) form a differential probe group.
 func RunTables(cases []*TableCase, opts RunOptions) (*RunResult, error) {
-	if opts.Parallel < 0 {
-		return nil, fmt.Errorf("core: Parallel must be non-negative, got %d", opts.Parallel)
-	}
-	d := NewDeployment()
-	if opts.Versions != nil {
-		var err error
-		if d, err = NewSkewDeployment(*opts.Versions); err != nil {
-			return nil, err
-		}
-	}
-	d.SetConf(opts.SparkConf)
-	if opts.Tracer != nil {
-		d.SetTracer(opts.Tracer)
-	}
+	return runTables(cases, opts, applyOracles)
+}
 
+// runTables executes table cases on the deployment opts describe and
+// judges their per-column results with oracles. Fuzz-campaign metrics
+// (crossfuzz_*) are recorded when opts.Metrics is set.
+func runTables(cases []*TableCase, opts RunOptions, oracles func([]*CaseResult) []Failure) (*RunResult, error) {
+	d, err := opts.deployment()
+	if err != nil {
+		return nil, err
+	}
 	execute := func(tc *TableCase) {
 		var started time.Time
 		if opts.Metrics != nil {
 			started = time.Now() //crossvet:wallclock case timing feeds only the obs histogram, never the report or its hash
 		}
-		var span *obs.Span
-		if opts.Tracer != nil {
-			span = opts.Tracer.Span(nil, IfaceSystem(tc.Plan.Write), csi.DataPlane, tc.Plan.Name()+"/"+tc.Format).
-				Set("table", tc.Label).Set("columns", fmt.Sprint(len(tc.Columns)))
-			if d.Pair != nil {
-				span.Set(obs.AttrWriterStack, d.Pair.Writer.String()).
-					Set(obs.AttrReaderStack, d.Pair.Reader.String())
-			}
-		}
-		write := d.writeTable(span, tc.Plan.Write, tc.Label, tc.Format, tc.Columns)
-		var outcome WideOutcome
-		outcome.WriteErr = write.Err
+		span := d.caseSpan(opts.Tracer, tc.Plan, tc.Format, "table", tc.Label, "columns", strconv.Itoa(len(tc.Columns)))
+		write := writeVia(d.Spark, d.Hive, span, tc.Plan.Write, tc.Label, tc.Format, tc.Columns)
+		var read WideOutcome
 		if write.Err == nil {
-			outcome = d.readTable(span, tc.Plan.Read, tc.Label)
+			read = readVia(d.ReadSpark, d.ReadHive, span, tc.Plan.Read, tc.Label)
 		}
-		span.Fail(write.Err).Fail(outcome.ReadErr).End()
-		tc.results = columnResults(tc, span, write, outcome)
+		span.Fail(write.Err).Fail(read.ReadErr).End()
+		tc.results = columnResults(tc, span, write, read)
 		if opts.Metrics != nil {
 			opts.Metrics.Counter("crossfuzz_cases_total").Inc()
 			opts.Metrics.Counter("crossfuzz_plan_cases_total", "plan", tc.Plan.Name(), "format", tc.Format).Inc()
@@ -102,7 +86,7 @@ func RunTables(cases []*TableCase, opts RunOptions) (*RunResult, error) {
 	for _, tc := range cases {
 		all = append(all, tc.results...)
 	}
-	failures := applyOracles(all)
+	failures := oracles(all)
 	attachChains(opts.Tracer, failures)
 	emitFailures(opts.OnFailure, failures)
 	return &RunResult{Cases: all, Failures: failures, Report: buildReport(failures)}, nil
@@ -116,122 +100,33 @@ func RunTables(cases []*TableCase, opts RunOptions) (*RunResult, error) {
 // carries the table case's span (nil when untraced), so a column's
 // failure chain is its table case's subtree. The results and their
 // inputs live in one slab each per table case.
-func columnResults(tc *TableCase, span *obs.Span, write WriteOutcome, outcome WideOutcome) []*CaseResult {
+func columnResults(tc *TableCase, span *obs.Span, write WriteOutcome, read WideOutcome) []*CaseResult {
 	out := make([]*CaseResult, len(tc.Columns))
 	results := make([]CaseResult, len(tc.Columns))
 	inputs := make([]Input, len(tc.Columns))
 	for i, col := range tc.Columns {
 		inputs[i] = col.Input
-		pseudo := &results[i]
-		*pseudo = CaseResult{
+		results[i] = CaseResult{
 			Input:  &inputs[i],
 			Plan:   tc.Plan,
 			Format: tc.Format,
 			Table:  tc.Label,
-			Write:  WriteOutcome{Err: write.Err, Warnings: write.Warnings},
+			Write:  write,
+			Read:   read.column(i),
 			Span:   span,
 			Rank:   tableRank(tc.Ord, i),
 		}
-		pseudo.Read.Err = outcome.ReadErr
-		pseudo.Read.Warnings = outcome.Warnings
-		if write.Err == nil && outcome.ReadErr == nil && i < len(outcome.Row) {
-			pseudo.Read.HasRow = true
-			pseudo.Read.Value = outcome.Row[i]
-			if i < len(outcome.Columns) {
-				pseudo.Read.Column = outcome.Columns[i].Name
-			}
-		}
-		out[i] = pseudo
-	}
-	return out
-}
-
-// writeTable creates and populates a multi-column table through an
-// interface, keeping statement-level warnings (unlike the wide-table
-// path, the error-handling oracle needs them).
-func (d *Deployment) writeTable(parent *obs.Span, iface Iface, table, format string, cols []WideColumn) WriteOutcome {
-	switch iface {
-	case SparkSQL, HiveQL:
-		create := createTableSQL(table, format, cols)
-		insert := insertSQL(table, cols)
-		if iface == SparkSQL {
-			if _, err := d.Spark.SQLSpan(parent, create); err != nil {
-				return WriteOutcome{Err: err}
-			}
-			res, err := d.Spark.SQLSpan(parent, insert)
-			if err != nil {
-				return WriteOutcome{Err: err}
-			}
-			return WriteOutcome{Warnings: res.Warnings}
-		}
-		if _, err := d.Hive.ExecuteSpan(parent, create); err != nil {
-			return WriteOutcome{Err: err}
-		}
-		res, err := d.Hive.ExecuteSpan(parent, insert)
-		if err != nil {
-			return WriteOutcome{Err: err}
-		}
-		return WriteOutcome{Warnings: res.Warnings}
-	case DataFrame:
-		schema := serde.Schema{}
-		row := make(sqlval.Row, len(cols))
-		for i, c := range cols {
-			schema.Columns = append(schema.Columns, serde.Column{Name: c.Name, Type: c.Input.Type})
-			row[i] = c.Input.Value
-		}
-		df, err := d.Spark.CreateDataFrame(schema, []sqlval.Row{row})
-		if err != nil {
-			return WriteOutcome{Err: err}
-		}
-		return WriteOutcome{Err: df.SaveAsTableSpan(parent, table, format)}
-	default:
-		return WriteOutcome{Err: fmt.Errorf("core: unknown interface %q", iface)}
-	}
-}
-
-// readTable fetches the table's single row through an interface, on
-// the reader stack.
-func (d *Deployment) readTable(parent *obs.Span, iface Iface, table string) WideOutcome {
-	out := WideOutcome{}
-	fill := func(cols []serde.Column, rows []sqlval.Row, warnings []string) {
-		out.Columns, out.Warnings = cols, warnings
-		if len(rows) > 0 {
-			out.Row = rows[0]
-		}
-	}
-	switch iface {
-	case SparkSQL:
-		res, err := d.ReadSpark.SQLSpan(parent, "SELECT * FROM "+table)
-		if err != nil {
-			out.ReadErr = err
-			return out
-		}
-		fill(res.Columns, res.Rows, res.Warnings)
-	case DataFrame:
-		res, err := d.ReadSpark.TableSpan(parent, table)
-		if err != nil {
-			out.ReadErr = err
-			return out
-		}
-		fill(res.Columns, res.Rows, res.Warnings)
-	case HiveQL:
-		res, err := d.ReadHive.ExecuteSpan(parent, "SELECT * FROM "+table)
-		if err != nil {
-			out.ReadErr = err
-			return out
-		}
-		fill(res.Columns, res.Rows, res.Warnings)
-	default:
-		out.ReadErr = fmt.Errorf("core: unknown interface %q", iface)
+		out[i] = &results[i]
 	}
 	return out
 }
 
 func createTableSQL(table, format string, cols []WideColumn) string {
-	types := make([]string, len(cols))
+	var buf [8]string // the common widths stay off the heap
+	types := buf[:0]
 	n := len("CREATE TABLE  () STORED AS ") + len(table) + len(format)
 	for i, c := range cols {
-		types[i] = c.Input.Type.String()
+		types = append(types, c.Input.Type.String())
 		n += len(", ") + len(c.Name) + len(" ") + len(types[i])
 	}
 	var b strings.Builder

@@ -3,10 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/csi"
-	"repro/internal/serde"
-	"repro/internal/sqlval"
 )
 
 // Wide-table testing extends the single-column plans of Figure 6 with
@@ -45,95 +41,6 @@ func BuildWideTable(inputs []Input) []WideColumn {
 	return out
 }
 
-// WideOutcome is one interface's view of the wide table.
-type WideOutcome struct {
-	WriteErr error
-	ReadErr  error
-	Row      sqlval.Row
-	Columns  []serde.Column
-	Warnings []string
-}
-
-// writeWide creates and populates the wide table through an interface.
-func (d *Deployment) writeWide(iface Iface, table, format string, cols []WideColumn) error {
-	switch iface {
-	case SparkSQL, HiveQL:
-		var defs, lits []string
-		for _, c := range cols {
-			defs = append(defs, fmt.Sprintf("%s %s", c.Name, c.Input.Type))
-			lits = append(lits, c.Input.Literal)
-		}
-		create := fmt.Sprintf("CREATE TABLE %s (%s) STORED AS %s", table, strings.Join(defs, ", "), format)
-		insert := fmt.Sprintf("INSERT INTO %s VALUES (%s)", table, strings.Join(lits, ", "))
-		if iface == SparkSQL {
-			if _, err := d.Spark.SQL(create); err != nil {
-				return err
-			}
-			_, err := d.Spark.SQL(insert)
-			return err
-		}
-		if _, err := d.Hive.Execute(create); err != nil {
-			return err
-		}
-		_, err := d.Hive.Execute(insert)
-		return err
-	case DataFrame:
-		schema := serde.Schema{}
-		row := make(sqlval.Row, len(cols))
-		for i, c := range cols {
-			schema.Columns = append(schema.Columns, serde.Column{Name: c.Name, Type: c.Input.Type})
-			row[i] = c.Input.Value
-		}
-		df, err := d.Spark.CreateDataFrame(schema, []sqlval.Row{row})
-		if err != nil {
-			return err
-		}
-		return df.SaveAsTable(table, format)
-	default:
-		return fmt.Errorf("core: unknown interface %q", iface)
-	}
-}
-
-// readWide fetches the wide table's single row.
-func (d *Deployment) readWide(iface Iface, table string) WideOutcome {
-	out := WideOutcome{}
-	switch iface {
-	case SparkSQL:
-		res, err := d.Spark.SQL(fmt.Sprintf("SELECT * FROM %s", table))
-		if err != nil {
-			out.ReadErr = err
-			return out
-		}
-		out.Columns, out.Warnings = res.Columns, res.Warnings
-		if len(res.Rows) > 0 {
-			out.Row = res.Rows[0]
-		}
-	case DataFrame:
-		res, err := d.Spark.Table(table)
-		if err != nil {
-			out.ReadErr = err
-			return out
-		}
-		out.Columns, out.Warnings = res.Columns, res.Warnings
-		if len(res.Rows) > 0 {
-			out.Row = res.Rows[0]
-		}
-	case HiveQL:
-		res, err := d.Hive.Execute(fmt.Sprintf("SELECT * FROM %s", table))
-		if err != nil {
-			out.ReadErr = err
-			return out
-		}
-		out.Columns, out.Warnings = res.Columns, res.Warnings
-		if len(res.Rows) > 0 {
-			out.Row = res.Rows[0]
-		}
-	default:
-		out.ReadErr = fmt.Errorf("core: unknown interface %q", iface)
-	}
-	return out
-}
-
 // WideResult is a wide-table run's outcome.
 type WideResult struct {
 	Columns  []WideColumn
@@ -142,101 +49,27 @@ type WideResult struct {
 }
 
 // RunWide executes the wide-table cross-test: per plan and format, one
-// table containing every type, written through the plan's write
+// table case carrying every column, written through the plan's write
 // interface and read back through its read interface. The write-read
 // oracle applies per column; the differential oracle compares each
 // column's outcome across formats within a plan.
 func RunWide(inputs []Input, opts RunOptions) (*WideResult, error) {
-	d := NewDeployment()
-	for k, v := range opts.SparkConf {
-		d.Spark.Conf().Set(k, v)
-	}
 	cols := BuildWideTable(inputs)
-	var failures []Failure
-
-	type cellKey struct {
-		plan string
-		col  int
-	}
-	cells := map[cellKey]map[string]*CaseResult{} // format -> pseudo case
-
+	var cases []*TableCase
 	for _, plan := range Plans() {
 		for _, format := range Formats() {
-			table := fmt.Sprintf("wide_%s_%s", plan.Name(), format)
-			writeErr := d.writeWide(plan.Write, table, format, cols)
-			var outcome WideOutcome
-			if writeErr != nil {
-				outcome.WriteErr = writeErr
-			} else {
-				outcome = d.readWide(plan.Read, table)
-			}
-			for i, col := range cols {
-				in := col.Input
-				pseudo := &CaseResult{
-					Input:  &in,
-					Plan:   plan,
-					Format: format,
-					Table:  table,
-					Write:  WriteOutcome{Err: writeErr},
-				}
-				pseudo.Read.Err = outcome.ReadErr
-				if outcome.ReadErr == nil && writeErr == nil && i < len(outcome.Row) {
-					pseudo.Read.HasRow = true
-					pseudo.Read.Value = outcome.Row[i]
-				}
-				key := cellKey{plan.Name(), i}
-				if cells[key] == nil {
-					cells[key] = map[string]*CaseResult{}
-				}
-				cells[key][format] = pseudo
-
-				// Per-column write-read oracle.
-				switch {
-				case writeErr != nil:
-					failures = append(failures, Failure{
-						Oracle: csi.OracleWriteRead, Case: pseudo,
-						Signature: classifyError(writeErr),
-						Detail:    fmt.Sprintf("wide write failed: %v", writeErr),
-					})
-				case outcome.ReadErr != nil:
-					failures = append(failures, Failure{
-						Oracle: csi.OracleWriteRead, Case: pseudo,
-						Signature: classifyError(outcome.ReadErr),
-						Detail:    fmt.Sprintf("wide read failed: %v", outcome.ReadErr),
-					})
-				case pseudo.Read.HasRow && !pseudo.Read.Value.EqualData(in.Expected):
-					failures = append(failures, Failure{
-						Oracle: csi.OracleWriteRead, Case: pseudo,
-						Signature: classifyValueDiff(in.Expected, pseudo.Read.Value),
-						Detail: fmt.Sprintf("column %s: wrote %s, read %s",
-							col.Name, in.Expected, pseudo.Read.Value),
-					})
-				}
-			}
-		}
-	}
-
-	// Differential oracle across formats per (plan, column).
-	for _, group := range cells {
-		var list []*CaseResult
-		for _, format := range Formats() {
-			if c, ok := group[format]; ok {
-				list = append(list, c)
-			}
-		}
-		base := list[0]
-		baseKey := outcomeKey(base)
-		for _, peer := range list[1:] {
-			if outcomeKey(peer) == baseKey {
-				continue
-			}
-			failures = append(failures, Failure{
-				Oracle: csi.OracleDifferential, Case: base, Peer: peer,
-				Signature: classifyDiffPair(base, peer),
-				Detail: fmt.Sprintf("wide column inconsistent across formats: %s [%s] vs %s [%s]",
-					base.Describe(), baseKey, peer.Describe(), outcomeKey(peer)),
+			cases = append(cases, &TableCase{
+				Label: "wide_" + plan.Name() + "_" + format, Columns: cols,
+				Plan: plan, Format: format, Ord: int64(len(cases)),
 			})
 		}
 	}
-	return &WideResult{Columns: cols, Failures: failures, Report: buildReport(failures)}, nil
+	opts.Metrics = nil // the table-case counters are the fuzz campaign's
+	res, err := runTables(cases, opts, func(all []*CaseResult) []Failure {
+		return append(writeReadOracle(all), acrossFormats(all, newOutcomeKeys(all))...)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &WideResult{Columns: cols, Failures: res.Failures, Report: res.Report}, nil
 }

@@ -531,11 +531,34 @@ func (s *Scheduler) runJob(job *Job) {
 		s.stage(obs.StageEncode, time.Since(encStart), job.trace)
 	}
 
+	s.complete(job, state, data, err, final)
+}
+
+// finishFromPeer completes a job whose result arrived from the
+// distributed cache tier: stored locally, published, and counted as a
+// finished (cache-hit) job — without one case executing.
+func (s *Scheduler) finishFromPeer(job *Job, data []byte) {
+	final := StreamEvent{Type: StateDone, CacheHit: true, ReportSHA: reportSHA(data)}
+	if cerr := s.opts.Cache.Put(job.Key, data); cerr != nil {
+		final.Error = cerr.Error() // disk spill failure is non-fatal
+	}
+	job.span.Set("cache", "peer")
+	s.complete(job, StateDone, data, nil, final)
+}
+
+// complete is the last step of every job that ran or was served by a
+// peer: it stores the job's final state, drops it from byKey, publishes
+// final, settles the in-flight gauge, the finished counter, the
+// duration histogram, the recorder and the span, and only then closes
+// done — so whoever done wakes sees the job fully accounted for.
+func (s *Scheduler) complete(job *Job, state string, data []byte, err error, final StreamEvent) {
+	failed := state != StateDone && err != nil
 	job.mu.Lock()
 	job.state = state
+	job.cacheHit = final.CacheHit
 	job.finished = time.Now()
 	job.result = data
-	if state != StateDone && err != nil {
+	if failed {
 		job.err = err.Error()
 	}
 	dur := job.finished.Sub(job.started)
@@ -549,7 +572,6 @@ func (s *Scheduler) runJob(job *Job) {
 
 	job.emit(final)
 	job.closeSubs()
-	close(job.done)
 	s.addGauge(obs.MetricInflightJobs, -1)
 	s.count(obs.MetricJobsFinished, "state", state)
 	if m := s.opts.Metrics; m != nil {
@@ -564,45 +586,11 @@ func (s *Scheduler) runJob(job *Job) {
 	case StateCancelled:
 		s.opts.Recorder.Record(obs.Event{Type: obs.EvJobCancelled, Job: job.ID, Key: job.Key, Trace: job.trace, Detail: final.Error})
 	}
-	if state != StateDone && err != nil {
+	if failed {
 		job.span.Fail(err)
 	}
 	job.span.Set("state", state).End()
-}
-
-// finishFromPeer completes a job whose result arrived from the
-// distributed cache tier: stored locally, published, and counted as a
-// finished (cache-hit) job — without one case executing.
-func (s *Scheduler) finishFromPeer(job *Job, data []byte) {
-	final := StreamEvent{Type: StateDone, CacheHit: true, ReportSHA: reportSHA(data)}
-	if cerr := s.opts.Cache.Put(job.Key, data); cerr != nil {
-		final.Error = cerr.Error() // disk spill failure is non-fatal
-	}
-	job.mu.Lock()
-	job.state = StateDone
-	job.cacheHit = true
-	job.finished = time.Now()
-	job.result = data
-	dur := job.finished.Sub(job.started)
-	job.mu.Unlock()
-
-	s.mu.Lock()
-	if s.byKey[job.Key] == job {
-		delete(s.byKey, job.Key)
-	}
-	s.mu.Unlock()
-
-	job.emit(final)
-	job.closeSubs()
 	close(job.done)
-	s.addGauge(obs.MetricInflightJobs, -1)
-	s.count(obs.MetricJobsFinished, "state", StateDone)
-	if m := s.opts.Metrics; m != nil {
-		m.Histogram(obs.MetricJobDurationMs, nil, "kind", job.Spec.Kind).
-			ObserveExemplar(float64(dur)/float64(time.Millisecond), job.trace)
-	}
-	s.opts.Recorder.Record(obs.Event{Type: obs.EvJobDone, Job: job.ID, Key: job.Key, Trace: job.trace})
-	job.span.Set("cache", "peer").Set("state", StateDone).End()
 }
 
 // validPeerResult guards against a confused or stale peer: the bytes
