@@ -183,15 +183,19 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 		plans = filtered
 	}
 
-	var cases []*CaseResult
+	// The cases live in one slab, as columnResults' results do.
+	formats := Formats()
+	slab := make([]CaseResult, 0, len(inputs)*len(plans)*len(formats))
+	cases := make([]*CaseResult, 0, cap(slab))
 	for i := range inputs {
 		in := &inputs[i]
 		for _, plan := range plans {
-			for fi, format := range Formats() {
-				cases = append(cases, &CaseResult{
+			for fi, format := range formats {
+				slab = append(slab, CaseResult{
 					Input: in, Plan: plan, Format: format, Table: caseTable(plan.Name(), format, in.ID),
 					Rank: caseRank(i, planPos[plan.Name()], fi),
 				})
+				cases = append(cases, &slab[len(slab)-1])
 			}
 		}
 	}

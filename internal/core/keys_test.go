@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/metrics"
 	"sort"
 	"testing"
 
 	"repro/internal/csi"
 	"repro/internal/sqlval"
+	"repro/internal/versions"
 )
 
 // The harness builds its per-case strings (table names, ranks, oracle
@@ -241,26 +244,72 @@ func TestKeyEncoderAllocations(t *testing.T) {
 	}
 }
 
-// maxRunAllocsPerCase pins the harness's per-case allocations over the
-// first 20 inputs of the base corpus (480 cases), about 10% above the
-// measured value. A rise past it means a per-case allocation crept back
-// into the harness path.
-const maxRunAllocsPerCase = 85
+// The per-case ceilings below pin the harness's heap cost over the
+// first 20 inputs of the base corpus (480 cases), set about 10% (objects)
+// and 15% (bytes) above the measured values. A rise past one means a
+// per-case allocation crept back into the harness path, such as a fresh
+// parser token buffer per statement or a heap probe view per skew case.
+//
+// Measured on linux/amd64: Run 74.4 objects and 6,829 B per case, the
+// skew pair 161.4 objects and 13,565 B (7,591 B and 15,180 B under the
+// race detector, whose sync.Pool drops a quarter of returned buffers).
+const (
+	maxRunAllocsPerCase  = 82
+	maxRunBytesPerCase   = 7850
+	maxSkewAllocsPerCase = 178
+	maxSkewBytesPerCase  = 15600
+)
 
-func TestRunAllocationsPerCase(t *testing.T) {
+// heapAllocBytes reads the cumulative bytes allocated to the heap from
+// runtime/metrics. The collection first flushes every P's allocation
+// cache, which the metric otherwise counts only when a span is retired.
+func heapAllocBytes() uint64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// checkRunCost runs the first 20 base-corpus inputs under opts and
+// checks the run's heap objects and bytes per case against the
+// ceilings, each averaged over three runs after a warm-up run.
+func checkRunCost(t *testing.T, name string, opts RunOptions, maxAllocs, maxBytes float64) {
+	t.Helper()
 	base, err := BuildBaseCorpus()
 	if err != nil {
 		t.Fatal(err)
 	}
 	inputs := base[:20]
 	cases := float64(len(inputs) * len(Plans()) * len(Formats()))
-	perCase := testing.AllocsPerRun(3, func() {
-		if _, err := Run(inputs, RunOptions{}); err != nil {
+	run := func() {
+		if _, err := Run(inputs, opts); err != nil {
 			t.Fatal(err)
 		}
-	}) / cases
-	t.Logf("core.Run: %.1f allocs/case", perCase)
-	if perCase > maxRunAllocsPerCase {
-		t.Errorf("core.Run allocates %.1f/case, ceiling %d", perCase, maxRunAllocsPerCase)
 	}
+	const runs = 3
+	allocs := testing.AllocsPerRun(runs, run) / cases
+	before := heapAllocBytes()
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	bytes := float64(heapAllocBytes()-before) / (runs * cases)
+	t.Logf("%s: %.1f allocs/case, %.0f B/case", name, allocs, bytes)
+	if allocs > maxAllocs {
+		t.Errorf("%s allocates %.1f objects/case, ceiling %.0f", name, allocs, maxAllocs)
+	}
+	if bytes > maxBytes {
+		t.Errorf("%s allocates %.0f B/case, ceiling %.0f", name, bytes, maxBytes)
+	}
+}
+
+func TestRunAllocationsPerCase(t *testing.T) {
+	checkRunCost(t, "core.Run", RunOptions{}, maxRunAllocsPerCase, maxRunBytesPerCase)
+}
+
+// The skew sibling: the same cases on the full-upgrade pair, as RunSkew
+// runs them, with the two skew probes per case and the version-skew
+// oracle.
+func TestRunSkewAllocationsPerCase(t *testing.T) {
+	pair := versions.DefaultPairs()[1]
+	checkRunCost(t, "core.RunSkew "+pair.String(), RunOptions{Versions: &pair}, maxSkewAllocsPerCase, maxSkewBytesPerCase)
 }

@@ -29,32 +29,36 @@ import (
 // writer stack versus the reader stack, both read back by the reader.
 // Outcomes are compared by outcomeKey — error *signatures*, not raw
 // messages — so the "_rw" sibling's table name never manufactures a
-// difference.
+// difference. The two probe views are stack values: a view reaches the
+// heap only as the Peer of a failure, so a case whose probes agree
+// costs no CaseResult.
 func versionSkewOracle(cases []*CaseResult) []Failure {
 	var out []Failure
 	for _, c := range cases {
+		key := outcomeKey(c)
 		if c.Write.Err == nil {
-			writerView := &CaseResult{Input: c.Input, Plan: c.Plan, Format: c.Format, Table: c.Table,
+			writerView := CaseResult{Input: c.Input, Plan: c.Plan, Format: c.Format, Table: c.Table,
 				Write: c.Write, Read: c.WriterRead}
-			if key, peerKey := outcomeKey(c), outcomeKey(writerView); key != peerKey {
+			if peerKey := outcomeKey(&writerView); key != peerKey {
 				out = append(out, Failure{
 					Oracle:    csi.OracleVersionSkew,
 					Case:      c,
-					Peer:      writerView,
-					Signature: "skew-" + classifySkew(writerView, c),
+					Peer:      heapView(writerView),
+					Signature: "skew-" + classifySkew(&writerView, c),
 					Detail: fmt.Sprintf("read skew: writer stack sees [%s], reader stack sees [%s] for %s",
 						peerKey, key, c.Describe()),
 				})
 			}
 		}
-		readerView := &CaseResult{Input: c.Input, Plan: c.Plan, Format: c.Format, Table: c.Table + "_rw",
+		readerView := CaseResult{Input: c.Input, Plan: c.Plan, Format: c.Format,
 			Write: c.RWWrite, Read: c.RWRead}
-		if key, peerKey := outcomeKey(c), outcomeKey(readerView); key != peerKey {
+		if peerKey := outcomeKey(&readerView); key != peerKey {
+			readerView.Table = c.Table + "_rw"
 			out = append(out, Failure{
 				Oracle:    csi.OracleVersionSkew,
 				Case:      c,
-				Peer:      readerView,
-				Signature: "skew-" + classifySkew(c, readerView),
+				Peer:      heapView(readerView),
+				Signature: "skew-" + classifySkew(c, &readerView),
 				Detail: fmt.Sprintf("write skew: writer-stack write yields [%s], reader-stack write yields [%s] for %s",
 					key, peerKey, c.Describe()),
 			})
@@ -62,6 +66,9 @@ func versionSkewOracle(cases []*CaseResult) []Failure {
 	}
 	return out
 }
+
+// heapView copies a probe view to the heap for a failure to keep.
+func heapView(v CaseResult) *CaseResult { return &v }
 
 // classifySkew names the version-gated behavior behind a skew pair. The
 // distinctive version-gated errors win; otherwise the difference is

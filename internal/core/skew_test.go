@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
+	"repro/internal/csi"
 	"repro/internal/inject"
 	"repro/internal/versions"
 )
@@ -169,4 +172,107 @@ func mustPair(t *testing.T, spec string) versions.Pair {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// refVersionSkewOracle is the skew oracle as first written: both probe
+// views are heap-allocated for every case, whether or not they differ.
+func refVersionSkewOracle(cases []*CaseResult) []Failure {
+	var out []Failure
+	for _, c := range cases {
+		if c.Write.Err == nil {
+			writerView := &CaseResult{Input: c.Input, Plan: c.Plan, Format: c.Format, Table: c.Table,
+				Write: c.Write, Read: c.WriterRead}
+			if key, peerKey := outcomeKey(c), outcomeKey(writerView); key != peerKey {
+				out = append(out, Failure{
+					Oracle:    csi.OracleVersionSkew,
+					Case:      c,
+					Peer:      writerView,
+					Signature: "skew-" + classifySkew(writerView, c),
+					Detail: fmt.Sprintf("read skew: writer stack sees [%s], reader stack sees [%s] for %s",
+						peerKey, key, c.Describe()),
+				})
+			}
+		}
+		readerView := &CaseResult{Input: c.Input, Plan: c.Plan, Format: c.Format, Table: c.Table + "_rw",
+			Write: c.RWWrite, Read: c.RWRead}
+		if key, peerKey := outcomeKey(c), outcomeKey(readerView); key != peerKey {
+			out = append(out, Failure{
+				Oracle:    csi.OracleVersionSkew,
+				Case:      c,
+				Peer:      readerView,
+				Signature: "skew-" + classifySkew(c, readerView),
+				Detail: fmt.Sprintf("write skew: writer-stack write yields [%s], reader-stack write yields [%s] for %s",
+					key, peerKey, c.Describe()),
+			})
+		}
+	}
+	return out
+}
+
+// skewCases runs the first 20 base-corpus inputs on a pair and returns
+// the executed cases with their probe outcomes.
+func skewCases(t *testing.T, pair versions.Pair) []*CaseResult {
+	t.Helper()
+	base, err := BuildBaseCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSkew(base[:20], pair, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Cases
+}
+
+// The skew oracle builds its probe views on the stack and copies one to
+// the heap only as a failure's Peer; its failures are the reference's,
+// in the same order, down to the reader view's "_rw" table.
+func TestVersionSkewOracleMatchesReference(t *testing.T) {
+	var total int
+	for _, pair := range versions.DefaultPairs() {
+		cases := skewCases(t, pair)
+		got, want := versionSkewOracle(cases), refVersionSkewOracle(cases)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d failures, reference has %d", pair, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Oracle != w.Oracle || g.Case != w.Case || g.Signature != w.Signature || g.Detail != w.Detail {
+				t.Fatalf("%s failure %d:\n got  %+v\n want %+v", pair, i, g, w)
+			}
+			if g.Peer.Table != w.Peer.Table || !reflect.DeepEqual(*g.Peer, *w.Peer) {
+				t.Fatalf("%s failure %d: peer %+v, want %+v", pair, i, *g.Peer, *w.Peer)
+			}
+		}
+		total += len(want)
+	}
+	if total == 0 {
+		t.Fatal("no pair raised a skew failure; the comparison is vacuous")
+	}
+}
+
+// A case whose probes agree with it allocates no probe view: judging
+// it costs less than one CaseResult.
+func TestVersionSkewOracleAgreeingCaseAllocatesNoView(t *testing.T) {
+	cases := skewCases(t, mustPair(t, "2.3.0/2.3.9->3.2.1/3.1.2"))
+	var agreeing []*CaseResult
+	for _, c := range cases {
+		if len(versionSkewOracle([]*CaseResult{c})) == 0 {
+			agreeing = append(agreeing, c)
+		}
+	}
+	if len(agreeing) == 0 || len(agreeing) == len(cases) {
+		t.Fatalf("%d of %d cases agree; want some of each", len(agreeing), len(cases))
+	}
+	const runs = 20
+	before := heapAllocBytes()
+	for i := 0; i < runs; i++ {
+		if f := versionSkewOracle(agreeing); len(f) != 0 {
+			t.Fatalf("agreeing cases raised %d failures", len(f))
+		}
+	}
+	perCase := float64(heapAllocBytes()-before) / float64(runs*len(agreeing))
+	if view := unsafe.Sizeof(CaseResult{}); perCase >= float64(view) {
+		t.Errorf("skew oracle allocates %.0f B per agreeing case; a probe view is %d B", perCase, view)
+	}
 }

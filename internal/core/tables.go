@@ -32,11 +32,14 @@ type TableCase struct {
 	// its failures exactly as the full campaign would.
 	Ord int64
 
-	// results, populated by RunTables: one pseudo CaseResult per column.
+	// results, populated by RunTables: one pseudo CaseResult per column,
+	// whose Input points into Columns.
 	results []*CaseResult
 }
 
 // Results returns the per-column case results of an executed TableCase.
+// Result i's Input is &tc.Columns[i].Input, shared with every table case
+// built over the same columns.
 func (tc *TableCase) Results() []*CaseResult { return tc.results }
 
 // RunTables executes the given cases through the harness worker pool
@@ -98,16 +101,16 @@ func runTables(cases []*TableCase, opts RunOptions, oracles func([]*CaseResult) 
 // report feedback per statement, not per column, so a warning caused by
 // one column also counts as feedback for its neighbours. Every column
 // carries the table case's span (nil when untraced), so a column's
-// failure chain is its table case's subtree. The results and their
-// inputs live in one slab each per table case.
+// failure chain is its table case's subtree. The results live in one
+// slab per table case, and each borrows its column's Input from the
+// table case, so the caller must not change tc.Columns while the
+// results are in use.
 func columnResults(tc *TableCase, span *obs.Span, write WriteOutcome, read WideOutcome) []*CaseResult {
 	out := make([]*CaseResult, len(tc.Columns))
 	results := make([]CaseResult, len(tc.Columns))
-	inputs := make([]Input, len(tc.Columns))
-	for i, col := range tc.Columns {
-		inputs[i] = col.Input
+	for i := range tc.Columns {
 		results[i] = CaseResult{
-			Input:  &inputs[i],
+			Input:  &tc.Columns[i].Input,
 			Plan:   tc.Plan,
 			Format: tc.Format,
 			Table:  tc.Label,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/csi"
@@ -81,5 +82,44 @@ func TestRunTablesMultiColumn(t *testing.T) {
 		if f.Case.Input.Name == "GoodCol" {
 			t.Errorf("valid column implicated: %s (%s)", f.Detail, f.Signature)
 		}
+	}
+}
+
+// RunTables results borrow their table case's column inputs: result i
+// points at tc.Columns[i].Input, so sibling cases built over one column
+// slice (as fuzzgen builds them) share each Input, and the run leaves
+// the inputs as it found them.
+func TestRunTablesResultsBorrowColumnInputs(t *testing.T) {
+	cols := []WideColumn{
+		{Name: "A", Input: mustInput(t, 1, "A", "INT", "42", true)},
+		{Name: "B", Input: mustInput(t, 2, "B", "TINYINT", "999", false)},
+		{Name: "C", Input: mustInput(t, 3, "C", "STRING", "'x'", true)},
+	}
+	want := append([]WideColumn(nil), cols...)
+	var cases []*TableCase
+	for _, p := range Plans()[:2] {
+		for _, f := range Formats() {
+			cases = append(cases, &TableCase{Label: "borrow_" + p.Name() + "_" + f, Columns: cols, Plan: p, Format: f})
+		}
+	}
+	if _, err := RunTables(cases, RunOptions{Parallel: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		res := tc.Results()
+		if len(res) != len(tc.Columns) {
+			t.Fatalf("%s: %d results, want %d", tc.Label, len(res), len(tc.Columns))
+		}
+		for i := range res {
+			if res[i].Input != &tc.Columns[i].Input {
+				t.Errorf("%s result %d: Input is a copy, not &tc.Columns[%d].Input", tc.Label, i, i)
+			}
+			if res[i].Input != cases[0].Results()[i].Input {
+				t.Errorf("%s result %d: sibling cases do not share the column's Input", tc.Label, i)
+			}
+		}
+	}
+	if !reflect.DeepEqual(cols, want) {
+		t.Error("RunTables changed the table cases' columns")
 	}
 }

@@ -9,6 +9,7 @@ package sqlparse
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 type tokenKind int
@@ -45,10 +46,42 @@ type lexer struct {
 	toks []token
 }
 
-func lex(src string) ([]token, error) {
-	// Statements average well over three bytes per token, so one
-	// allocation usually holds every token.
-	l := &lexer{src: src, toks: make([]token, 0, len(src)/3+2)}
+// maxPooledTokens caps the capacity of a token buffer kept for reuse:
+// the buffer of an unusually long statement goes to the collector
+// rather than pinning its memory in the pool. Harness statements lex to
+// a few dozen tokens.
+const maxPooledTokens = 1024
+
+// tokenPool holds cleared token buffers between Parse calls. Tokens are
+// values and the parser keeps only their strings, so no token or
+// sub-slice of a buffer outlives the Parse that borrowed it.
+var tokenPool = sync.Pool{New: func() any { return new([]token) }}
+
+// getTokens borrows an empty token buffer.
+func getTokens() *[]token { return tokenPool.Get().(*[]token) }
+
+// putTokens clears the tokens lexed into a borrowed buffer, so the pool
+// retains no statement text, and returns it unless it grew past
+// maxPooledTokens. It reports whether the buffer was kept.
+func putTokens(buf *[]token, toks []token) bool {
+	if cap(toks) > maxPooledTokens {
+		return false
+	}
+	clear(toks)
+	*buf = toks[:0]
+	tokenPool.Put(buf)
+	return true
+}
+
+// lex appends src's tokens to dst and returns the extended slice, also
+// on error, so a borrowed buffer can be returned to the pool.
+func lex(dst []token, src string) ([]token, error) {
+	if cap(dst) == 0 {
+		// A fresh buffer: statements average well over three bytes per
+		// token, so one allocation usually holds every token.
+		dst = make([]token, 0, len(src)/3+2)
+	}
+	l := lexer{src: src, toks: dst}
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.src) {
@@ -67,11 +100,11 @@ func lex(src string) ([]token, error) {
 			if (raw == "X" || raw == "x") && l.pos < len(l.src) && l.src[l.pos] == '\'' {
 				s, err := l.stringLit()
 				if err != nil {
-					return nil, err
+					return l.toks, err
 				}
-				l.toks = append(l.toks, token{kind: tokString, text: s, raw: "X'" + s + "'", pos: start})
-				// Mark hex literals by a preceding punct-like sentinel.
-				l.toks[len(l.toks)-1].raw = "X" // see parser.hexLiteral
+				// The raw spelling "X" marks a hex literal; see
+				// parser.exprLit.
+				l.toks = append(l.toks, token{kind: tokString, text: s, raw: "X", pos: start})
 				continue
 			}
 			l.toks = append(l.toks, token{kind: tokIdent, text: strings.ToUpper(raw), raw: raw, pos: start})
@@ -80,7 +113,7 @@ func lex(src string) ([]token, error) {
 		case c == '\'':
 			s, err := l.stringLit()
 			if err != nil {
-				return nil, err
+				return l.toks, err
 			}
 			l.toks = append(l.toks, token{kind: tokString, text: s, raw: "'" + s + "'", pos: start})
 		case c == '`':
@@ -88,7 +121,7 @@ func lex(src string) ([]token, error) {
 			l.pos++
 			end := strings.IndexByte(l.src[l.pos:], '`')
 			if end < 0 {
-				return nil, &ParseError{Pos: start, Detail: "unterminated quoted identifier"}
+				return l.toks, &ParseError{Pos: start, Detail: "unterminated quoted identifier"}
 			}
 			raw := l.src[l.pos : l.pos+end]
 			l.pos += end + 1
@@ -112,9 +145,9 @@ func lex(src string) ([]token, error) {
 				l.toks = append(l.toks, token{kind: tokPunct, text: "!=", raw: "!=", pos: start})
 				continue
 			}
-			return nil, &ParseError{Pos: start, Detail: "unexpected '!'"}
+			return l.toks, &ParseError{Pos: start, Detail: "unexpected '!'"}
 		default:
-			return nil, &ParseError{Pos: start, Detail: fmt.Sprintf("unexpected character %q", string(c))}
+			return l.toks, &ParseError{Pos: start, Detail: fmt.Sprintf("unexpected character %q", string(c))}
 		}
 	}
 }

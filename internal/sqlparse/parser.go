@@ -10,12 +10,21 @@ import (
 )
 
 // Parse parses a single SQL statement (an optional trailing ';' is
-// allowed).
+// allowed). It is safe for concurrent use.
 func Parse(src string) (Statement, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
+	buf := getTokens()
+	toks, err := lex(*buf, src)
+	var stmt Statement
+	if err == nil {
+		stmt, err = parse(toks)
 	}
+	putTokens(buf, toks)
+	return stmt, err
+}
+
+// parse parses a lexed statement. The tokens belong to Parse's pooled
+// buffer: the statement may keep their strings, never the tokens.
+func parse(toks []token) (Statement, error) {
 	p := &parser{toks: toks}
 	stmt, err := p.statement()
 	if err != nil {

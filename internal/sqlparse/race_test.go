@@ -1,0 +1,5 @@
+//go:build race
+
+package sqlparse
+
+const raceEnabled = true
