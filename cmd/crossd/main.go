@@ -33,7 +33,9 @@
 //	                              503 draining)
 //	GET  /api/v1/jobs             list jobs
 //	GET  /api/v1/jobs/{id}        job status
-//	GET  /api/v1/jobs/{id}/result completed report (byte-identical on cache hits)
+//	GET  /api/v1/jobs/{id}/result completed report, held until the job ends
+//	                              (byte-identical on cache hits; 409 failed or
+//	                              cancelled; 202 + status after a 10 s hold)
 //	GET  /api/v1/jobs/{id}/stream NDJSON failure stream + terminal event
 //	GET  /api/v1/cache/{key}      raw cached result (the peer-fetch endpoint)
 //	PUT  /api/v1/cache/{key}      peer write-through (validated against the key)

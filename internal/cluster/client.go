@@ -39,22 +39,16 @@ type NodeClient struct {
 	BaseURL string
 	// HTTP is the transport (nil = a client with a sane timeout).
 	HTTP *http.Client
-	// Poll is the result-poll interval for queued jobs (0 = 25ms).
-	Poll time.Duration
 }
 
 func (c *NodeClient) client() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
 	}
+	// The timeout is the coordinator's only detector for a worker that
+	// accepts connections but never answers; serve holds /result for
+	// less than it, so a healthy worker always answers in time.
 	return &http.Client{Timeout: 30 * time.Second}
-}
-
-func (c *NodeClient) poll() time.Duration {
-	if c.Poll > 0 {
-		return c.Poll
-	}
-	return 25 * time.Millisecond
 }
 
 func (c *NodeClient) down(err error) error { return &NodeDownError{Node: c.Name, Err: err} }
@@ -80,9 +74,9 @@ func decodeError(resp *http.Response) error {
 }
 
 // SubmitWait submits the spec and blocks until the node produces the
-// result, honoring 429 Retry-After backpressure and polling queued
-// jobs. Job-level failures (invalid spec, failed execution) return a
-// plain error; node-level ones a NodeDownError.
+// result, honoring 429 Retry-After backpressure. Job-level failures
+// (invalid spec, failed or cancelled execution) return a plain error;
+// node-level ones a NodeDownError.
 func (c *NodeClient) SubmitWait(ctx context.Context, spec serve.JobSpec) (*serve.JobResult, error) {
 	for {
 		st, retry, err := c.submit(ctx, spec)
@@ -137,63 +131,43 @@ func (c *NodeClient) submit(ctx context.Context, spec serve.JobSpec) (st serve.J
 	}
 }
 
-// wait polls the job's status until terminal, then fetches the result.
+// wait blocks on the node's held result request until the job is
+// terminal. The node answers 202 when its hold elapses first; wait then
+// asks again at once — the node, not a timer here, decides when the
+// result is ready. A failed or cancelled job (409) is a job-level
+// error, never a node-down verdict.
 func (c *NodeClient) wait(ctx context.Context, id string) (*serve.JobResult, error) {
+	url := c.BaseURL + "/api/v1/jobs/" + id + "/result"
 	for {
-		st, err := c.status(ctx, id)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 		if err != nil {
 			return nil, err
 		}
-		switch st.State {
-		case serve.StateDone:
-			return c.result(ctx, id)
-		case serve.StateFailed, serve.StateCancelled:
-			return nil, fmt.Errorf("node %s: job %s %s: %s", c.Name, id, st.State, st.Error)
-		}
-		if err := sleep(ctx, c.poll()); err != nil {
+		resp, err := c.do(req)
+		if err != nil {
 			return nil, err
 		}
+		var res serve.JobResult
+		switch resp.StatusCode {
+		case http.StatusOK:
+			if err = json.NewDecoder(resp.Body).Decode(&res); err != nil {
+				err = c.down(err)
+			}
+		case http.StatusAccepted:
+			io.Copy(io.Discard, resp.Body) // drain, so the connection is reused
+			resp.Body.Close()
+			continue
+		case http.StatusConflict:
+			err = fmt.Errorf("node %s: job %s: %w", c.Name, id, decodeError(resp))
+		default:
+			err = c.down(decodeError(resp))
+		}
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		return &res, nil
 	}
-}
-
-func (c *NodeClient) status(ctx context.Context, id string) (serve.JobStatus, error) {
-	var st serve.JobStatus
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/api/v1/jobs/"+id, nil)
-	if err != nil {
-		return st, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return st, c.down(decodeError(resp))
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, c.down(err)
-	}
-	return st, nil
-}
-
-func (c *NodeClient) result(ctx context.Context, id string) (*serve.JobResult, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/api/v1/jobs/"+id+"/result", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, c.down(decodeError(resp))
-	}
-	var res serve.JobResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return nil, c.down(err)
-	}
-	return &res, nil
 }
 
 // CacheGet probes the node's content-addressed cache. A miss (or any
@@ -255,23 +229,6 @@ func (c *NodeClient) MetricsText(ctx context.Context) (string, error) {
 		return "", c.down(err)
 	}
 	return string(data), nil
-}
-
-// Healthz reports whether the node answers its health check.
-func (c *NodeClient) Healthz(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return c.down(decodeError(resp))
-	}
-	return nil
 }
 
 // sleep waits d or until ctx is done.

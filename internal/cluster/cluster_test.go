@@ -81,7 +81,7 @@ func connectTier(nodes ...*testNode) map[string]*NodeClient {
 	clients := map[string]*NodeClient{}
 	names := make([]string, 0, len(nodes))
 	for _, n := range nodes {
-		clients[n.name] = &NodeClient{Name: n.name, BaseURL: n.srv.URL, Poll: 2 * time.Millisecond}
+		clients[n.name] = &NodeClient{Name: n.name, BaseURL: n.srv.URL}
 		names = append(names, n.name)
 	}
 	ring := chash.New(names...)
@@ -128,7 +128,7 @@ func newFrontend(t *testing.T, clients map[string]*NodeClient, split int) *front
 		Recorder: recorder,
 		Cluster:  &MetricsHandler{Nodes: clients, Self: metrics, SelfName: "coordinator"},
 	}))
-	f.client = &NodeClient{Name: "coordinator", BaseURL: f.srv.URL, Poll: 2 * time.Millisecond}
+	f.client = &NodeClient{Name: "coordinator", BaseURL: f.srv.URL}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()

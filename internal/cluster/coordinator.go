@@ -188,7 +188,7 @@ func (c *Coordinator) fanout(ctx context.Context, subs []SubJob) ([]*serve.JobRe
 	}
 	failed, done := d.failed, d.done
 	d.mu.Unlock()
-	cancel() // release loops blocked in polls
+	cancel() // release loops blocked on held results
 	wg.Wait()
 
 	switch {

@@ -22,16 +22,10 @@ type MetricsHandler struct {
 	// (fan-out counters, stage histograms) under SelfName.
 	Self     *obs.Registry
 	SelfName string
-	// ScrapeTimeout bounds each node scrape (0 = 5s).
-	ScrapeTimeout time.Duration
 }
 
-func (h *MetricsHandler) timeout() time.Duration {
-	if h.ScrapeTimeout > 0 {
-		return h.ScrapeTimeout
-	}
-	return 5 * time.Second
-}
+// scrapeTimeout bounds each node scrape.
+const scrapeTimeout = 5 * time.Second
 
 func (h *MetricsHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	sums := map[string]float64{}
@@ -43,7 +37,7 @@ func (h *MetricsHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		ctx, cancel := context.WithTimeout(r.Context(), h.timeout())
+		ctx, cancel := context.WithTimeout(r.Context(), scrapeTimeout)
 		text, err := h.Nodes[name].MetricsText(ctx)
 		cancel()
 		if err != nil {

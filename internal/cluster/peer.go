@@ -24,13 +24,16 @@ type Peers struct {
 	mu      sync.RWMutex
 	ring    *chash.Ring
 	clients map[string]*NodeClient
-
-	// ProbeTimeout bounds each peer probe (0 = 5s). FetchLimit caps how
-	// many peers one Fetch tries (0 = 3: the owner plus two successors
-	// — enough to survive a membership change plus one dead node).
-	ProbeTimeout time.Duration
-	FetchLimit   int
 }
+
+const (
+	// probeTimeout bounds each peer probe and write-through offer.
+	probeTimeout = 5 * time.Second
+	// fetchLimit caps how many peers one Fetch tries: the owner plus
+	// two successors — enough to survive a membership change plus one
+	// dead node.
+	fetchLimit = 3
+)
 
 // NewPeers builds an unconnected tier for the named node.
 func NewPeers(self string) *Peers { return &Peers{self: self} }
@@ -50,20 +53,6 @@ func (p *Peers) view() (*chash.Ring, map[string]*NodeClient) {
 	return p.ring, p.clients
 }
 
-func (p *Peers) timeout() time.Duration {
-	if p.ProbeTimeout > 0 {
-		return p.ProbeTimeout
-	}
-	return 5 * time.Second
-}
-
-func (p *Peers) limit() int {
-	if p.FetchLimit > 0 {
-		return p.FetchLimit
-	}
-	return 3
-}
-
 // Fetch probes the key's peer owners for a finished result.
 func (p *Peers) Fetch(ctx context.Context, key string) ([]byte, bool) {
 	ring, clients := p.view()
@@ -72,7 +61,7 @@ func (p *Peers) Fetch(ctx context.Context, key string) ([]byte, bool) {
 	}
 	probed := 0
 	for _, node := range ring.Preference(key) {
-		if probed >= p.limit() {
+		if probed >= fetchLimit {
 			break
 		}
 		if node == p.self {
@@ -83,7 +72,7 @@ func (p *Peers) Fetch(ctx context.Context, key string) ([]byte, bool) {
 			continue
 		}
 		probed++
-		pctx, cancel := context.WithTimeout(ctx, p.timeout())
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		data, ok := c.CacheGet(pctx, key)
 		cancel()
 		if ok {
@@ -109,7 +98,7 @@ func (p *Peers) Offer(key string, data []byte) {
 	if c == nil {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), p.timeout())
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	c.CachePut(ctx, key, data)
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/pprof"
 	"sort"
 	"strconv"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -20,8 +21,10 @@ import (
 //	                               503 draining)
 //	GET  /api/v1/jobs             list job statuses, newest first
 //	GET  /api/v1/jobs/{id}        one job's status
-//	GET  /api/v1/jobs/{id}/result the completed JobResult (byte-identical
-//	                              for cache hits), 409 until terminal
+//	GET  /api/v1/jobs/{id}/result held until the job is terminal: 200 with
+//	                              the JobResult (byte-identical for cache
+//	                              hits), 409 failed or cancelled, 202 with
+//	                              the status if still running after 10 s
 //	GET  /api/v1/jobs/{id}/stream NDJSON: one event per oracle failure
 //	                              as batches complete, then a terminal event
 //	GET  /metrics                 Prometheus text exposition
@@ -147,19 +150,32 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// resultHold bounds how long GET /result holds a request for a job that
+// is not yet terminal before answering 202 with its status. It must stay
+// below the cluster NodeClient's 30 s client timeout: that timeout is the
+// coordinator's only detector for a black-holed worker, and a hold at or
+// above it would make a healthy worker holding a long sub-job look dead.
+var resultHold = 10 * time.Second
+
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.job(w, r)
 	if !ok {
 		return
 	}
+	hold := time.NewTimer(resultHold)
+	defer hold.Stop()
+	select {
+	case <-job.Done():
+	case <-r.Context().Done():
+		return
+	case <-hold.C:
+		writeJSON(w, http.StatusAccepted, job.Status())
+		return
+	}
 	data, done := job.Result()
 	if !done {
 		st := job.Status()
-		if st.State == StateFailed || st.State == StateCancelled {
-			writeJSON(w, http.StatusConflict, errorBody{Error: fmt.Sprintf("job is %s: %s", st.State, st.Error)})
-			return
-		}
-		writeJSON(w, http.StatusConflict, errorBody{Error: "job is " + st.State + "; retry after completion"})
+		writeJSON(w, http.StatusConflict, errorBody{Error: fmt.Sprintf("job is %s: %s", st.State, st.Error)})
 		return
 	}
 	// Serve the stored bytes verbatim: a cached result is

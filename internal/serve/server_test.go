@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -52,33 +53,42 @@ func postJob(t *testing.T, url string, spec JobSpec) (*http.Response, JobStatus)
 	return resp, st
 }
 
+// fetchResult issues one GET /result and returns its code and body.
+func fetchResult(ctx context.Context, url, id string) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/api/v1/jobs/%s/result", url, id), nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, data, err
+}
+
+// getResult fetches the job's result. The server holds the request
+// until the job is terminal; only a 202 (the hold elapsed first) asks
+// again.
 func getResult(t *testing.T, url, id string) []byte {
 	t.Helper()
-	deadline := time.Now().Add(120 * time.Second)
 	for {
-		resp, err := http.Get(fmt.Sprintf("%s/api/v1/jobs/%s/result", url, id))
+		code, data, err := fetchResult(context.Background(), url, id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode == http.StatusOK {
+		switch code {
+		case http.StatusOK:
 			return data
+		case http.StatusAccepted:
+			continue
 		}
-		if resp.StatusCode != http.StatusConflict {
-			t.Fatalf("result returned %d: %s", resp.StatusCode, data)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s never produced a result", id)
-		}
-		time.Sleep(10 * time.Millisecond)
+		t.Fatalf("result returned %d: %s", code, data)
 	}
 }
 
-// The end-to-end acceptance path: submit (202), poll the result,
+// The end-to-end acceptance path: submit (202), wait on the result,
 // resubmit the identical spec (200 + cache_hit), and the two result
 // bodies are byte-identical while the executor ran exactly once.
 func TestServerSubmitResultResubmit(t *testing.T) {
@@ -115,6 +125,161 @@ func TestServerSubmitResultResubmit(t *testing.T) {
 	}
 	if res.ReportSHA == "" || res.Fuzz == nil || !strings.Contains(res.Rendered, "fuzz campaign") {
 		t.Errorf("result payload incomplete: sha=%q fuzz=%v", res.ReportSHA, res.Fuzz != nil)
+	}
+}
+
+// resultServer serves the API over a one-worker scheduler running
+// runner. entered receives a token when a /result request reaches the
+// server, so a test can act once the request is provably held.
+func resultServer(t *testing.T, runner Runner) (srv *httptest.Server, entered chan struct{}) {
+	t.Helper()
+	sched, _ := newTestScheduler(t, SchedulerOptions{Workers: 1, Executor: runner})
+	api := NewServer(sched, ServerOptions{})
+	entered = make(chan struct{}, 1)
+	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/result") {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+		}
+		api.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return srv, entered
+}
+
+// /result on a running job holds the request until the job finishes,
+// then serves exactly the bytes a later cache-hit /result serves.
+func TestServerResultHoldsUntilDone(t *testing.T) {
+	runner := newBlockingRunner()
+	srv, entered := resultServer(t, runner)
+	spec := JobSpec{Kind: KindFuzz, Seed: 500, N: 10}
+	_, st := postJob(t, srv.URL, spec)
+	<-runner.started
+
+	type reply struct {
+		code int
+		body []byte
+	}
+	held := make(chan reply, 1)
+	go func() {
+		code, body, err := fetchResult(context.Background(), srv.URL, st.ID)
+		if err != nil {
+			t.Error(err)
+		}
+		held <- reply{code, body}
+	}()
+	<-entered
+	select {
+	case r := <-held:
+		close(runner.release)
+		t.Fatalf("result answered %d while the job was running: %s", r.code, r.body)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(runner.release)
+	cold := <-held
+	if cold.code != http.StatusOK {
+		t.Fatalf("held result returned %d: %s", cold.code, cold.body)
+	}
+
+	resp, st2 := postJob(t, srv.URL, spec)
+	if resp.StatusCode != http.StatusOK || !st2.CacheHit {
+		t.Fatalf("resubmission: http %d, %+v", resp.StatusCode, st2)
+	}
+	if warm := getResult(t, srv.URL, st2.ID); !bytes.Equal(cold.body, warm) {
+		t.Error("held result differs from the cache-hit result")
+	}
+}
+
+// When the hold elapses before the job ends, /result answers 202 with
+// the job's status.
+func TestServerResultHoldElapses(t *testing.T) {
+	defer func(d time.Duration) { resultHold = d }(resultHold)
+	resultHold = 20 * time.Millisecond
+	runner := newBlockingRunner()
+	defer close(runner.release)
+	srv, _ := resultServer(t, runner)
+	_, st := postJob(t, srv.URL, JobSpec{Kind: KindFuzz, Seed: 501, N: 10})
+	<-runner.started
+
+	code, body, err := fetchResult(context.Background(), srv.URL, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != http.StatusAccepted {
+		t.Fatalf("elapsed hold returned %d, want 202: %s", code, body)
+	}
+	var got JobStatus
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatalf("202 body is not a JobStatus: %v", err)
+	}
+	if got.ID != st.ID || got.State != StateRunning {
+		t.Errorf("202 status = %+v, want job %s running", got, st.ID)
+	}
+}
+
+// errRunner ends every job with err at once.
+type errRunner struct{ err error }
+
+func (r errRunner) Execute(context.Context, JobSpec, func(core.Failure)) (*JobResult, error) {
+	return nil, r.err
+}
+
+// A failed or cancelled job ends the hold with 409 and the job's error.
+func TestServerResultConflictForFailedAndCancelled(t *testing.T) {
+	for _, tc := range []struct {
+		state string
+		err   error
+	}{
+		{StateFailed, errors.New("boom")},
+		{StateCancelled, context.Canceled},
+	} {
+		t.Run(tc.state, func(t *testing.T) {
+			srv, _ := resultServer(t, errRunner{tc.err})
+			_, st := postJob(t, srv.URL, JobSpec{Kind: KindFuzz, Seed: 502, N: 10})
+			code, body, err := fetchResult(context.Background(), srv.URL, st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("job is %s: %s", tc.state, tc.err)
+			if code != http.StatusConflict || !strings.Contains(string(body), want) {
+				t.Errorf("result returned %d %s, want 409 %q", code, body, want)
+			}
+		})
+	}
+}
+
+// A client that gives up releases its held /result handler, so closing
+// the server does not wait out the hold.
+func TestServerResultReleasedOnDisconnect(t *testing.T) {
+	runner := newBlockingRunner()
+	defer close(runner.release)
+	srv, entered := resultServer(t, runner)
+	_, st := postJob(t, srv.URL, JobSpec{Kind: KindFuzz, Seed: 503, N: 10})
+	<-runner.started
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := fetchResult(ctx, srv.URL, st.ID)
+		errc <- err
+	}()
+	<-entered
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("cancelled result request returned no error")
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(resultHold / 2):
+		t.Fatal("server close waited on a handler whose client had gone")
 	}
 }
 
