@@ -110,6 +110,26 @@ func (d *Deployment) SetConf(conf map[string]string) {
 	}
 }
 
+// release drops a table the harness is done with: its metastore entry
+// and every file under its location. Each case owns its tables and no
+// other case or oracle reads them, so releasing them once the case's
+// outcome is recorded keeps only in-flight tables in the warehouse.
+// This is a harness action, not an engine statement: it emits no span
+// and leaves the engines' DROP TABLE semantics alone. Releasing a table
+// its CREATE never registered is a no-op that allocates nothing.
+func (d *Deployment) release(table string) {
+	t, ok := d.MS.Lookup(table)
+	if !ok {
+		return
+	}
+	// DropTable with ifExists cannot fail. DeleteTree fails only in
+	// NameNode safe mode, which leaves the files behind: later scans pay
+	// for them, but no outcome changes, since table names are unique
+	// within a run.
+	_ = d.MS.DropTable(t.Name, true)
+	_ = d.FS.DeleteTree(t.Location)
+}
+
 // WriteOutcome records a write attempt through one interface.
 type WriteOutcome struct {
 	Err      error

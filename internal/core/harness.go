@@ -215,12 +215,15 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 			if c.Write.Err == nil {
 				c.WriterRead = d.WriterReadSpan(c.Span, c.Plan.Read, c.Table)
 			}
-			c.RWWrite = d.ReaderWriteSpan(c.Span, c.Plan.Write, c.Table+"_rw", c.Format, *c.Input)
+			rw := c.Table + "_rw"
+			c.RWWrite = d.ReaderWriteSpan(c.Span, c.Plan.Write, rw, c.Format, *c.Input)
 			if c.RWWrite.Err == nil {
-				c.RWRead = d.ReadSpan(c.Span, c.Plan.Read, c.Table+"_rw")
+				c.RWRead = d.ReadSpan(c.Span, c.Plan.Read, rw)
 			}
+			defer d.release(rw)
 		}
 		c.Span.Fail(c.Write.Err).Fail(c.Read.Err).End()
+		d.release(c.Table)
 		if opts.Metrics != nil {
 			opts.Metrics.Counter("crosstest_cases_total").Inc()
 			opts.Metrics.Counter("crosstest_plan_cases_total", "plan", c.Plan.Name(), "format", c.Format).Inc()
@@ -242,8 +245,9 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 		return nil, err
 	}
 
-	// The oracles read only the cases; past this point the deployment
-	// (its warehouse and metastore) is garbage.
+	// The oracles read only the cases, and every case released its
+	// tables: past this point the deployment's warehouse and metastore
+	// are empty.
 	failures := applyOracles(cases)
 	if opts.Versions != nil {
 		failures = append(failures, versionSkewOracle(cases)...)

@@ -89,6 +89,7 @@ func RunPartitions(format string, opts RunOptions) (*RunResult, error) {
 			c.Read = read.column(len(read.Row) - 1)
 		}
 		c.Span.Fail(c.Write.Err).Fail(c.Read.Err).End()
+		d.release(c.Table)
 	}
 	if err := RunPool(opts.Context, opts.Parallel, cases, execute); err != nil {
 		return nil, err

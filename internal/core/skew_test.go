@@ -72,12 +72,7 @@ func TestGoldenSkewMatrix(t *testing.T) {
 			Failures: 14127, SkewFailures: 6338,
 		},
 	}
-	pairs := versions.DefaultPairs()
-	if testing.Short() {
-		// The CI smoke subset: the baseline pair plus one upgrade pair.
-		pairs, want = pairs[:2], want[:2]
-	}
-	m, err := RunSkewMatrix(corpus(t), pairs, RunOptions{Parallel: 8})
+	m, err := RunSkewMatrix(corpus(t), versions.DefaultPairs(), RunOptions{Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,6 +73,7 @@ func runTables(cases []*TableCase, opts RunOptions, oracles func([]*CaseResult) 
 		}
 		span.Fail(write.Err).Fail(read.ReadErr).End()
 		tc.results = columnResults(tc, span, write, read)
+		d.release(tc.Label)
 		if opts.Metrics != nil {
 			opts.Metrics.Counter("crossfuzz_cases_total").Inc()
 			opts.Metrics.Counter("crossfuzz_plan_cases_total", "plan", tc.Plan.Name(), "format", tc.Format).Inc()

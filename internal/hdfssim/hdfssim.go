@@ -249,6 +249,25 @@ func (fs *FileSystem) Delete(path string) error {
 	return nil
 }
 
+// DeleteTree removes the file at prefix and every file under prefix+"/",
+// matching exactly the paths List(prefix) returns: a sibling such as
+// prefix+"_rw" or prefix+"-x" survives. A prefix with nothing under it
+// is not an error.
+func (fs *FileSystem) DeleteTree(prefix string) error {
+	prefix = clean(prefix)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.safeMode {
+		return ErrSafeMode
+	}
+	for p := range fs.files {
+		if strings.HasPrefix(p, prefix) && (len(p) == len(prefix) || p[len(prefix)] == '/') {
+			delete(fs.files, p)
+		}
+	}
+	return nil
+}
+
 // List returns the paths under the given prefix, sorted.
 func (fs *FileSystem) List(prefix string) []string {
 	prefix = clean(prefix)

@@ -2,6 +2,7 @@ package hdfssim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -98,6 +99,84 @@ func TestListAndExists(t *testing.T) {
 	}
 	if !fs.Exists("/w/t2/part-0") || fs.Exists("/nope") {
 		t.Error("exists wrong")
+	}
+}
+
+// treeFS holds a table directory /w/t that is also a file, a nested
+// subtree under it, and the sibling-prefix paths that sort around it.
+func treeFS(t *testing.T) *FileSystem {
+	t.Helper()
+	fs := New(nil)
+	for _, p := range []string{"/w/t/b/part-1", "/w/t_rw/part-0", "/w/t", "/w/t-x", "/w/t/a/part-0", "/w/u/part-0"} {
+		if err := fs.Write(p, []byte(p), WriteOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fs
+}
+
+func TestListPrefixSemantics(t *testing.T) {
+	fs := treeFS(t)
+	want := []string{"/w/t", "/w/t/a/part-0", "/w/t/b/part-1"}
+	if got := fs.List("/w/t"); !slices.Equal(got, want) {
+		t.Errorf("List(/w/t) = %v, want %v (exact file, nested subtree, no siblings, sorted)", got, want)
+	}
+	if got := fs.List("/w/t/"); !slices.Equal(got, want) {
+		t.Errorf("List(/w/t/) = %v, want %v", got, want)
+	}
+	if got := fs.List("/w/t-x"); !slices.Equal(got, []string{"/w/t-x"}) {
+		t.Errorf("List(/w/t-x) = %v", got)
+	}
+	// Overwriting a file replaces it in place: it is listed once.
+	if err := fs.Write("/w/t/a/part-0", []byte("new"), WriteOptions{Overwrite: true}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.List("/w/t"); !slices.Equal(got, want) {
+		t.Errorf("List after overwrite = %v, want %v", got, want)
+	}
+	if data, _ := fs.Read("/w/t/a/part-0"); string(data) != "new" {
+		t.Errorf("overwritten data = %q", data)
+	}
+	if got := fs.List("/w/none"); len(got) != 0 {
+		t.Errorf("List(/w/none) = %v", got)
+	}
+}
+
+func TestDeleteTree(t *testing.T) {
+	fs := treeFS(t)
+	if err := fs.DeleteTree("/w/t"); err != nil {
+		t.Fatal(err)
+	}
+	// DeleteTree removes exactly what List returned; the sibling-prefix
+	// paths survive.
+	want := []string{"/w/t-x", "/w/t_rw/part-0", "/w/u/part-0"}
+	if got := fs.List("/w"); !slices.Equal(got, want) {
+		t.Errorf("after DeleteTree(/w/t): %v, want %v", got, want)
+	}
+	if err := fs.DeleteTree("/w/t"); err != nil {
+		t.Errorf("DeleteTree of an empty prefix = %v, want nil", err)
+	}
+	if err := fs.DeleteTree("/w/t-x"); err != nil || fs.Exists("/w/t-x") {
+		t.Errorf("DeleteTree of a lone file: err %v, exists %v", err, fs.Exists("/w/t-x"))
+	}
+}
+
+func TestDeleteTreeSafeMode(t *testing.T) {
+	fs := treeFS(t)
+	before := fs.List("/w")
+	fs.SetSafeMode(true)
+	if err := fs.DeleteTree("/w/t"); !errors.Is(err, ErrSafeMode) {
+		t.Errorf("DeleteTree in safe mode = %v", err)
+	}
+	if got := fs.List("/w"); !slices.Equal(got, before) {
+		t.Errorf("safe-mode DeleteTree removed files: %v, want %v", got, before)
+	}
+}
+
+func TestDeleteTreeAllocatesNothing(t *testing.T) {
+	fs := treeFS(t)
+	if n := testing.AllocsPerRun(100, func() { _ = fs.DeleteTree("/w/t") }); n != 0 {
+		t.Errorf("DeleteTree allocates %.0f objects per call, want 0", n)
 	}
 }
 

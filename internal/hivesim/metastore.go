@@ -123,13 +123,19 @@ func (m *Metastore) CreateTablePartitioned(name string, columns, partitionCols [
 
 // GetTable looks a table up case-insensitively.
 func (m *Metastore) GetTable(name string) (*Table, error) {
+	if t, ok := m.Lookup(name); ok {
+		return t, nil
+	}
+	return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, strings.ToLower(name))
+}
+
+// Lookup is GetTable for callers that expect misses: a missing table is
+// ok == false, and no error is built.
+func (m *Metastore) Lookup(name string) (*Table, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t, ok := m.tables[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, strings.ToLower(name))
-	}
-	return t, nil
+	return t, ok
 }
 
 // DropTable removes a table. With ifExists, dropping a missing table is
