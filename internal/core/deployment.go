@@ -137,11 +137,16 @@ type WriteOutcome struct {
 }
 
 // ReadOutcome records a read attempt through one interface.
+//
+// Value points at the element of the row the engine returned; it is
+// nil when no row came back, so HasRow == (Value != nil) always holds.
+// The value is the engine's row, never mutated by core: the columns of
+// one wide table share that row instead of copying a Value each.
 type ReadOutcome struct {
 	Err      error
 	Warnings []string
 	HasRow   bool
-	Value    sqlval.Value
+	Value    *sqlval.Value
 }
 
 // SetTracer attaches an observability tracer to every engine; spans
@@ -290,7 +295,7 @@ func (r WideOutcome) column(i int) ReadOutcome {
 	out := ReadOutcome{Err: r.ReadErr, Warnings: r.Warnings}
 	if 0 <= i && i < len(r.Row) {
 		out.HasRow = true
-		out.Value = r.Row[i]
+		out.Value = &r.Row[i]
 	}
 	return out
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/versions"
 )
 
 // TestReleaseEmptiesWarehouse: release drops a table's metastore entry
@@ -67,4 +69,70 @@ func TestReleaseEmptiesWarehouse(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReadOutcomeValueIffRow: every read outcome a harness mode keeps,
+// the skew probes included, carries a value exactly when a row came
+// back.
+func TestReadOutcomeValueIffRow(t *testing.T) {
+	base, err := BuildBaseCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := base[:20]
+	check := func(mode string, cases []*CaseResult) {
+		t.Helper()
+		rows := 0
+		for _, c := range cases {
+			for _, r := range []*ReadOutcome{&c.Read, &c.WriterRead, &c.RWRead} {
+				if r.HasRow != (r.Value != nil) {
+					t.Errorf("%s %s: HasRow %t, Value %v", mode, c.Describe(), r.HasRow, r.Value)
+				}
+				if r.HasRow {
+					rows++
+				}
+			}
+		}
+		if rows == 0 {
+			t.Errorf("%s: no read returned a row", mode)
+		}
+	}
+	run, err := Run(inputs, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Run", run.Cases)
+	skew, err := RunSkew(inputs, versions.DefaultPairs()[1], RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("RunSkew", skew.Cases)
+	cols := BuildWideTable(inputs)
+	var tcs []*TableCase
+	for _, plan := range Plans() {
+		tcs = append(tcs, &TableCase{Label: "iff_" + plan.Name(), Columns: cols, Plan: plan, Format: "parquet", Ord: int64(len(tcs))})
+	}
+	tables, err := RunTables(tcs, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("RunTables", tables.Cases)
+	// A wide run keeps its cases only through its failures.
+	wide, err := RunWide(inputs, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wideCases []*CaseResult
+	for _, f := range wide.Failures {
+		wideCases = append(wideCases, f.Case)
+		if f.Peer != nil {
+			wideCases = append(wideCases, f.Peer)
+		}
+	}
+	check("RunWide", wideCases)
+	parts, err := RunPartitions("orc", RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("RunPartitions", parts.Cases)
 }

@@ -466,7 +466,7 @@ func writeReadOracle(cases []*CaseResult) []Failure {
 			out = append(out, Failure{
 				Oracle:    csi.OracleWriteRead,
 				Case:      c,
-				Signature: classifyValueDiff(c.Input.Expected, c.Read.Value),
+				Signature: classifyValueDiff(c.Input.Expected, *c.Read.Value),
 				Detail:    fmt.Sprintf("wrote %s, read %s", c.Input.Expected, c.Read.Value),
 				Rank:      failureRank("0", c.Rank),
 			})
@@ -647,5 +647,5 @@ func classifyDiffPair(a, b *CaseResult) string {
 		// values happen to differ (NULL vs wrapped vs accepted).
 		return classifyTargetFamily(a.Input.Type)
 	}
-	return classifyValueDiff(a.Read.Value, b.Read.Value)
+	return classifyValueDiff(*a.Read.Value, *b.Read.Value)
 }

@@ -106,15 +106,16 @@ func genDiffCases(seed int64) []*CaseResult {
 		case 2:
 			// The row is missing.
 		default:
-			c.Read.HasRow = true
+			var v sqlval.Value
 			switch rng.Intn(3) {
 			case 0:
-				c.Read.Value = sqlval.IntVal(sqlval.Int, int64(rng.Intn(2)))
+				v = sqlval.IntVal(sqlval.Int, int64(rng.Intn(2)))
 			case 1:
-				c.Read.Value = sqlval.IntVal(sqlval.BigInt, int64(rng.Intn(2)))
+				v = sqlval.IntVal(sqlval.BigInt, int64(rng.Intn(2)))
 			default:
-				c.Read.Value = sqlval.NullOf(c.Input.Type)
+				v = sqlval.NullOf(c.Input.Type)
 			}
+			c.Read.HasRow, c.Read.Value = true, &v
 		}
 	}
 	var cases []*CaseResult
@@ -176,7 +177,7 @@ func TestDiffGroupsSortAsStrings(t *testing.T) {
 		for _, p := range Plans()[:2] {
 			c := &CaseResult{Input: &Input{ID: id}, Plan: p, Format: "orc"}
 			if p.Read == DataFrame {
-				c.Read.HasRow = true
+				c.Read.HasRow, c.Read.Value = true, &sqlval.Value{}
 			}
 			cases = append(cases, c)
 		}
@@ -246,18 +247,19 @@ func TestKeyEncoderAllocations(t *testing.T) {
 
 // The per-case ceilings below pin the harness's heap cost over the
 // first 20 inputs of the base corpus (480 cases), set about 10% (objects)
-// and 15% (bytes) above the measured values. A rise past one means a
-// per-case allocation crept back into the harness path, such as a fresh
-// parser token buffer per statement or a heap probe view per skew case.
+// and 15% (bytes) above the measured values, and at least 3% above the
+// race detector's bytes. A rise past one means a per-case allocation
+// crept back into the harness path, such as a fresh parser token buffer
+// per statement or a heap probe view per skew case.
 //
-// Measured on linux/amd64: Run 74.4 objects and 6,829 B per case, the
-// skew pair 161.4 objects and 13,565 B (7,591 B and 15,180 B under the
+// Measured on linux/amd64: Run 74.0 objects and 5,777 B per case, the
+// skew pair 160.1 objects and 11,972 B (6,514 B and 13,580 B under the
 // race detector, whose sync.Pool drops a quarter of returned buffers).
 const (
 	maxRunAllocsPerCase  = 82
-	maxRunBytesPerCase   = 7850
+	maxRunBytesPerCase   = 6700
 	maxSkewAllocsPerCase = 178
-	maxSkewBytesPerCase  = 15600
+	maxSkewBytesPerCase  = 14000
 )
 
 // heapAllocBytes reads the cumulative bytes allocated to the heap from
@@ -312,4 +314,61 @@ func TestRunAllocationsPerCase(t *testing.T) {
 func TestRunSkewAllocationsPerCase(t *testing.T) {
 	pair := versions.DefaultPairs()[1]
 	checkRunCost(t, "core.RunSkew "+pair.String(), RunOptions{Versions: &pair}, maxSkewAllocsPerCase, maxSkewBytesPerCase)
+}
+
+// What a finished run keeps: the heap a held RunResult retains over the
+// same 480 cases, set about 15% above the measured values. A rise past
+// one means a case record, a failure or the report grew, such as a read
+// outcome holding a copy of its value instead of pointing at the row.
+//
+// Measured on linux/amd64: Run 955 B per case, the skew pair 1,789 B;
+// the race detector reads the same.
+const (
+	maxRunRetainedPerCase  = 1100
+	maxSkewRetainedPerCase = 2050
+)
+
+// heapLiveBytes reads the heap bytes marked live by a collection it
+// forces first, so the reading covers exactly what is reachable now. The
+// second collection empties the sync.Pool victim caches, so buffers
+// pooled for reuse stay out of the reading.
+func heapLiveBytes() int64 {
+	runtime.GC()
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64())
+}
+
+func TestRunRetainedBytesPerCase(t *testing.T) {
+	base, err := BuildBaseCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := base[:20]
+	pair := versions.DefaultPairs()[1]
+	for _, tc := range []struct {
+		name string
+		opts RunOptions
+		max  float64
+	}{
+		{"core.Run", RunOptions{}, maxRunRetainedPerCase},
+		{"core.RunSkew " + pair.String(), RunOptions{Versions: &pair}, maxSkewRetainedPerCase},
+	} {
+		// A warm-up run keeps lazily built state out of the reading.
+		if _, err := Run(inputs, tc.opts); err != nil {
+			t.Fatal(err)
+		}
+		before := heapLiveBytes()
+		res, err := Run(inputs, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained := float64(heapLiveBytes()-before) / float64(len(res.Cases))
+		runtime.KeepAlive(res)
+		t.Logf("%s: %.0f B/case retained", tc.name, retained)
+		if retained > tc.max {
+			t.Errorf("%s retains %.0f B/case, ceiling %.0f", tc.name, retained, tc.max)
+		}
+	}
 }

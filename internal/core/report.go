@@ -33,27 +33,39 @@ type Report struct {
 }
 
 func buildReport(failures []Failure) *Report {
-	clusters := map[string]*Found{}
 	bySig := inject.BySignature()
 	byOracle := map[csi.Oracle]int{}
+	// The first pass sizes each cluster, so the second can carve every
+	// cluster at its exact size from one slab. Each carved slice is
+	// capped at its length: appending to one never writes into the next.
+	cluster := map[string]int{} // signature -> index into found
+	var found []Found
+	var sizes []int
 	for _, f := range failures {
 		byOracle[f.Oracle]++
-		c, ok := clusters[f.Signature]
+		i, ok := cluster[f.Signature]
 		if !ok {
-			c = &Found{Signature: f.Signature, Oracles: map[csi.Oracle]int{}}
+			i = len(found)
+			cluster[f.Signature] = i
+			c := Found{Signature: f.Signature, Oracles: map[csi.Oracle]int{}}
 			if d, known := bySig[f.Signature]; known {
-				dd := d
-				c.Known = &dd
+				c.Known = &d
 			}
-			clusters[f.Signature] = c
+			found = append(found, c)
+			sizes = append(sizes, 0)
 		}
+		sizes[i]++
+		found[i].Oracles[f.Oracle]++
+	}
+	slab := make([]Failure, len(failures))
+	for i, n := range sizes {
+		found[i].Failures, slab = slab[:0:n], slab[n:]
+	}
+	for _, f := range failures {
+		c := &found[cluster[f.Signature]]
 		c.Failures = append(c.Failures, f)
-		c.Oracles[f.Oracle]++
 	}
-	report := &Report{ByOracle: byOracle}
-	for _, c := range clusters {
-		report.Found = append(report.Found, *c)
-	}
+	report := &Report{Found: found, ByOracle: byOracle}
 	sort.Slice(report.Found, func(i, j int) bool {
 		a, b := report.Found[i], report.Found[j]
 		switch {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -103,5 +104,30 @@ func TestReportJSONShape(t *testing.T) {
 	ej := emptyReport().JSON()
 	if ej.Distinct != 0 || len(ej.Found) != 0 || ej.OracleFailures["wr"] != 0 {
 		t.Errorf("empty JSON = %+v", ej)
+	}
+}
+
+// Each cluster keeps its failures in emission order, in a slice sized
+// exactly to them.
+func TestReportClustersExactSize(t *testing.T) {
+	sigs := []string{"char-padding", "zz-unknown", "char-padding", "date-rebase", "zz-unknown", "char-padding"}
+	failures := make([]Failure, len(sigs))
+	for i, sig := range sigs {
+		failures[i] = Failure{Oracle: csi.OracleWriteRead, Signature: sig, Rank: strconv.Itoa(i)}
+	}
+	want := map[string]string{"char-padding": "025", "date-rebase": "3", "zz-unknown": "14"}
+	r := buildReport(failures)
+	if len(r.Found) != len(want) {
+		t.Fatalf("found %d clusters, want %d", len(r.Found), len(want))
+	}
+	for _, f := range r.Found {
+		var ranks string
+		for _, ff := range f.Failures {
+			ranks += ff.Rank
+		}
+		if ranks != want[f.Signature] || cap(f.Failures) != len(f.Failures) {
+			t.Errorf("cluster %s: ranks %q len %d cap %d, want ranks %q and cap = len",
+				f.Signature, ranks, len(f.Failures), cap(f.Failures), want[f.Signature])
+		}
 	}
 }

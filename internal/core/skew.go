@@ -124,7 +124,7 @@ func classifySkew(a, b *CaseResult) string {
 		strings.TrimRight(av.S, " ") == strings.TrimRight(bv.S, " ") {
 		return "char-type"
 	}
-	return classifyValueDiff(av, bv)
+	return classifyValueDiff(*av, *bv)
 }
 
 // RunSkew executes the corpus on a version-skew deployment: RunOptions

@@ -30,6 +30,15 @@ type Attempt struct {
 	Value     sqlval.Value
 }
 
+// attemptOf records a read outcome, copying out the value it points at.
+func attemptOf(iface core.Iface, out core.ReadOutcome) Attempt {
+	att := Attempt{Interface: iface, Err: out.Err, HasRow: out.HasRow}
+	if out.HasRow {
+		att.Value = *out.Value
+	}
+	return att
+}
+
 func (a Attempt) String() string {
 	if a.Err != nil {
 		return fmt.Sprintf("%s: error: %v", a.Interface, a.Err)
@@ -72,15 +81,15 @@ func ReadWithFailover(d *core.Deployment, table string, order ...core.Iface) (Re
 	res := Result{}
 	for _, iface := range order {
 		out := d.Read(iface, table)
-		att := Attempt{Interface: iface, Err: out.Err, HasRow: out.HasRow, Value: out.Value}
+		att := attemptOf(iface, out)
 		res.Attempts = append(res.Attempts, att)
 		if out.Err != nil {
 			res.MaskedFailures++
 			continue
 		}
 		res.Served = iface
-		res.Value = out.Value
-		res.HasRow = out.HasRow
+		res.Value = att.Value
+		res.HasRow = att.HasRow
 		return res, nil
 	}
 	return res, fmt.Errorf("%w: table %s via %v", ErrAllInterfacesFailed, table, order)
@@ -101,7 +110,7 @@ func ReadWithVoting(d *core.Deployment, table string, ifaces ...core.Iface) (Res
 	var buckets []*bucket
 	for _, iface := range ifaces {
 		out := d.Read(iface, table)
-		att := Attempt{Interface: iface, Err: out.Err, HasRow: out.HasRow, Value: out.Value}
+		att := attemptOf(iface, out)
 		res.Attempts = append(res.Attempts, att)
 		if out.Err != nil {
 			continue

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 )
@@ -50,6 +51,36 @@ func FuzzJobSpec(f *testing.F) {
 			if _, err := sub.CacheKey(); err != nil {
 				t.Fatalf("sub-spec %+v invalid: %v", sub, err)
 			}
+		}
+	})
+}
+
+// FuzzValidPeerResult holds the peer-cache boundary total: any bytes a
+// peer serves are checked without panicking, and accepted only when
+// they decode as a JobResult for the key asked for.
+func FuzzValidPeerResult(f *testing.F) {
+	spec := smallFuzzSpec()
+	res, err := new(Executor).Execute(context.Background(), spec, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := marshalResult(res)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if !validPeerResult(res.Key, data) || validPeerResult(res.Key+"0", data) {
+		f.Fatalf("a marshaled result must be accepted for its own key %s only", res.Key)
+	}
+	f.Add(res.Key, data)
+	f.Add(res.Key, data[:len(data)/2])
+	f.Add("k", []byte(`{"key":"k","report":{"distinct":"two"}}`))
+	f.Add("", []byte(`null`))
+	f.Fuzz(func(t *testing.T, key string, data []byte) {
+		ok := validPeerResult(key, data)
+		var res JobResult
+		decoded := json.Unmarshal(data, &res) == nil
+		if ok != (decoded && res.Key == key) {
+			t.Fatalf("validPeerResult(%q) = %t, but decodes %t with key %q", key, ok, decoded, res.Key)
 		}
 	})
 }
