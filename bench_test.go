@@ -22,6 +22,7 @@ import (
 	"repro/internal/sparksim"
 	"repro/internal/study"
 	"repro/internal/vclock"
+	"repro/internal/versions"
 	"repro/internal/workload"
 	"repro/internal/yarnsim"
 )
@@ -381,6 +382,33 @@ func BenchmarkVersionMatrix(b *testing.B) {
 			b.ReportMetric(float64(len(res.Failures)), "oracle_failures")
 		})
 	}
+}
+
+// BenchmarkSkewMatrix runs the version-skew matrix: the compact corpus
+// over the default writer->reader pairs, each reader stack's control
+// probe run once per matrix. It reports the baseline cell's distinct
+// discrepancies (the Figure-6 pin) and the skew failures of all cells.
+func BenchmarkSkewMatrix(b *testing.B) {
+	inputs, err := core.BuildBaseCorpus()
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := versions.DefaultPairs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var m *core.SkewMatrix
+	for i := 0; i < b.N; i++ {
+		m, err = core.RunSkewMatrix(inputs, pairs, core.RunOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	skew := 0
+	for _, cell := range m.Cells {
+		skew += cell.SkewFailures
+	}
+	b.ReportMetric(float64(len(m.Cells[0].Known)), "baseline_discrepancies")
+	b.ReportMetric(float64(skew), "skew_failures")
 }
 
 // BenchmarkFigure6Parallel measures the harness with worker-pool

@@ -156,6 +156,12 @@ type RunResult struct {
 // Run executes the full cross-test: every input × plan × format, then
 // applies the three oracles and clusters failures into discrepancies.
 func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
+	return run(inputs, opts, nil)
+}
+
+// run is Run, sharing the reader-stack control probes through probes
+// when a skew matrix passes a table (nil otherwise).
+func run(inputs []Input, opts RunOptions, probes *readerProbes) (*RunResult, error) {
 	d, err := opts.deployment()
 	if err != nil {
 		return nil, err
@@ -199,7 +205,19 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 			}
 		}
 	}
-	execute := func(c *CaseResult) {
+	// The first cell of a matrix to read on a stack fills its probe
+	// table; a later cell copies from it. Each case owns the slot at its
+	// slab position, so the pool runs over positions.
+	copyProbes := probes != nil && probes.slots != nil
+	if probes != nil && !copyProbes {
+		probes.slots = make([]rwProbe, len(cases))
+	}
+	positions := make([]int, len(cases))
+	for i := range positions {
+		positions[i] = i
+	}
+	execute := func(i int) {
+		c := cases[i]
 		var started time.Time
 		if opts.Metrics != nil {
 			started = time.Now() //crossvet:wallclock case timing feeds only the obs histogram, never the report or its hash
@@ -211,16 +229,30 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 		}
 		if d.Pair != nil {
 			// Skew probes: the same table re-read on the writer stack, and
-			// a sibling table produced entirely on the reader stack.
+			// a sibling table produced entirely on the reader stack. On an
+			// unskewed pair both stacks carry one profile and conf and
+			// read the same bytes, so the writer-stack read is the read.
 			if c.Write.Err == nil {
-				c.WriterRead = d.WriterReadSpan(c.Span, c.Plan.Read, c.Table)
+				c.WriterRead = c.Read
+				if d.Pair.Skewed() {
+					c.WriterRead = d.WriterReadSpan(c.Span, c.Plan.Read, c.Table)
+				}
 			}
-			rw := c.Table + "_rw"
-			c.RWWrite = d.ReaderWriteSpan(c.Span, c.Plan.Write, rw, c.Format, *c.Input)
-			if c.RWWrite.Err == nil {
-				c.RWRead = d.ReadSpan(c.Span, c.Plan.Read, rw)
+			if copyProbes {
+				p := &probes.slots[i]
+				c.RWWrite, c.RWRead = p.write, p.read
+				c.Span.Set(obs.AttrProbeFrom, probes.from)
+			} else {
+				rw := c.Table + "_rw"
+				c.RWWrite = d.ReaderWriteSpan(c.Span, c.Plan.Write, rw, c.Format, *c.Input)
+				if c.RWWrite.Err == nil {
+					c.RWRead = d.ReadSpan(c.Span, c.Plan.Read, rw)
+				}
+				defer d.release(rw)
+				if probes != nil {
+					probes.slots[i] = rwProbe{c.RWWrite, c.RWRead}
+				}
 			}
-			defer d.release(rw)
 		}
 		c.Span.Fail(c.Write.Err).Fail(c.Read.Err).End()
 		d.release(c.Table)
@@ -241,7 +273,7 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 				Observe(float64(time.Since(started)) / float64(time.Millisecond))
 		}
 	}
-	if err := RunPool(opts.Context, opts.Parallel, cases, execute); err != nil {
+	if err := RunPool(opts.Context, opts.Parallel, positions, execute); err != nil {
 		return nil, err
 	}
 

@@ -21,6 +21,12 @@ import (
 // because the two stacks run different versions* — the upgrade-triggered
 // CSI failures of §5 — from discrepancies both versions share (which the
 // three §8.1 oracles already catch).
+//
+// The reader-stack control depends on the reader stack alone, so a
+// matrix runs it once per reader stack, in the first cell reading on
+// that stack, and the later cells with that reader copy its outcomes
+// (readerProbes). On an unskewed pair the writer-stack control is the
+// main read itself.
 
 // versionSkewOracle derives skew failures from the probe outcomes.
 //
@@ -162,19 +168,57 @@ type SkewMatrix struct {
 // assembles the matrix. Cells run sequentially in the given order (each
 // cell parallelizes internally per opts.Parallel), so the matrix is
 // bit-identical across parallelism settings.
+//
+// A reader stack shared by several pairs runs its control probe once:
+// the first cell reading on it fills a probe table, the later ones copy
+// from it, and the table is dropped after the last of them. Every cell
+// and every failure equals that of RunSkew on the cell's pair alone.
 func RunSkewMatrix(inputs []Input, pairs []versions.Pair, opts RunOptions) (*SkewMatrix, error) {
 	if len(pairs) == 0 {
 		pairs = versions.DefaultPairs()
 	}
+	last := make(map[versions.Stack]int, len(pairs))
+	for i, pair := range pairs {
+		last[pair.Reader] = i
+	}
+	tables := map[versions.Stack]*readerProbes{}
 	m := &SkewMatrix{}
-	for _, pair := range pairs {
-		res, err := RunSkew(inputs, pair, opts)
+	for i, pair := range pairs {
+		probes := tables[pair.Reader]
+		if probes == nil && last[pair.Reader] > i {
+			probes = &readerProbes{from: pair.String()}
+			tables[pair.Reader] = probes
+		}
+		opts.Versions = &pair
+		res, err := run(inputs, opts, probes)
 		if err != nil {
 			return nil, err
 		}
 		m.Cells = append(m.Cells, buildSkewCell(pair, res))
+		if last[pair.Reader] == i {
+			delete(tables, pair.Reader)
+		}
 	}
 	return m, nil
+}
+
+// readerProbes is one reader stack's probe table in a skew matrix. The
+// reader-stack control writes and reads the "_rw" sibling on the reader
+// stack only, under the run's conf, so its outcome does not depend on
+// the writer: the first cell reading on the stack runs it and records
+// it here, and the later cells copy it instead of rerunning it. A slot
+// is a case's, at the case's position in Run's slab, so parallel
+// workers never share one. The outcomes, errors and rows are shared
+// read-only, like every ReadOutcome's row.
+type readerProbes struct {
+	from  string    // the pair of the cell that runs the probes
+	slots []rwProbe // nil until that cell sizes it to its case count
+}
+
+// rwProbe is one case's reader-stack control outcome.
+type rwProbe struct {
+	write WriteOutcome
+	read  ReadOutcome
 }
 
 // buildSkewCell condenses one pair's run into its matrix cell.

@@ -3,11 +3,14 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
 	"repro/internal/csi"
 	"repro/internal/inject"
+	"repro/internal/obs"
 	"repro/internal/versions"
 )
 
@@ -269,5 +272,219 @@ func TestVersionSkewOracleAgreeingCaseAllocatesNoView(t *testing.T) {
 	perCase := float64(heapAllocBytes()-before) / float64(runs*len(agreeing))
 	if view := unsafe.Sizeof(CaseResult{}); perCase >= float64(view) {
 		t.Errorf("skew oracle allocates %.0f B per agreeing case; a probe view is %d B", perCase, view)
+	}
+}
+
+// streamedFailure is what a streamed failure says, its case and peer
+// reduced to their coordinates and tables.
+type streamedFailure struct {
+	Oracle                       csi.Oracle
+	Signature, Detail, Rank      string
+	Case, Table, Peer, PeerTable string
+}
+
+func streamed(f Failure) streamedFailure {
+	r := streamedFailure{Oracle: f.Oracle, Signature: f.Signature, Detail: f.Detail, Rank: f.Rank,
+		Case: f.Case.Describe(), Table: f.Case.Table}
+	if f.Peer != nil {
+		r.Peer, r.PeerTable = f.Peer.Describe(), f.Peer.Table
+	}
+	return r
+}
+
+// A matrix runs each reader stack's control probe once and hands it to
+// the later cells with that reader; no failure may notice. Over the
+// base corpus, with readers repeating out of order, the failures the
+// matrix streams are exactly those of RunSkew run pair by pair, and
+// every cell is the cell of its lone run.
+func TestRunSkewMatrixSharedProbesMatchPerPairRuns(t *testing.T) {
+	base, err := BuildBaseCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := versions.DefaultPairs()
+	pairs = append(pairs, pairs[4], pairs[0])
+	type lone struct {
+		failures []streamedFailure
+		cell     SkewCell
+	}
+	// Lone runs per family filter and pair: the parallelism never
+	// changes a run's failures.
+	lones := map[string]lone{}
+	loneRun := func(t *testing.T, pair versions.Pair, families []string) lone {
+		key := strings.Join(families, ",") + "|" + pair.String()
+		if l, ok := lones[key]; ok {
+			return l
+		}
+		var l lone
+		res, err := RunSkew(base, pair, RunOptions{Families: families,
+			OnFailure: func(f Failure) { l.failures = append(l.failures, streamed(f)) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.cell = buildSkewCell(pair, res)
+		lones[key] = l
+		return l
+	}
+	for _, tc := range []struct {
+		name string
+		opts RunOptions
+	}{
+		{"parallel=0", RunOptions{}},
+		{"parallel=2", RunOptions{Parallel: 2}},
+		{"families=hs", RunOptions{Families: []string{"hs"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []streamedFailure
+			var wantCells []SkewCell
+			for _, pair := range pairs {
+				l := loneRun(t, pair, tc.opts.Families)
+				want = append(want, l.failures...)
+				wantCells = append(wantCells, l.cell)
+			}
+			var got []streamedFailure
+			opts := tc.opts
+			opts.OnFailure = func(f Failure) { got = append(got, streamed(f)) }
+			m, err := RunSkewMatrix(base, pairs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("matrix streamed %d failures, lone runs %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("failure %d:\n got  %+v\n want %+v", i, got[i], want[i])
+				}
+			}
+			for i, w := range wantCells {
+				if !reflect.DeepEqual(m.Cells[i], w) {
+					t.Errorf("cell %d (%s):\n got  %+v\n want %+v", i, w.Pair, m.Cells[i], w)
+				}
+			}
+			if wantCells[1].SkewFailures == 0 {
+				t.Error("no skew failure on the full-upgrade pair; the comparison is vacuous")
+			}
+		})
+	}
+}
+
+// On an unskewed pair the writer-stack read is the read: both stacks
+// carry one profile and conf and decode the same bytes, which is what
+// lets the harness take WriterRead from Read there.
+func TestUnskewedWriterReadEqualsRead(t *testing.T) {
+	base, err := BuildBaseCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewSkewDeployment(versions.DefaultPairs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows, errs int
+	for i := 0; i < len(base); i += 3 {
+		in := base[i]
+		for _, plan := range Plans() {
+			for _, format := range Formats() {
+				table := caseTable(plan.Name(), format, in.ID)
+				if d.Write(plan.Write, table, format, in).Err != nil {
+					continue
+				}
+				read := d.ReadSpan(nil, plan.Read, table)
+				writer := d.WriterReadSpan(nil, plan.Read, table)
+				where := plan.Name() + "/" + format + " " + in.Name
+				if fmt.Sprint(read.Err) != fmt.Sprint(writer.Err) {
+					t.Errorf("%s: read error %v, writer-stack read error %v", where, read.Err, writer.Err)
+				}
+				if !reflect.DeepEqual(read.Warnings, writer.Warnings) {
+					t.Errorf("%s: read warnings %q, writer-stack read warnings %q", where, read.Warnings, writer.Warnings)
+				}
+				switch {
+				case read.HasRow != writer.HasRow:
+					t.Errorf("%s: read has row %v, writer-stack read %v", where, read.HasRow, writer.HasRow)
+				case read.HasRow && !reflect.DeepEqual(*read.Value, *writer.Value):
+					t.Errorf("%s: read %s, writer-stack read %s", where, read.Value, writer.Value)
+				case read.HasRow:
+					rows++
+				}
+				if read.Err != nil {
+					errs++
+				}
+				d.release(table)
+			}
+		}
+	}
+	if rows == 0 || errs == 0 {
+		t.Fatalf("%d rows and %d read errors compared; want some of each", rows, errs)
+	}
+}
+
+// A traced matrix says where a reused probe ran: a later cell's case
+// span names the pair whose cell ran the reader-stack control and holds
+// no "_rw" span, while the first cell's case span holds the sibling's
+// write and read.
+func TestRunSkewMatrixTracesProbeOrigin(t *testing.T) {
+	base, err := BuildBaseCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := versions.DefaultPairs()[:2] // one reader stack, two writers
+	tr := obs.NewTracer(nil)
+	if _, err := RunSkewMatrix(base[:2], pairs, RunOptions{Tracer: tr, Families: []string{"ss"}}); err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Snapshot()
+	children := map[int64][]int{}
+	for i, s := range spans {
+		children[s.ParentID] = append(children[s.ParentID], i)
+	}
+	// rwOps lists the warehouse operations under root on "_rw" tables.
+	var rwOps func(id int64, ops []string) []string
+	rwOps = func(id int64, ops []string) []string {
+		for _, ci := range children[id] {
+			s := spans[ci]
+			for _, a := range s.Attrs {
+				if strings.Contains(a.Value, "_rw/") && strings.HasPrefix(s.Name, "warehouse/") {
+					ops = append(ops, s.Name)
+				}
+			}
+			ops = rwOps(s.ID, ops)
+		}
+		return ops
+	}
+	attr := func(s obs.Span, key string) string {
+		for _, a := range s.Attrs {
+			if a.Key == key {
+				return a.Value
+			}
+		}
+		return ""
+	}
+	var first, later int
+	for _, ri := range children[0] {
+		root := spans[ri]
+		ops := rwOps(root.ID, nil)
+		from := attr(root, obs.AttrProbeFrom)
+		switch attr(root, obs.AttrWriterStack) {
+		case pairs[0].Writer.String():
+			first++
+			if from != "" {
+				t.Errorf("first cell's case %s carries %s=%s", root.Name, obs.AttrProbeFrom, from)
+			}
+			if !slices.Contains(ops, "warehouse/write") || !slices.Contains(ops, "warehouse/read") {
+				t.Errorf("first cell's case %s: _rw operations %v, want its write and read", root.Name, ops)
+			}
+		case pairs[1].Writer.String():
+			later++
+			if from != pairs[0].String() {
+				t.Errorf("later cell's case %s: %s=%q, want %q", root.Name, obs.AttrProbeFrom, from, pairs[0])
+			}
+			if len(ops) != 0 {
+				t.Errorf("later cell's case %s reran the probe: %v", root.Name, ops)
+			}
+		}
+	}
+	if first == 0 || first != later {
+		t.Fatalf("%d first-cell and %d later-cell case spans", first, later)
 	}
 }

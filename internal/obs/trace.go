@@ -94,6 +94,10 @@ const (
 	AttrWriterStack = "writer.versions"
 	// AttrReaderStack is the reader deployment's "spark/hive" version pair.
 	AttrReaderStack = "reader.versions"
+	// AttrProbeFrom names the writer->reader pair of the skew-matrix
+	// cell whose case ran this case's reader-stack control probe: the
+	// "_rw" spans live under that cell's case span, not this one.
+	AttrProbeFrom = "probe.from"
 )
 
 // Span is one traced operation at (or inside) a cross-system boundary.
