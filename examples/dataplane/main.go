@@ -37,8 +37,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  Spark reads back: %s\n", sqlval.FormatTimestamp(sres.Rows[0][0].I))
-	fmt.Printf("  Hive reads back:  %s  (writer zone ignored)\n\n", sqlval.FormatTimestamp(hres.Rows[0][0].I))
+	fmt.Printf("  Spark reads back: %s\n", sqlval.FormatTimestamp(sres.Rows[0][0].Int()))
+	fmt.Printf("  Hive reads back:  %s  (writer zone ignored)\n\n", sqlval.FormatTimestamp(hres.Rows[0][0].Int()))
 
 	fmt.Println("Discrepancy #8 (SPARK-40616 model): CHAR padding.")
 	mustSQL(spark, `CREATE TABLE tags (c CHAR(4)) STORED AS ORC`)
@@ -48,8 +48,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  Spark reads back: %q\n", sres.Rows[0][0].S)
-	fmt.Printf("  Hive reads back:  %q  (read-side padding)\n\n", hres.Rows[0][0].S)
+	fmt.Printf("  Spark reads back: %q\n", sres.Rows[0][0].Str())
+	fmt.Printf("  Hive reads back:  %q  (read-side padding)\n\n", hres.Rows[0][0].Str())
 
 	fmt.Println("Discrepancy #5 (SPARK-40439): decimal with excess precision.")
 	mustSQL(spark, `CREATE TABLE amounts (d DECIMAL(5,2)) STORED AS PARQUET`)

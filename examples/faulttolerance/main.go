@@ -50,7 +50,7 @@ func main() {
 	d := core.NewDeployment()
 	dec, _ := sqlval.ParseDecimal("12.34")
 	schema := serde.Schema{Columns: []serde.Column{{Name: "amt", Type: sqlval.DecimalType(10, 2)}}}
-	df, err := d.Spark.CreateDataFrame(schema, []sqlval.Row{{sqlval.DecimalVal(dec, 10)}})
+	df, err := d.Spark.CreateDataFrame(schema, []sqlval.Row{{sqlval.DecimalVal(sqlval.DecimalType(10, dec.Scale), dec)}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -81,14 +81,14 @@ func classifyTargetFamily(t sqlval.Type) string {
 // classifyValueDiff names the discrepancy behind two successfully-read
 // values that should have been equal.
 func classifyValueDiff(a, b sqlval.Value) string {
-	ka, kb := a.Type.Kind, b.Type.Kind
+	ka, kb := a.Kind(), b.Kind()
 	// One widened integral (the Avro INT promotion).
-	if a.Type.IsIntegral() && b.Type.IsIntegral() && ka != kb {
+	if a.Type().IsIntegral() && b.Type().IsIntegral() && ka != kb {
 		return "integral-widening"
 	}
 	// CHAR padding: contents equal modulo trailing spaces.
-	if a.Type.IsCharacter() && b.Type.IsCharacter() && !a.Null && !b.Null {
-		if strings.TrimRight(a.S, " ") == strings.TrimRight(b.S, " ") && a.S != b.S {
+	if a.Type().IsCharacter() && b.Type().IsCharacter() && !a.IsNull() && !b.IsNull() {
+		if strings.TrimRight(a.Str(), " ") == strings.TrimRight(b.Str(), " ") && a.Str() != b.Str() {
 			return "char-padding"
 		}
 	}
@@ -99,16 +99,16 @@ func classifyValueDiff(a, b sqlval.Value) string {
 		return "timestamp-zone"
 	}
 	if ka == sqlval.KindStruct || kb == sqlval.KindStruct {
-		if a.Null != b.Null {
+		if a.IsNull() != b.IsNull() {
 			return "struct-null"
 		}
 	}
 	// A stored value versus a silent NULL points at the insert-coercion
 	// family of the column.
-	if a.Null != b.Null {
-		t := a.Type
-		if a.Null {
-			t = b.Type
+	if a.IsNull() != b.IsNull() {
+		t := a.Type()
+		if a.IsNull() {
+			t = b.Type()
 		}
 		return classifyTargetFamily(t)
 	}
@@ -130,5 +130,5 @@ func outcomeKey(c *CaseResult) string {
 		return "norow"
 	}
 	v := c.Read.Value
-	return "ok:" + v.Type.Kind.String() + ":" + v.String()
+	return "ok:" + v.Kind().String() + ":" + v.String()
 }

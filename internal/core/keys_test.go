@@ -31,7 +31,7 @@ func refOutcomeKey(c *CaseResult) string {
 		return "norow"
 	}
 	v := c.Read.Value
-	return fmt.Sprintf("ok:%s:%s", v.Type.Kind, v.String())
+	return fmt.Sprintf("ok:%s:%s", v.Kind(), v.String())
 }
 
 func refDescribe(c *CaseResult) string {
@@ -252,14 +252,14 @@ func TestKeyEncoderAllocations(t *testing.T) {
 // crept back into the harness path, such as a fresh parser token buffer
 // per statement or a heap probe view per skew case.
 //
-// Measured on linux/amd64: Run 74.0 objects and 5,777 B per case, the
-// skew pair 160.1 objects and 11,972 B (6,514 B and 13,580 B under the
+// Measured on linux/amd64: Run 74.0 objects and 4,436 B per case, the
+// skew pair 160.1 objects and 8,996 B (5,192 B and 10,645 B under the
 // race detector, whose sync.Pool drops a quarter of returned buffers).
 const (
 	maxRunAllocsPerCase  = 82
-	maxRunBytesPerCase   = 6700
+	maxRunBytesPerCase   = 5400
 	maxSkewAllocsPerCase = 178
-	maxSkewBytesPerCase  = 14000
+	maxSkewBytesPerCase  = 11000
 )
 
 // heapAllocBytes reads the cumulative bytes allocated to the heap from
@@ -330,16 +330,16 @@ func TestRunSkewAllocationsPerCase(t *testing.T) {
 }
 
 // The matrix over the default pairs, set about 15% above the measured
-// values. Four of its five pairs read on one stack, whose control probe
+// values and at least 3% above the race detector's bytes. Four of its five pairs read on one stack, whose control probe
 // runs once, in the baseline cell; the baseline cell also takes its
 // writer-stack control from the main read. A ceiling break means a
 // matrix reruns a probe it could share.
 //
-// Measured on linux/amd64: 123.0 objects and 9,193 B per case (128.0
-// and 10,399 B under the race detector).
+// Measured on linux/amd64: 123.0 objects and 6,883 B per case (128.0
+// and 8,111 B under the race detector).
 const (
 	maxMatrixAllocsPerCase = 142
-	maxMatrixBytesPerCase  = 10600
+	maxMatrixBytesPerCase  = 8400
 )
 
 func TestRunSkewMatrixAllocationsPerCase(t *testing.T) {
@@ -357,11 +357,11 @@ func TestRunSkewMatrixAllocationsPerCase(t *testing.T) {
 // one means a case record, a failure or the report grew, such as a read
 // outcome holding a copy of its value instead of pointing at the row.
 //
-// Measured on linux/amd64: Run 955 B per case, the skew pair 1,789 B;
+// Measured on linux/amd64: Run 772 B per case, the skew pair 1,334 B;
 // the race detector reads the same.
 const (
-	maxRunRetainedPerCase  = 1100
-	maxSkewRetainedPerCase = 2050
+	maxRunRetainedPerCase  = 900
+	maxSkewRetainedPerCase = 1550
 )
 
 // heapLiveBytes reads the heap bytes marked live by a collection it

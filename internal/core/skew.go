@@ -125,9 +125,9 @@ func classifySkew(a, b *CaseResult) string {
 	// STRING (legacy charVarcharAsString): the same content reads back
 	// under a different type identity on the two stacks (SPARK-33480).
 	av, bv := a.Read.Value, b.Read.Value
-	if !av.Null && !bv.Null && av.Type.IsCharacter() && bv.Type.IsCharacter() &&
-		av.Type.Kind != bv.Type.Kind &&
-		strings.TrimRight(av.S, " ") == strings.TrimRight(bv.S, " ") {
+	if !av.IsNull() && !bv.IsNull() && av.Type().IsCharacter() && bv.Type().IsCharacter() &&
+		av.Kind() != bv.Kind() &&
+		strings.TrimRight(av.Str(), " ") == strings.TrimRight(bv.Str(), " ") {
 		return "char-type"
 	}
 	return classifyValueDiff(*av, *bv)

@@ -147,12 +147,12 @@ func avroDerive(t sqlval.Type) sqlval.Type {
 	case sqlval.KindTinyInt, sqlval.KindSmallInt:
 		return sqlval.Int
 	case sqlval.KindArray:
-		return sqlval.ArrayType(avroDerive(*t.Elem))
+		return sqlval.ArrayType(avroDerive(t.Elem()))
 	case sqlval.KindMap:
-		return sqlval.MapType(*t.Key, avroDerive(*t.Value))
+		return sqlval.MapType(t.Key(), avroDerive(t.Val()))
 	case sqlval.KindStruct:
-		fields := make([]sqlval.Field, len(t.Fields))
-		for i, f := range t.Fields {
+		fields := make([]sqlval.Field, len(t.Fields()))
+		for i, f := range t.Fields() {
 			fields[i] = sqlval.Field{Name: f.Name, Type: avroDerive(f.Type)}
 		}
 		return sqlval.StructType(fields...)
@@ -278,45 +278,13 @@ func (h *Hive) writerFor(name string) (serde.Format, error) {
 // hiveWriteTransform rebases DATE values into the hybrid calendar that
 // Hive's writers use, recursing into nested values.
 func hiveWriteTransform(v sqlval.Value) sqlval.Value {
-	return transformDates(v, sqlval.RebaseGregorianToHybrid)
+	return sqlval.TransformLeaves(v, sqlval.RebaseDates(sqlval.RebaseGregorianToHybrid))
 }
 
 // hiveReadTransform reinterprets stored day counts through the hybrid
 // calendar on read.
 func hiveReadTransform(v sqlval.Value) sqlval.Value {
-	return transformDates(v, sqlval.RebaseHybridToGregorian)
-}
-
-func transformDates(v sqlval.Value, f func(int64) int64) sqlval.Value {
-	if v.Null {
-		return v
-	}
-	switch v.Type.Kind {
-	case sqlval.KindDate:
-		v.I = f(v.I)
-		return v
-	case sqlval.KindArray:
-		out := v.Clone()
-		for i := range out.List {
-			out.List[i] = transformDates(out.List[i], f)
-		}
-		return out
-	case sqlval.KindMap:
-		out := v.Clone()
-		for i := range out.Keys {
-			out.Keys[i] = transformDates(out.Keys[i], f)
-			out.Vals[i] = transformDates(out.Vals[i], f)
-		}
-		return out
-	case sqlval.KindStruct:
-		out := v.Clone()
-		for i := range out.FieldVals {
-			out.FieldVals[i] = transformDates(out.FieldVals[i], f)
-		}
-		return out
-	default:
-		return v
-	}
+	return sqlval.TransformLeaves(v, sqlval.RebaseDates(sqlval.RebaseHybridToGregorian))
 }
 
 func (h *Hive) selectRows(sp *obs.Span, s *sqlparse.Select) (*Result, error) {
@@ -413,20 +381,15 @@ func (h *Hive) convertForRead(table *Table, col serde.Column, fileType sqlval.Ty
 	// America/Los_Angeles.
 	if table.Format == "parquet" && profile.ParquetLocalZoneSeconds != 0 {
 		off := profile.ParquetLocalZoneSeconds
-		v = sqlval.TransformLeaves(v, func(lv sqlval.Value) sqlval.Value {
-			if lv.Type.Kind == sqlval.KindTimestamp {
-				lv.I += off * sqlval.MicrosPerSecond
-			}
-			return lv
-		})
+		v = sqlval.TransformLeaves(v, sqlval.ShiftTimestamps(off*sqlval.MicrosPerSecond))
 	}
 	// Hive 3's ORC reader folds a struct whose members are all NULL into
 	// a NULL struct (the SPARK-40637 model); Hive 2.3 returns the struct
 	// with NULL members.
-	if table.Format == "orc" && profile.OrcStructFold && v.Type.Kind == sqlval.KindStruct && !v.Null {
-		allNull := len(v.FieldVals) > 0
-		for _, fv := range v.FieldVals {
-			if !fv.Null {
+	if table.Format == "orc" && profile.OrcStructFold && v.Kind() == sqlval.KindStruct && !v.IsNull() {
+		allNull := len(v.Elems()) > 0
+		for _, fv := range v.Elems() {
+			if !fv.IsNull() {
 				allNull = false
 				break
 			}
@@ -439,8 +402,8 @@ func (h *Hive) convertForRead(table *Table, col serde.Column, fileType sqlval.Ty
 	// by the cast (Hive 3 pads CHAR on the read side; Hive 2.3's reader
 	// returns the stored string unpadded).
 	out, _ := sqlval.Cast(v, col.Type, sqlval.CastHive)
-	if out.Type.Kind == sqlval.KindChar && !out.Null && !profile.ReadSideCharPadding {
-		out.S = strings.TrimRight(out.S, " ")
+	if out.Kind() == sqlval.KindChar && !out.IsNull() && !profile.ReadSideCharPadding {
+		out = sqlval.CharVal(strings.TrimRight(out.Str(), " "), out.Type().Length())
 	}
 	return out, nil
 }
@@ -521,7 +484,7 @@ func Project(columns []serde.Column, rows []sqlval.Row, s *sqlparse.Select, mode
 		}
 		op := s.Where.Op
 		filter = func(row sqlval.Row) (bool, error) {
-			if row[wi].Null || want.Null {
+			if row[wi].IsNull() || want.IsNull() {
 				return false, nil // SQL three-valued logic: NULL never matches
 			}
 			c, err := sqlval.Compare(row[wi], want)
@@ -706,7 +669,7 @@ func aggregate(columns []serde.Column, rows []sqlval.Row, s *sqlparse.Select) (*
 		if err != nil {
 			return nil, err
 		}
-		res.Columns = append(res.Columns, serde.Column{Name: label, Type: v.Type})
+		res.Columns = append(res.Columns, serde.Column{Name: label, Type: v.Type()})
 		out = append(out, v)
 	}
 	res.Rows = []sqlval.Row{out}
@@ -718,7 +681,7 @@ func aggValue(item sqlparse.SelectItem, idx int, columns []serde.Column, rows []
 	case "count":
 		n := int64(0)
 		for _, row := range rows {
-			if item.Star || !row[idx].Null {
+			if item.Star || !row[idx].IsNull() {
 				n++
 			}
 		}
@@ -732,17 +695,17 @@ func aggValue(item sqlparse.SelectItem, idx int, columns []serde.Column, rows []
 		n := int64(0)
 		for _, row := range rows {
 			v := row[idx]
-			if v.Null {
+			if v.IsNull() {
 				continue
 			}
 			n++
-			switch v.Type.Kind {
+			switch v.Kind() {
 			case sqlval.KindFloat, sqlval.KindDouble:
-				sum += v.F
+				sum += v.Float()
 			case sqlval.KindDecimal:
-				sum += v.D.Float64()
+				sum += v.Dec().Float64()
 			default:
-				sum += float64(v.I)
+				sum += float64(v.Int())
 			}
 		}
 		if n == 0 {
@@ -760,7 +723,7 @@ func aggValue(item sqlparse.SelectItem, idx int, columns []serde.Column, rows []
 		found := false
 		for _, row := range rows {
 			v := row[idx]
-			if v.Null {
+			if v.IsNull() {
 				continue
 			}
 			if !found {

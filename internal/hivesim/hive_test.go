@@ -32,7 +32,7 @@ func TestCreateInsertSelect(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	if res.Rows[0][0].I != 1 || res.Rows[0][1].S != "alice" {
+	if res.Rows[0][0].Int() != 1 || res.Rows[0][1].Str() != "alice" {
 		t.Errorf("row0 = %v", res.Rows[0])
 	}
 	if res.Columns[0].Name != "id" {
@@ -71,7 +71,7 @@ func TestSelectWithWhereAndProjection(t *testing.T) {
 	if len(res.Rows) != 2 || len(res.Rows[0]) != 1 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	if res.Rows[0][0].I != 2 || res.Rows[1][0].I != 3 {
+	if res.Rows[0][0].Int() != 2 || res.Rows[1][0].Int() != 3 {
 		t.Errorf("rows = %v", res.Rows)
 	}
 }
@@ -86,7 +86,7 @@ func TestHiveLenientCoercionSilentNull(t *testing.T) {
 		t.Errorf("warnings = %v", res.Warnings)
 	}
 	out := exec(t, h, `SELECT * FROM t`)
-	if !out.Rows[0][0].Null {
+	if !out.Rows[0][0].IsNull() {
 		t.Errorf("row = %v", out.Rows[0])
 	}
 }
@@ -96,7 +96,7 @@ func TestHiveOutOfRangeBecomesNull(t *testing.T) {
 	exec(t, h, `CREATE TABLE t (b TINYINT)`)
 	exec(t, h, `INSERT INTO t VALUES (200)`)
 	out := exec(t, h, `SELECT * FROM t`)
-	if !out.Rows[0][0].Null {
+	if !out.Rows[0][0].IsNull() {
 		t.Errorf("row = %v", out.Rows[0])
 	}
 }
@@ -106,8 +106,8 @@ func TestCharPaddedOnRead(t *testing.T) {
 	exec(t, h, `CREATE TABLE t (c CHAR(4))`)
 	exec(t, h, `INSERT INTO t VALUES ('ab')`)
 	out := exec(t, h, `SELECT * FROM t`)
-	if out.Rows[0][0].S != "ab  " {
-		t.Errorf("char = %q", out.Rows[0][0].S)
+	if out.Rows[0][0].Str() != "ab  " {
+		t.Errorf("char = %q", out.Rows[0][0].Str())
 	}
 }
 
@@ -123,7 +123,7 @@ func TestAvroTableRegistersIntForSmallIntegrals(t *testing.T) {
 	}
 	exec(t, h, `INSERT INTO t VALUES (1, 2, 3)`)
 	out := exec(t, h, `SELECT * FROM t`)
-	if out.Rows[0][0].Type.Kind != sqlval.KindInt || out.Rows[0][0].I != 1 {
+	if out.Rows[0][0].Kind() != sqlval.KindInt || out.Rows[0][0].Int() != 1 {
 		t.Errorf("read = %v", out.Rows[0])
 	}
 }
@@ -139,7 +139,7 @@ func TestAvroRejectsNonStringMapKeysOnInsert(t *testing.T) {
 	exec(t, h, `CREATE TABLE t2 (m MAP<INT, STRING>) STORED AS ORC`)
 	exec(t, h, `INSERT INTO t2 VALUES (MAP(1, 'x'))`)
 	out := exec(t, h, `SELECT * FROM t2`)
-	if len(out.Rows[0][0].Keys) != 1 || out.Rows[0][0].Keys[0].I != 1 {
+	if out.Rows[0][0].Len() != 1 || out.Rows[0][0].Key(0).Int() != 1 {
 		t.Errorf("map = %v", out.Rows[0][0])
 	}
 }
@@ -160,7 +160,7 @@ func TestORCWritesPositionalNames(t *testing.T) {
 	}
 	// Hive still reads it back via positional resolution.
 	out := exec(t, h, `SELECT * FROM t`)
-	if out.Rows[0][0].I != 7 {
+	if out.Rows[0][0].Int() != 7 {
 		t.Errorf("read = %v", out.Rows[0])
 	}
 }
@@ -170,10 +170,10 @@ func TestDateHybridCalendarRoundTripsWithinHive(t *testing.T) {
 	exec(t, h, `CREATE TABLE t (d DATE)`)
 	exec(t, h, `INSERT INTO t VALUES (DATE '1500-06-01'), (DATE '2021-06-15')`)
 	out := exec(t, h, `SELECT * FROM t`)
-	if got := sqlval.FormatDate(out.Rows[0][0].I); got != "1500-06-01" {
+	if got := sqlval.FormatDate(out.Rows[0][0].Int()); got != "1500-06-01" {
 		t.Errorf("pre-cutover date = %s", got)
 	}
-	if got := sqlval.FormatDate(out.Rows[1][0].I); got != "2021-06-15" {
+	if got := sqlval.FormatDate(out.Rows[1][0].Int()); got != "2021-06-15" {
 		t.Errorf("modern date = %s", got)
 	}
 	// But the stored day count is the hybrid one, visible to other
@@ -181,7 +181,7 @@ func TestDateHybridCalendarRoundTripsWithinHive(t *testing.T) {
 	table, _ := h.Metastore().GetTable("t")
 	rows := mustReadRaw(t, h, table)
 	want, _ := sqlval.ParseDate("1500-06-01")
-	if rows[0][0].I == want {
+	if rows[0][0].Int() == want {
 		t.Error("stored pre-cutover day count should be rebased")
 	}
 }
@@ -214,14 +214,14 @@ func TestStructOfNullsFoldsToNullOnORC(t *testing.T) {
 	exec(t, h, `CREATE TABLE t (s STRUCT<a:INT, b:STRING>) STORED AS ORC`)
 	exec(t, h, `INSERT INTO t VALUES (NAMED_STRUCT('a', NULL, 'b', NULL))`)
 	out := exec(t, h, `SELECT * FROM t`)
-	if !out.Rows[0][0].Null {
+	if !out.Rows[0][0].IsNull() {
 		t.Errorf("struct = %v", out.Rows[0][0])
 	}
 	// Parquet preserves the struct-of-nulls.
 	exec(t, h, `CREATE TABLE t2 (s STRUCT<a:INT, b:STRING>) STORED AS PARQUET`)
 	exec(t, h, `INSERT INTO t2 VALUES (NAMED_STRUCT('a', NULL, 'b', NULL))`)
 	out = exec(t, h, `SELECT * FROM t2`)
-	if out.Rows[0][0].Null {
+	if out.Rows[0][0].IsNull() {
 		t.Error("parquet struct-of-nulls should not fold")
 	}
 }
@@ -282,13 +282,13 @@ func TestNestedValuesRoundTrip(t *testing.T) {
 	exec(t, h, `INSERT INTO t VALUES (ARRAY(1,2), MAP('k', 9), NAMED_STRUCT('x', 5))`)
 	out := exec(t, h, `SELECT * FROM t`)
 	row := out.Rows[0]
-	if len(row[0].List) != 2 || row[0].List[1].I != 2 {
+	if len(row[0].Elems()) != 2 || row[0].Elems()[1].Int() != 2 {
 		t.Errorf("array = %v", row[0])
 	}
-	if row[1].Keys[0].S != "k" || row[1].Vals[0].I != 9 {
+	if row[1].Key(0).Str() != "k" || row[1].Val(0).Int() != 9 {
 		t.Errorf("map = %v", row[1])
 	}
-	if row[2].FieldVals[0].I != 5 {
+	if row[2].Elems()[0].Int() != 5 {
 		t.Errorf("struct = %v", row[2])
 	}
 }
@@ -299,7 +299,7 @@ func TestInsertOverwriteReplacesContents(t *testing.T) {
 	exec(t, h, `INSERT INTO t VALUES (1), (2)`)
 	exec(t, h, `INSERT OVERWRITE TABLE t VALUES (9)`)
 	out := exec(t, h, `SELECT * FROM t`)
-	if len(out.Rows) != 1 || out.Rows[0][0].I != 9 {
+	if len(out.Rows) != 1 || out.Rows[0][0].Int() != 9 {
 		t.Errorf("rows = %v", out.Rows)
 	}
 }
@@ -313,13 +313,13 @@ func TestAggregates(t *testing.T) {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 	row := res.Rows[0]
-	if row[0].I != 4 || row[1].I != 3 {
+	if row[0].Int() != 4 || row[1].Int() != 3 {
 		t.Errorf("counts = %v, %v", row[0], row[1])
 	}
-	if row[2].I != 7 || row[3].I != 1 || row[4].I != 4 {
+	if row[2].Int() != 7 || row[3].Int() != 1 || row[4].Int() != 4 {
 		t.Errorf("sum/min/max = %v %v %v", row[2], row[3], row[4])
 	}
-	if row[5].F < 2.33 || row[5].F > 2.34 {
+	if row[5].Float() < 2.33 || row[5].Float() > 2.34 {
 		t.Errorf("avg = %v", row[5])
 	}
 	if res.Columns[0].Name != "count(*)" || res.Columns[2].Name != "sum(n)" {
@@ -327,13 +327,13 @@ func TestAggregates(t *testing.T) {
 	}
 	// Aggregates respect WHERE.
 	res = exec(t, h, `SELECT COUNT(*) FROM t WHERE n >= 2`)
-	if res.Rows[0][0].I != 2 {
+	if res.Rows[0][0].Int() != 2 {
 		t.Errorf("filtered count = %v", res.Rows[0][0])
 	}
 	// Empty input: count 0, sum/min NULL.
 	exec(t, h, `CREATE TABLE e (n INT)`)
 	res = exec(t, h, `SELECT COUNT(*), SUM(n), MIN(n) FROM e`)
-	if res.Rows[0][0].I != 0 || !res.Rows[0][1].Null || !res.Rows[0][2].Null {
+	if res.Rows[0][0].Int() != 0 || !res.Rows[0][1].IsNull() || !res.Rows[0][2].IsNull() {
 		t.Errorf("empty aggregates = %v", res.Rows[0])
 	}
 }
@@ -353,7 +353,7 @@ func TestAggregateErrors(t *testing.T) {
 	// MIN over strings works (lexicographic).
 	exec(t, h, `INSERT INTO t VALUES (1, 'b'), (2, 'a')`)
 	res := exec(t, h, `SELECT MIN(s), MAX(s) FROM t`)
-	if res.Rows[0][0].S != "a" || res.Rows[0][1].S != "b" {
+	if res.Rows[0][0].Str() != "a" || res.Rows[0][1].Str() != "b" {
 		t.Errorf("min/max string = %v", res.Rows[0])
 	}
 }
@@ -367,10 +367,10 @@ func TestGroupBy(t *testing.T) {
 		t.Fatalf("groups = %v", res.Rows)
 	}
 	// First-seen order: east, west, north.
-	if res.Rows[0][0].S != "east" || res.Rows[0][1].I != 2 || res.Rows[0][2].I != 30 {
+	if res.Rows[0][0].Str() != "east" || res.Rows[0][1].Int() != 2 || res.Rows[0][2].Int() != 30 {
 		t.Errorf("east = %v", res.Rows[0])
 	}
-	if res.Rows[1][0].S != "west" || res.Rows[1][2].I != 12 {
+	if res.Rows[1][0].Str() != "west" || res.Rows[1][2].Int() != 12 {
 		t.Errorf("west = %v", res.Rows[1])
 	}
 	if res.Columns[0].Name != "region" || res.Columns[2].Name != "sum(amount)" {

@@ -78,8 +78,8 @@ func PartitionDir(cols []serde.Column, values sqlval.Row, escape func(string) st
 		if err != nil {
 			return "", err
 		}
-		raw := v.S
-		if v.Null {
+		raw := v.Str()
+		if v.IsNull() {
 			raw = "__HIVE_DEFAULT_PARTITION__"
 		}
 		segs[i] = c.Name + "=" + escape(raw)

@@ -62,7 +62,7 @@ func TestParsePartitionValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row[0].S != "a b" || row[1].I != 7 {
+	if row[0].Str() != "a b" || row[1].Int() != 7 {
 		t.Errorf("row = %v", row)
 	}
 	// Wrong level count.
@@ -149,13 +149,13 @@ func TestAvroDeriveNested(t *testing.T) {
 		{Name: "s", Type: sqlval.StructType(sqlval.Field{Name: "x", Type: sqlval.TinyInt})},
 	}
 	out := AvroMetastoreColumns(in)
-	if out[0].Type.Elem.Kind != sqlval.KindInt {
+	if out[0].Type.Elem().Kind != sqlval.KindInt {
 		t.Errorf("array elem = %v", out[0].Type)
 	}
-	if out[1].Type.Value.Kind != sqlval.KindInt {
+	if out[1].Type.Val().Kind != sqlval.KindInt {
 		t.Errorf("map value = %v", out[1].Type)
 	}
-	if out[2].Type.Fields[0].Type.Kind != sqlval.KindInt {
+	if out[2].Type.Fields()[0].Type.Kind != sqlval.KindInt {
 		t.Errorf("struct field = %v", out[2].Type)
 	}
 }

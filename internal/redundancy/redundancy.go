@@ -162,7 +162,7 @@ func sameAnswer(a, b Attempt) bool {
 	if !a.HasRow {
 		return true
 	}
-	return a.Value.EqualData(b.Value) && a.Value.Type.Kind == b.Value.Type.Kind
+	return a.Value.EqualData(b.Value) && a.Value.Kind() == b.Value.Kind()
 }
 
 // CoverageReport quantifies how much interaction redundancy buys on a

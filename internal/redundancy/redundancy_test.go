@@ -16,7 +16,7 @@ func setupLegacyDecimalTable(t *testing.T, d *core.Deployment) string {
 	t.Helper()
 	dec, _ := sqlval.ParseDecimal("12.34")
 	schema := serde.Schema{Columns: []serde.Column{{Name: "amt", Type: sqlval.DecimalType(10, 2)}}}
-	df, err := d.Spark.CreateDataFrame(schema, []sqlval.Row{{sqlval.DecimalVal(dec, 10)}})
+	df, err := d.Spark.CreateDataFrame(schema, []sqlval.Row{{sqlval.DecimalVal(sqlval.DecimalType(10, dec.Scale), dec)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestFailoverMasksHiveSerDeFailure(t *testing.T) {
 	if res.MaskedFailures != 1 {
 		t.Errorf("masked = %d", res.MaskedFailures)
 	}
-	if res.Value.D.String() != "12.34" {
+	if res.Value.Dec().String() != "12.34" {
 		t.Errorf("value = %v", res.Value)
 	}
 	if len(res.Attempts) != 2 || res.Attempts[0].Err == nil {
@@ -64,7 +64,7 @@ func TestFailoverMasksAvroIncompatibleSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Served != core.SparkSQL || res.Value.I != 5 {
+	if res.Served != core.SparkSQL || res.Value.Int() != 5 {
 		t.Errorf("res = %+v", res)
 	}
 }
@@ -91,8 +91,8 @@ func TestVotingSurfacesCharPaddingDisagreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Value.S != "ab" {
-		t.Errorf("majority value = %q", res.Value.S)
+	if res.Value.Str() != "ab" {
+		t.Errorf("majority value = %q", res.Value.Str())
 	}
 	if res.MaskedFailures != 1 || len(res.Disagreements) != 1 {
 		t.Errorf("disagreements = %v", res.Disagreements)
@@ -114,7 +114,7 @@ func TestVotingUnanimous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Value.I != 7 || res.MaskedFailures != 0 || len(res.Disagreements) != 0 {
+	if res.Value.Int() != 7 || res.MaskedFailures != 0 || len(res.Disagreements) != 0 {
 		t.Errorf("res = %+v", res)
 	}
 }
@@ -129,7 +129,7 @@ func TestVotingCountsErrorsAsDisagreements(t *testing.T) {
 	if res.MaskedFailures != 1 {
 		t.Errorf("masked = %d (%v)", res.MaskedFailures, res.Disagreements)
 	}
-	if res.Value.D.String() != "12.34" {
+	if res.Value.Dec().String() != "12.34" {
 		t.Errorf("value = %v", res.Value)
 	}
 }

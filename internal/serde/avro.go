@@ -44,27 +44,27 @@ func avroWriterType(t sqlval.Type) (sqlval.Type, error) {
 	case sqlval.KindChar, sqlval.KindVarchar:
 		return sqlval.String, nil
 	case sqlval.KindArray:
-		elem, err := avroWriterType(*t.Elem)
+		elem, err := avroWriterType(t.Elem())
 		if err != nil {
 			return sqlval.Null, err
 		}
 		return sqlval.ArrayType(elem), nil
 	case sqlval.KindMap:
-		if !t.Key.IsCharacter() {
+		if !t.Key().IsCharacter() {
 			return sqlval.Null, &UnsupportedError{
 				Format: "avro",
 				Type:   t,
 				Reason: "AvroTypeException: map keys must be STRING",
 			}
 		}
-		val, err := avroWriterType(*t.Value)
+		val, err := avroWriterType(t.Val())
 		if err != nil {
 			return sqlval.Null, err
 		}
 		return sqlval.MapType(sqlval.String, val), nil
 	case sqlval.KindStruct:
-		fields := make([]sqlval.Field, len(t.Fields))
-		for i, f := range t.Fields {
+		fields := make([]sqlval.Field, len(t.Fields()))
+		for i, f := range t.Fields() {
 			ft, err := avroWriterType(f.Type)
 			if err != nil {
 				return sqlval.Null, err

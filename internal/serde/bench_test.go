@@ -20,7 +20,7 @@ func benchRows(n int) (Schema, []sqlval.Row) {
 			sqlval.IntVal(sqlval.BigInt, int64(i)),
 			sqlval.StringVal(fmt.Sprintf("user-%06d", i)),
 			sqlval.DoubleVal(float64(i) * 1.5),
-			sqlval.ArrayVal(sqlval.String, sqlval.StringVal("a"), sqlval.StringVal("b")),
+			sqlval.ArrayVal(sqlval.ArrayType(sqlval.String), sqlval.StringVal("a"), sqlval.StringVal("b")),
 		}
 	}
 	return schema, rows

@@ -29,12 +29,10 @@ func sampleRows() []sqlval.Row {
 			sqlval.IntVal(sqlval.Int, 1),
 			sqlval.StringVal("alice"),
 			sqlval.DoubleVal(3.14),
-			sqlval.Value{Type: sqlval.DecimalType(10, 2), D: d},
+			sqlval.DecimalVal(sqlval.DecimalType(10, 2), d),
 			sqlval.TimestampVal(1234567890123456),
-			sqlval.ArrayVal(sqlval.String, sqlval.StringVal("a"), sqlval.StringVal("b")),
-			sqlval.MapVal(sqlval.String, sqlval.Int,
-				[]sqlval.Value{sqlval.StringVal("k")},
-				[]sqlval.Value{sqlval.IntVal(sqlval.Int, 7)}),
+			sqlval.ArrayVal(sqlval.ArrayType(sqlval.String), sqlval.StringVal("a"), sqlval.StringVal("b")),
+			sqlval.MapVal(sqlval.MapType(sqlval.String, sqlval.Int), sqlval.StringVal("k"), sqlval.IntVal(sqlval.Int, 7)),
 			sqlval.StructVal(sqlval.StructType(sqlval.Field{Name: "x", Type: sqlval.Int}), sqlval.IntVal(sqlval.Int, 9)),
 		},
 		{
@@ -142,7 +140,7 @@ func TestAvroWidensSmallIntegrals(t *testing.T) {
 	if f.Schema.Columns[0].Type.Kind != sqlval.KindInt || f.Schema.Columns[1].Type.Kind != sqlval.KindInt {
 		t.Errorf("writer schema = %v", f.Schema)
 	}
-	if f.Rows[0][0].I != 5 || f.Rows[0][1].I != 6 {
+	if f.Rows[0][0].Int() != 5 || f.Rows[0][1].Int() != 6 {
 		t.Errorf("values = %v", f.Rows[0])
 	}
 }
@@ -170,9 +168,7 @@ func TestAvroRejectsNonStringMapKeys(t *testing.T) {
 	// HIVE-26531 model: MAP<INT, …> is an Avro write-time error while
 	// ORC and Parquet accept it.
 	schema := Schema{Columns: []Column{{Name: "m", Type: sqlval.MapType(sqlval.Int, sqlval.String)}}}
-	row := sqlval.Row{sqlval.MapVal(sqlval.Int, sqlval.String,
-		[]sqlval.Value{sqlval.IntVal(sqlval.Int, 1)},
-		[]sqlval.Value{sqlval.StringVal("x")})}
+	row := sqlval.Row{sqlval.MapVal(sqlval.MapType(sqlval.Int, sqlval.String), sqlval.IntVal(sqlval.Int, 1), sqlval.StringVal("x"))}
 	_, err := (Avro{}).Encode(schema, nil, []sqlval.Row{row})
 	var ue *UnsupportedError
 	if !errors.As(err, &ue) || !strings.Contains(ue.Reason, "map keys must be STRING") {
@@ -251,7 +247,7 @@ func TestRoundTripPropertyIntColumns(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if decoded.Rows[0][0].I != n || decoded.Rows[0][1].S != s {
+			if decoded.Rows[0][0].Int() != n || decoded.Rows[0][1].Str() != s {
 				return false
 			}
 		}

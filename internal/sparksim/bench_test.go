@@ -41,7 +41,7 @@ func BenchmarkDataFrameSave(b *testing.B) {
 	schema := serde.Schema{Columns: []serde.Column{{Name: "amt", Type: sqlval.DecimalType(10, 2)}}}
 	rows := make([]sqlval.Row, 100)
 	for i := range rows {
-		rows[i] = sqlval.Row{sqlval.DecimalVal(d, 10)}
+		rows[i] = sqlval.Row{sqlval.DecimalVal(sqlval.DecimalType(10, d.Scale), d)}
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

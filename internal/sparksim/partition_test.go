@@ -13,7 +13,7 @@ func TestPartitionedTableRoundTripSimpleValues(t *testing.T) {
 	sqlT(t, e.spark, `CREATE TABLE logs (msg STRING) PARTITIONED BY (day STRING) STORED AS PARQUET`)
 	sqlT(t, e.spark, `INSERT INTO logs VALUES ('a', '2021-06-15'), ('b', '2021-06-16')`)
 	res := sqlT(t, e.spark, `SELECT * FROM logs ORDER BY day`)
-	if len(res.Rows) != 2 || res.Rows[0][1].S != "2021-06-15" {
+	if len(res.Rows) != 2 || res.Rows[0][1].Str() != "2021-06-15" {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 	if len(res.Columns) != 2 || res.Columns[1].Name != "day" {
@@ -21,7 +21,7 @@ func TestPartitionedTableRoundTripSimpleValues(t *testing.T) {
 	}
 	// Hive reads the same partitions.
 	hres := hiveT(t, e.hive, `SELECT * FROM logs WHERE day = '2021-06-16'`)
-	if len(hres.Rows) != 1 || hres.Rows[0][0].S != "b" {
+	if len(hres.Rows) != 1 || hres.Rows[0][0].Str() != "b" {
 		t.Errorf("hive rows = %v", hres.Rows)
 	}
 	// Partition directories exist on the warehouse.
@@ -37,11 +37,11 @@ func TestPartitionedTypedPartitionColumn(t *testing.T) {
 	sqlT(t, e.spark, `CREATE TABLE m (v DOUBLE) PARTITIONED BY (bucket INT) STORED AS ORC`)
 	sqlT(t, e.spark, `INSERT INTO m VALUES (1.5, 7)`)
 	res := sqlT(t, e.spark, `SELECT * FROM m`)
-	if res.Rows[0][1].Type.Kind != sqlval.KindInt || res.Rows[0][1].I != 7 {
+	if res.Rows[0][1].Kind() != sqlval.KindInt || res.Rows[0][1].Int() != 7 {
 		t.Errorf("partition value = %v", res.Rows[0][1])
 	}
 	hres := hiveT(t, e.hive, `SELECT * FROM m`)
-	if hres.Rows[0][1].I != 7 {
+	if hres.Rows[0][1].Int() != 7 {
 		t.Errorf("hive partition value = %v", hres.Rows[0][1])
 	}
 }
@@ -56,22 +56,22 @@ func TestPartitionEscapingDivergesAcrossEngines(t *testing.T) {
 	hiveT(t, e.hive, `INSERT INTO ev VALUES (1, 'big sale')`)
 
 	hres := hiveT(t, e.hive, `SELECT * FROM ev`)
-	if hres.Rows[0][1].S != "big sale" {
-		t.Fatalf("hive round trip = %q", hres.Rows[0][1].S)
+	if hres.Rows[0][1].Str() != "big sale" {
+		t.Fatalf("hive round trip = %q", hres.Rows[0][1].Str())
 	}
 	sres := sqlT(t, e.spark, `SELECT * FROM ev`)
-	if sres.Rows[0][1].S != "big%20sale" {
-		t.Errorf("spark read of hive partition = %q, expected the raw escaped segment", sres.Rows[0][1].S)
+	if sres.Rows[0][1].Str() != "big%20sale" {
+		t.Errorf("spark read of hive partition = %q, expected the raw escaped segment", sres.Rows[0][1].Str())
 	}
 
 	// The reverse direction: Spark writes the space raw; Hive decodes
 	// nothing (no %XX present) and the engines agree by accident.
 	sqlT(t, e.spark, `CREATE TABLE ev2 (n INT) PARTITIONED BY (tag STRING) STORED AS ORC`)
 	sqlT(t, e.spark, `INSERT INTO ev2 VALUES (1, 'big sale')`)
-	if got := sqlT(t, e.spark, `SELECT * FROM ev2`).Rows[0][1].S; got != "big sale" {
+	if got := sqlT(t, e.spark, `SELECT * FROM ev2`).Rows[0][1].Str(); got != "big sale" {
 		t.Errorf("spark round trip = %q", got)
 	}
-	if got := hiveT(t, e.hive, `SELECT * FROM ev2`).Rows[0][1].S; got != "big sale" {
+	if got := hiveT(t, e.hive, `SELECT * FROM ev2`).Rows[0][1].Str(); got != "big sale" {
 		t.Errorf("hive read of spark partition = %q", got)
 	}
 }
@@ -86,7 +86,7 @@ func TestPartitionNullValueUsesDefaultPartition(t *testing.T) {
 		t.Fatalf("paths = %v", paths)
 	}
 	hres := hiveT(t, e.hive, `SELECT * FROM ev`)
-	if !hres.Rows[0][1].Null {
+	if !hres.Rows[0][1].IsNull() {
 		t.Errorf("null partition = %v", hres.Rows[0][1])
 	}
 }

@@ -90,11 +90,11 @@ func (s *Session) writeRows(sp *obs.Span, table *hivesim.Table, fileSchema serde
 		meta[serde.MetaWriterTimezone] = strconv.FormatInt(tzOffset, 10)
 	}
 	writeTransform := func(v sqlval.Value) sqlval.Value {
-		if s.conf.Bool(ConfDatetimeRebaseLegacy) && v.Type.Kind == sqlval.KindDate {
-			v.I = sqlval.RebaseGregorianToHybrid(v.I)
+		if s.conf.Bool(ConfDatetimeRebaseLegacy) && v.Kind() == sqlval.KindDate {
+			return sqlval.DateVal(sqlval.RebaseGregorianToHybrid(v.Int()))
 		}
-		if tzOffset != 0 && v.Type.Kind == sqlval.KindTimestamp {
-			v.I -= tzOffset * sqlval.MicrosPerSecond
+		if tzOffset != 0 && v.Kind() == sqlval.KindTimestamp {
+			return sqlval.TimestampVal(v.Int() - tzOffset*sqlval.MicrosPerSecond)
 		}
 		return v
 	}
@@ -130,10 +130,10 @@ func (s *Session) writeRows(sp *obs.Span, table *hivesim.Table, fileSchema serde
 		for i := 0; i < nData; i++ {
 			v := row[i]
 			if legacyCols[i] {
-				if v.Null {
+				if v.IsNull() {
 					out[i] = sqlval.NullOf(sqlval.Binary)
 				} else {
-					out[i] = sqlval.BinaryVal(encodeLegacyDecimal(v.D))
+					out[i] = sqlval.BinaryVal(encodeLegacyDecimal(v.Dec()))
 				}
 				continue
 			}
@@ -249,11 +249,11 @@ func (s *Session) readTransform(formatName string, meta map[string]string) func(
 	}
 	rebase := s.conf.Bool(ConfDatetimeRebaseLegacy)
 	return func(v sqlval.Value) sqlval.Value {
-		if v.Type.Kind == sqlval.KindTimestamp && tzOffset != 0 {
-			v.I += tzOffset * sqlval.MicrosPerSecond
+		if v.Kind() == sqlval.KindTimestamp && tzOffset != 0 {
+			return sqlval.TimestampVal(v.Int() + tzOffset*sqlval.MicrosPerSecond)
 		}
-		if v.Type.Kind == sqlval.KindDate && rebase {
-			v.I = sqlval.RebaseHybridToGregorian(v.I)
+		if v.Kind() == sqlval.KindDate && rebase {
+			return sqlval.DateVal(sqlval.RebaseHybridToGregorian(v.Int()))
 		}
 		return v
 	}
@@ -263,14 +263,14 @@ func (s *Session) convertRead(table *hivesim.Table, col serde.Column, fileType s
 	strict bool, transform func(sqlval.Value) sqlval.Value) (sqlval.Value, error) {
 	// Spark decodes its own legacy binary decimals on every path.
 	if fileType.Kind == sqlval.KindBinary && col.Type.Kind == sqlval.KindDecimal {
-		if v.Null {
+		if v.IsNull() {
 			return sqlval.NullOf(col.Type), nil
 		}
-		d, err := decodeLegacyDecimal(v.Bytes)
+		d, err := decodeLegacyDecimal(v.Str())
 		if err != nil {
 			return sqlval.Value{}, err
 		}
-		out, cerr := sqlval.Cast(sqlval.Value{Type: sqlval.DecimalType(d.Precision(), d.Scale), D: d}, col.Type, sqlval.CastLegacy)
+		out, cerr := sqlval.Cast(sqlval.DecimalVal(sqlval.DecimalType(d.Precision(), d.Scale), d), col.Type, sqlval.CastLegacy)
 		if cerr != nil {
 			return sqlval.Value{}, cerr
 		}
@@ -285,8 +285,8 @@ func (s *Session) convertRead(table *hivesim.Table, col serde.Column, fileType s
 	out, _ := sqlval.Cast(v, col.Type, sqlval.CastLegacy)
 	// Spark does not pad CHAR on the read side unless configured to
 	// (SPARK-40616): strip the stored pad.
-	if out.Type.Kind == sqlval.KindChar && !out.Null && !s.conf.Bool(ConfReadSideCharPadding) {
-		out.S = strings.TrimRight(out.S, " ")
+	if out.Kind() == sqlval.KindChar && !out.IsNull() && !s.conf.Bool(ConfReadSideCharPadding) {
+		out = sqlval.CharVal(strings.TrimRight(out.Str(), " "), out.Type().Length())
 	}
 	return out, nil
 }
@@ -323,18 +323,19 @@ func avroReconcile(tableName, colName string, file, catalog sqlval.Type) error {
 		if file.Kind != sqlval.KindArray {
 			return mismatch()
 		}
-		return avroReconcile(tableName, colName, *file.Elem, *catalog.Elem)
+		return avroReconcile(tableName, colName, file.Elem(), catalog.Elem())
 	case sqlval.KindMap:
 		if file.Kind != sqlval.KindMap {
 			return mismatch()
 		}
-		return avroReconcile(tableName, colName, *file.Value, *catalog.Value)
+		return avroReconcile(tableName, colName, file.Val(), catalog.Val())
 	case sqlval.KindStruct:
-		if file.Kind != sqlval.KindStruct || len(file.Fields) != len(catalog.Fields) {
+		if file.Kind != sqlval.KindStruct || len(file.Fields()) != len(catalog.Fields()) {
 			return mismatch()
 		}
-		for i := range catalog.Fields {
-			if err := avroReconcile(tableName, colName, file.Fields[i].Type, catalog.Fields[i].Type); err != nil {
+		fileFields := file.Fields()
+		for i, f := range catalog.Fields() {
+			if err := avroReconcile(tableName, colName, fileFields[i].Type, f.Type); err != nil {
 				return err
 			}
 		}

@@ -155,12 +155,12 @@ func stripCharVarchar(t sqlval.Type) sqlval.Type {
 	case sqlval.KindChar, sqlval.KindVarchar:
 		return sqlval.String
 	case sqlval.KindArray:
-		return sqlval.ArrayType(stripCharVarchar(*t.Elem))
+		return sqlval.ArrayType(stripCharVarchar(t.Elem()))
 	case sqlval.KindMap:
-		return sqlval.MapType(stripCharVarchar(*t.Key), stripCharVarchar(*t.Value))
+		return sqlval.MapType(stripCharVarchar(t.Key()), stripCharVarchar(t.Val()))
 	case sqlval.KindStruct:
-		fields := make([]sqlval.Field, len(t.Fields))
-		for i, f := range t.Fields {
+		fields := make([]sqlval.Field, len(t.Fields()))
+		for i, f := range t.Fields() {
 			fields[i] = sqlval.Field{Name: f.Name, Type: stripCharVarchar(f.Type)}
 		}
 		return sqlval.StructType(fields...)
@@ -204,14 +204,14 @@ func encodeLegacyDecimal(d sqlval.Decimal) []byte {
 }
 
 // decodeLegacyDecimal parses the layout back; only Spark understands it.
-func decodeLegacyDecimal(b []byte) (sqlval.Decimal, error) {
-	parts := strings.SplitN(string(b), ":", 2)
+func decodeLegacyDecimal(b string) (sqlval.Decimal, error) {
+	parts := strings.SplitN(b, ":", 2)
 	if len(parts) != 2 {
 		return sqlval.Decimal{}, fmt.Errorf("spark: malformed legacy decimal %q", b)
 	}
 	u, err1 := strconv.ParseInt(parts[0], 10, 64)
 	sc, err2 := strconv.Atoi(parts[1])
-	if err1 != nil || err2 != nil {
+	if err1 != nil || err2 != nil || sc < 0 || sc > sqlval.MaxDecimalPrecision {
 		return sqlval.Decimal{}, fmt.Errorf("spark: malformed legacy decimal %q", b)
 	}
 	return sqlval.Decimal{Unscaled: u, Scale: sc}, nil

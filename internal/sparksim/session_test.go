@@ -47,7 +47,7 @@ func TestSparkSQLRoundTrip(t *testing.T) {
 	sqlT(t, e.spark, `CREATE TABLE t (id INT, name STRING) STORED AS PARQUET`)
 	sqlT(t, e.spark, `INSERT INTO t VALUES (1, 'a'), (2, 'b')`)
 	res := sqlT(t, e.spark, `SELECT * FROM t`)
-	if len(res.Rows) != 2 || res.Rows[1][1].S != "b" {
+	if len(res.Rows) != 2 || res.Rows[1][1].Str() != "b" {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 	if len(res.Warnings) != 0 {
@@ -92,7 +92,7 @@ func TestAvroDataFrameCannotReadWhatItWrote(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SparkSQL read: %v", err)
 	}
-	if res.Rows[0][0].Type.Kind != sqlval.KindInt || res.Rows[0][0].I != 5 {
+	if res.Rows[0][0].Kind() != sqlval.KindInt || res.Rows[0][0].Int() != 5 {
 		t.Errorf("SparkSQL read = %v", res.Rows[0][0])
 	}
 	if len(res.Warnings) == 0 || !strings.Contains(res.Warnings[len(res.Warnings)-1], "not case preserving") {
@@ -104,7 +104,7 @@ func TestAvroDataFrameCannotReadWhatItWrote(t *testing.T) {
 		t.Fatal(err)
 	}
 	res2, err := e.spark.Table("t2")
-	if err != nil || res2.Rows[0][0].Type.Kind != sqlval.KindTinyInt {
+	if err != nil || res2.Rows[0][0].Kind() != sqlval.KindTinyInt {
 		t.Errorf("orc read = %v, %v", res2, err)
 	}
 }
@@ -115,16 +115,16 @@ func TestLegacyDecimalUnreadableByHive(t *testing.T) {
 	e := newEnv()
 	d, _ := sqlval.ParseDecimal("12.34")
 	schema := serde.Schema{Columns: []serde.Column{{Name: "amt", Type: sqlval.DecimalType(10, 2)}}}
-	df, _ := e.spark.CreateDataFrame(schema, []sqlval.Row{{sqlval.DecimalVal(d, 10)}})
+	df, _ := e.spark.CreateDataFrame(schema, []sqlval.Row{{sqlval.DecimalVal(sqlval.DecimalType(10, d.Scale), d)}})
 	if err := df.SaveAsTable("t", "parquet"); err != nil {
 		t.Fatal(err)
 	}
 	// Spark reads its own encoding back on both interfaces.
 	res, err := e.spark.Table("t")
-	if err != nil || res.Rows[0][0].D.String() != "12.34" {
+	if err != nil || res.Rows[0][0].Dec().String() != "12.34" {
 		t.Fatalf("DataFrame read = %v, %v", res, err)
 	}
-	if res, err := e.spark.SQL(`SELECT * FROM t`); err != nil || res.Rows[0][0].D.String() != "12.34" {
+	if res, err := e.spark.SQL(`SELECT * FROM t`); err != nil || res.Rows[0][0].Dec().String() != "12.34" {
 		t.Fatalf("SparkSQL read = %v, %v", res, err)
 	}
 	// Hive throws a SerDeException.
@@ -135,12 +135,12 @@ func TestLegacyDecimalUnreadableByHive(t *testing.T) {
 	}
 	// With the legacy writer disabled, Hive reads the value.
 	e.spark.Conf().Set(ConfWriteLegacyDecimal, "false")
-	df2, _ := e.spark.CreateDataFrame(schema, []sqlval.Row{{sqlval.DecimalVal(d, 10)}})
+	df2, _ := e.spark.CreateDataFrame(schema, []sqlval.Row{{sqlval.DecimalVal(sqlval.DecimalType(10, d.Scale), d)}})
 	if err := df2.SaveAsTable("t2", "parquet"); err != nil {
 		t.Fatal(err)
 	}
 	res2, err := e.hive.Execute(`SELECT * FROM t2`)
-	if err != nil || res2.Rows[0][0].D.String() != "12.34" {
+	if err != nil || res2.Rows[0][0].Dec().String() != "12.34" {
 		t.Errorf("hive read fixed = %v, %v", res2, err)
 	}
 }
@@ -152,8 +152,8 @@ func TestSparkSQLAvroWidensAndLosesCase(t *testing.T) {
 	sqlT(t, e.spark, `CREATE TABLE t (SmallVal SMALLINT) STORED AS AVRO`)
 	sqlT(t, e.spark, `INSERT INTO t VALUES (7)`)
 	res := sqlT(t, e.spark, `SELECT * FROM t`)
-	if res.Rows[0][0].Type.Kind != sqlval.KindInt {
-		t.Errorf("type = %v, want INT", res.Rows[0][0].Type)
+	if res.Rows[0][0].Kind() != sqlval.KindInt {
+		t.Errorf("type = %v, want INT", res.Rows[0][0].Type())
 	}
 	if res.Columns[0].Name != "smallval" {
 		t.Errorf("column name = %q, want lowercased", res.Columns[0].Name)
@@ -165,7 +165,7 @@ func TestSparkSQLAvroWidensAndLosesCase(t *testing.T) {
 	sqlT(t, e.spark, `CREATE TABLE t2 (SmallVal SMALLINT) STORED AS PARQUET`)
 	sqlT(t, e.spark, `INSERT INTO t2 VALUES (7)`)
 	res2 := sqlT(t, e.spark, `SELECT * FROM t2`)
-	if res2.Rows[0][0].Type.Kind != sqlval.KindSmallInt || res2.Columns[0].Name != "SmallVal" {
+	if res2.Rows[0][0].Kind() != sqlval.KindSmallInt || res2.Columns[0].Name != "SmallVal" {
 		t.Errorf("parquet = %v / %v", res2.Columns, res2.Rows)
 	}
 }
@@ -182,12 +182,12 @@ func TestDecimalExcessPrecisionErrorVsNull(t *testing.T) {
 	// DataFrame silently writes NULL.
 	d, _ := sqlval.ParseDecimal("1.23456")
 	schema := serde.Schema{Columns: []serde.Column{{Name: "d", Type: sqlval.DecimalType(5, 2)}}}
-	df, _ := e.spark.CreateDataFrame(schema, []sqlval.Row{{sqlval.DecimalVal(d, 10)}})
+	df, _ := e.spark.CreateDataFrame(schema, []sqlval.Row{{sqlval.DecimalVal(sqlval.DecimalType(10, d.Scale), d)}})
 	if err := df.SaveAsTable("t2", "parquet"); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.spark.Table("t2")
-	if err != nil || !res.Rows[0][0].Null {
+	if err != nil || !res.Rows[0][0].IsNull() {
 		t.Errorf("DataFrame read = %v, %v", res, err)
 	}
 	// storeAssignmentPolicy=legacy unifies the behavior.
@@ -196,7 +196,7 @@ func TestDecimalExcessPrecisionErrorVsNull(t *testing.T) {
 		t.Errorf("legacy insert err = %v", err)
 	}
 	res2 := sqlT(t, e.spark, `SELECT * FROM t`)
-	if !res2.Rows[0][0].Null {
+	if !res2.Rows[0][0].IsNull() {
 		t.Errorf("legacy insert row = %v", res2.Rows[0])
 	}
 }
@@ -209,12 +209,12 @@ func TestParquetTimestampShiftsForHive(t *testing.T) {
 	sqlT(t, e.spark, `INSERT INTO t VALUES (TIMESTAMP '2021-06-15 12:00:00')`)
 	// Spark round-trips exactly.
 	res := sqlT(t, e.spark, `SELECT * FROM t`)
-	if got := sqlval.FormatTimestamp(res.Rows[0][0].I); got != "2021-06-15 12:00:00" {
+	if got := sqlval.FormatTimestamp(res.Rows[0][0].Int()); got != "2021-06-15 12:00:00" {
 		t.Errorf("spark read = %s", got)
 	}
 	// Hive ignores the writer zone: shifted by 8 hours (LA offset).
 	hres := hiveT(t, e.hive, `SELECT * FROM t`)
-	if got := sqlval.FormatTimestamp(hres.Rows[0][0].I); got != "2021-06-15 20:00:00" {
+	if got := sqlval.FormatTimestamp(hres.Rows[0][0].Int()); got != "2021-06-15 20:00:00" {
 		t.Errorf("hive read = %s", got)
 	}
 	// Setting the session zone to UTC resolves the discrepancy.
@@ -222,7 +222,7 @@ func TestParquetTimestampShiftsForHive(t *testing.T) {
 	sqlT(t, e.spark, `CREATE TABLE t2 (ts TIMESTAMP) STORED AS PARQUET`)
 	sqlT(t, e.spark, `INSERT INTO t2 VALUES (TIMESTAMP '2021-06-15 12:00:00')`)
 	hres2 := hiveT(t, e.hive, `SELECT * FROM t2`)
-	if got := sqlval.FormatTimestamp(hres2.Rows[0][0].I); got != "2021-06-15 12:00:00" {
+	if got := sqlval.FormatTimestamp(hres2.Rows[0][0].Int()); got != "2021-06-15 12:00:00" {
 		t.Errorf("hive read with UTC = %s", got)
 	}
 }
@@ -232,11 +232,11 @@ func TestPreGregorianDateShiftsAcrossEngines(t *testing.T) {
 	sqlT(t, e.spark, `CREATE TABLE t (d DATE) STORED AS PARQUET`)
 	sqlT(t, e.spark, `INSERT INTO t VALUES (DATE '1500-06-01')`)
 	res := sqlT(t, e.spark, `SELECT * FROM t`)
-	if got := sqlval.FormatDate(res.Rows[0][0].I); got != "1500-06-01" {
+	if got := sqlval.FormatDate(res.Rows[0][0].Int()); got != "1500-06-01" {
 		t.Errorf("spark read = %s", got)
 	}
 	hres := hiveT(t, e.hive, `SELECT * FROM t`)
-	if got := sqlval.FormatDate(hres.Rows[0][0].I); got == "1500-06-01" {
+	if got := sqlval.FormatDate(hres.Rows[0][0].Int()); got == "1500-06-01" {
 		t.Error("hive read should shift a pre-Gregorian date")
 	}
 	// Legacy rebase aligns Spark with Hive.
@@ -244,7 +244,7 @@ func TestPreGregorianDateShiftsAcrossEngines(t *testing.T) {
 	sqlT(t, e.spark, `CREATE TABLE t2 (d DATE) STORED AS PARQUET`)
 	sqlT(t, e.spark, `INSERT INTO t2 VALUES (DATE '1500-06-01')`)
 	hres2 := hiveT(t, e.hive, `SELECT * FROM t2`)
-	if got := sqlval.FormatDate(hres2.Rows[0][0].I); got != "1500-06-01" {
+	if got := sqlval.FormatDate(hres2.Rows[0][0].Int()); got != "1500-06-01" {
 		t.Errorf("hive read with rebase = %s", got)
 	}
 }
@@ -256,17 +256,17 @@ func TestCharPaddingAsymmetry(t *testing.T) {
 	sqlT(t, e.spark, `CREATE TABLE t (c CHAR(4)) STORED AS PARQUET`)
 	sqlT(t, e.spark, `INSERT INTO t VALUES ('ab')`)
 	res := sqlT(t, e.spark, `SELECT * FROM t`)
-	if res.Rows[0][0].S != "ab" {
-		t.Errorf("spark char = %q", res.Rows[0][0].S)
+	if res.Rows[0][0].Str() != "ab" {
+		t.Errorf("spark char = %q", res.Rows[0][0].Str())
 	}
 	hres := hiveT(t, e.hive, `SELECT * FROM t`)
-	if hres.Rows[0][0].S != "ab  " {
-		t.Errorf("hive char = %q", hres.Rows[0][0].S)
+	if hres.Rows[0][0].Str() != "ab  " {
+		t.Errorf("hive char = %q", hres.Rows[0][0].Str())
 	}
 	e.spark.Conf().Set(ConfReadSideCharPadding, "true")
 	res2 := sqlT(t, e.spark, `SELECT * FROM t`)
-	if res2.Rows[0][0].S != "ab  " {
-		t.Errorf("padded spark char = %q", res2.Rows[0][0].S)
+	if res2.Rows[0][0].Str() != "ab  " {
+		t.Errorf("padded spark char = %q", res2.Rows[0][0].Str())
 	}
 }
 
@@ -318,7 +318,7 @@ func TestInvalidDateErrorVsNull(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := e.spark.Table("t")
-	if err != nil || !res.Rows[0][0].Null {
+	if err != nil || !res.Rows[0][0].IsNull() {
 		t.Errorf("DataFrame invalid date = %v, %v", res, err)
 	}
 }
@@ -337,7 +337,7 @@ func TestVarcharOverflowErrorVsTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := e.spark.Table("t")
-	if err != nil || res.Rows[0][0].S != "abcd" {
+	if err != nil || res.Rows[0][0].Str() != "abcd" {
 		t.Errorf("DataFrame truncate = %v, %v", res, err)
 	}
 	// charVarcharAsString removes length semantics entirely.
@@ -345,8 +345,8 @@ func TestVarcharOverflowErrorVsTruncate(t *testing.T) {
 	sqlT(t, e.spark, `CREATE TABLE t2 (v VARCHAR(4)) STORED AS PARQUET`)
 	sqlT(t, e.spark, `INSERT INTO t2 VALUES ('abcdef')`)
 	res2 := sqlT(t, e.spark, `SELECT * FROM t2`)
-	if res2.Rows[0][0].S != "abcdef" {
-		t.Errorf("as-string read = %q", res2.Rows[0][0].S)
+	if res2.Rows[0][0].Str() != "abcdef" {
+		t.Errorf("as-string read = %q", res2.Rows[0][0].Str())
 	}
 }
 
@@ -360,7 +360,7 @@ func TestInvalidBooleanSilentlyNullOnDataFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := e.spark.Table("t")
-	if err != nil || !res.Rows[0][0].Null {
+	if err != nil || !res.Rows[0][0].IsNull() {
 		t.Errorf("row = %v, %v", res, err)
 	}
 	// SparkSQL rejects the same value with feedback.
@@ -377,11 +377,11 @@ func TestHiveWrittenORCReadableBySpark(t *testing.T) {
 	hiveT(t, e.hive, `CREATE TABLE t (id INT, name STRING) STORED AS ORC`)
 	hiveT(t, e.hive, `INSERT INTO t VALUES (1, 'x')`)
 	res := sqlT(t, e.spark, `SELECT * FROM t`)
-	if len(res.Rows) != 1 || res.Rows[0][1].S != "x" {
+	if len(res.Rows) != 1 || res.Rows[0][1].Str() != "x" {
 		t.Errorf("rows = %v", res.Rows)
 	}
 	dres, err := e.spark.Table("t")
-	if err != nil || dres.Rows[0][0].I != 1 {
+	if err != nil || dres.Rows[0][0].Int() != 1 {
 		t.Errorf("df rows = %v, %v", dres, err)
 	}
 }
@@ -391,7 +391,7 @@ func TestSparkWrittenParquetReadableByHive(t *testing.T) {
 	sqlT(t, e.spark, `CREATE TABLE t (id INT, name STRING) STORED AS PARQUET`)
 	sqlT(t, e.spark, `INSERT INTO t VALUES (1, 'x')`)
 	res := hiveT(t, e.hive, `SELECT * FROM t`)
-	if len(res.Rows) != 1 || res.Rows[0][1].S != "x" {
+	if len(res.Rows) != 1 || res.Rows[0][1].Str() != "x" {
 		t.Errorf("rows = %v", res.Rows)
 	}
 }

@@ -57,7 +57,7 @@ func TestVersion23MatchesHiveCalendar(t *testing.T) {
 	sqlT(t, e.spark, `CREATE TABLE t (d DATE) STORED AS PARQUET`)
 	sqlT(t, e.spark, `INSERT INTO t VALUES (DATE '1500-06-01')`)
 	hres := hiveT(t, e.hive, `SELECT * FROM t`)
-	if got := sqlval.FormatDate(hres.Rows[0][0].I); got != "1500-06-01" {
+	if got := sqlval.FormatDate(hres.Rows[0][0].Int()); got != "1500-06-01" {
 		t.Errorf("hive read = %s under the 2.3 profile", got)
 	}
 }
@@ -67,11 +67,11 @@ func TestOrderByAndLimit(t *testing.T) {
 	sqlT(t, e.spark, `CREATE TABLE t (id INT, score DOUBLE) STORED AS PARQUET`)
 	sqlT(t, e.spark, `INSERT INTO t VALUES (3, 1.0), (1, 3.0), (2, 2.0)`)
 	res := sqlT(t, e.spark, `SELECT id FROM t ORDER BY score DESC LIMIT 2`)
-	if len(res.Rows) != 2 || res.Rows[0][0].I != 1 || res.Rows[1][0].I != 2 {
+	if len(res.Rows) != 2 || res.Rows[0][0].Int() != 1 || res.Rows[1][0].Int() != 2 {
 		t.Errorf("rows = %v", res.Rows)
 	}
 	res = sqlT(t, e.spark, `SELECT id FROM t ORDER BY id`)
-	if res.Rows[0][0].I != 1 || res.Rows[2][0].I != 3 {
+	if res.Rows[0][0].Int() != 1 || res.Rows[2][0].Int() != 3 {
 		t.Errorf("asc rows = %v", res.Rows)
 	}
 	res = sqlT(t, e.spark, `SELECT * FROM t LIMIT 0`)
@@ -80,7 +80,7 @@ func TestOrderByAndLimit(t *testing.T) {
 	}
 	// Hive supports the same projection machinery.
 	hres := hiveT(t, e.hive, `SELECT id FROM t ORDER BY id DESC LIMIT 1`)
-	if len(hres.Rows) != 1 || hres.Rows[0][0].I != 3 {
+	if len(hres.Rows) != 1 || hres.Rows[0][0].Int() != 3 {
 		t.Errorf("hive rows = %v", hres.Rows)
 	}
 }
@@ -99,12 +99,12 @@ func TestSparkInsertOverwrite(t *testing.T) {
 	sqlT(t, e.spark, `INSERT INTO t VALUES (1), (2)`)
 	sqlT(t, e.spark, `INSERT OVERWRITE TABLE t VALUES (9)`)
 	res := sqlT(t, e.spark, `SELECT * FROM t`)
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 9 {
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 9 {
 		t.Errorf("rows = %v", res.Rows)
 	}
 	// Overwrites are visible cross-engine.
 	hres := hiveT(t, e.hive, `SELECT * FROM t`)
-	if len(hres.Rows) != 1 || hres.Rows[0][0].I != 9 {
+	if len(hres.Rows) != 1 || hres.Rows[0][0].Int() != 9 {
 		t.Errorf("hive rows = %v", hres.Rows)
 	}
 }
@@ -114,12 +114,12 @@ func TestAggregatesThroughSparkSQL(t *testing.T) {
 	sqlT(t, e.spark, `CREATE TABLE t (n INT) STORED AS PARQUET`)
 	sqlT(t, e.spark, `INSERT INTO t VALUES (1), (2), (3)`)
 	res := sqlT(t, e.spark, `SELECT COUNT(*), SUM(n), AVG(n) FROM t`)
-	if res.Rows[0][0].I != 3 || res.Rows[0][1].I != 6 || res.Rows[0][2].F != 2 {
+	if res.Rows[0][0].Int() != 3 || res.Rows[0][1].Int() != 6 || res.Rows[0][2].Float() != 2 {
 		t.Errorf("aggregates = %v", res.Rows[0])
 	}
 	// Both engines agree on the aggregate of the shared table.
 	hres := hiveT(t, e.hive, `SELECT COUNT(*), SUM(n) FROM t`)
-	if hres.Rows[0][0].I != 3 || hres.Rows[0][1].I != 6 {
+	if hres.Rows[0][0].Int() != 3 || hres.Rows[0][1].Int() != 6 {
 		t.Errorf("hive aggregates = %v", hres.Rows[0])
 	}
 }
@@ -144,12 +144,12 @@ func TestCaseSensitiveResolution(t *testing.T) {
 	e.spark.Metastore().SetProp(table, PropSparkSchema, "mixedcase INT")
 	e.spark.Conf().Set(ConfCaseSensitive, "true")
 	res := sqlT(t, e.spark, `SELECT * FROM t`)
-	if !res.Rows[0][0].Null {
+	if !res.Rows[0][0].IsNull() {
 		t.Errorf("case-sensitive resolution should miss: %v", res.Rows[0])
 	}
 	e.spark.Conf().Set(ConfCaseSensitive, "false")
 	res = sqlT(t, e.spark, `SELECT * FROM t`)
-	if res.Rows[0][0].I != 7 {
+	if res.Rows[0][0].Int() != 7 {
 		t.Errorf("case-insensitive resolution should match: %v", res.Rows[0])
 	}
 }
@@ -190,7 +190,7 @@ func TestGroupByAgreesAcrossEngines(t *testing.T) {
 		t.Fatalf("groups = %v / %v", sres.Rows, hres.Rows)
 	}
 	for i := range sres.Rows {
-		if sres.Rows[i][0].S != hres.Rows[i][0].S || sres.Rows[i][1].I != hres.Rows[i][1].I {
+		if sres.Rows[i][0].Str() != hres.Rows[i][0].Str() || sres.Rows[i][1].Int() != hres.Rows[i][1].Int() {
 			t.Errorf("row %d: spark %v vs hive %v", i, sres.Rows[i], hres.Rows[i])
 		}
 	}

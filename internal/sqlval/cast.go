@@ -62,10 +62,10 @@ func castErr(from, to Type, code, detail string) error {
 // modes invalid input yields a NULL of the target type with a nil
 // error; in ANSI mode it yields a *CastError.
 func Cast(v Value, to Type, mode CastMode) (Value, error) {
-	if v.Null {
+	if v.null {
 		return NullOf(to), nil
 	}
-	if v.Type.Equal(to) && !to.IsNested() && to.Kind != KindChar && to.Kind != KindVarchar && to.Kind != KindDecimal {
+	if v.Type().Equal(to) && !to.IsNested() && to.Kind != KindChar && to.Kind != KindVarchar && to.Kind != KindDecimal {
 		return v, nil
 	}
 	out, err := cast(v, to, mode)
@@ -108,74 +108,75 @@ func cast(v Value, to Type, mode CastMode) (Value, error) {
 	case KindStruct:
 		return castToStruct(v, to, mode)
 	default:
-		return Value{}, castErr(v.Type, to, "CAST_UNSUPPORTED", "unsupported target kind")
+		return Value{}, castErr(v.Type(), to, "CAST_UNSUPPORTED", "unsupported target kind")
 	}
 }
 
 func castToBoolean(v Value) (Value, error) {
-	switch v.Type.Kind {
+	switch v.kind {
 	case KindBoolean:
 		return v, nil
 	case KindTinyInt, KindSmallInt, KindInt, KindBigInt:
-		return BoolVal(v.I != 0), nil
+		return BoolVal(v.Int() != 0), nil
 	case KindString, KindChar, KindVarchar:
-		switch strings.ToLower(strings.TrimSpace(v.S)) {
+		switch strings.ToLower(strings.TrimSpace(v.s)) {
 		case "true", "t", "1":
 			return BoolVal(true), nil
 		case "false", "f", "0":
 			return BoolVal(false), nil
 		}
-		return Value{}, castErr(v.Type, Boolean, "CAST_INVALID_INPUT", fmt.Sprintf("%q is not a boolean", v.S))
+		return Value{}, castErr(v.Type(), Boolean, "CAST_INVALID_INPUT", fmt.Sprintf("%q is not a boolean", v.s))
 	default:
-		return Value{}, castErr(v.Type, Boolean, "CAST_UNSUPPORTED", "no conversion to BOOLEAN")
+		return Value{}, castErr(v.Type(), Boolean, "CAST_UNSUPPORTED", "no conversion to BOOLEAN")
 	}
 }
 
 func castToIntegral(v Value, to Type, mode CastMode) (Value, error) {
 	var raw int64
-	switch v.Type.Kind {
+	switch v.kind {
 	case KindBoolean:
-		if v.B {
+		if v.Bool() {
 			raw = 1
 		}
 	case KindTinyInt, KindSmallInt, KindInt, KindBigInt:
-		raw = v.I
+		raw = v.Int()
 	case KindFloat, KindDouble:
-		if math.IsNaN(v.F) || math.IsInf(v.F, 0) {
-			return Value{}, castErr(v.Type, to, "CAST_INVALID_INPUT", "non-finite float to integral")
+		f := v.Float()
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return Value{}, castErr(v.Type(), to, "CAST_INVALID_INPUT", "non-finite float to integral")
 		}
-		if v.F >= 9.223372036854776e18 || v.F < -9.223372036854776e18 {
-			return Value{}, castErr(v.Type, to, "CAST_OVERFLOW", "float exceeds BIGINT range")
+		if f >= 9.223372036854776e18 || f < -9.223372036854776e18 {
+			return Value{}, castErr(v.Type(), to, "CAST_OVERFLOW", "float exceeds BIGINT range")
 		}
-		raw = int64(v.F)
+		raw = int64(f)
 	case KindDecimal:
-		r, _, err := v.D.Rescale(0)
+		r, _, err := v.Dec().Rescale(0)
 		if err != nil {
-			return Value{}, castErr(v.Type, to, "CAST_OVERFLOW", err.Error())
+			return Value{}, castErr(v.Type(), to, "CAST_OVERFLOW", err.Error())
 		}
 		raw = r.Unscaled
 	case KindString, KindChar, KindVarchar:
-		n, err := strconv.ParseInt(strings.TrimSpace(v.S), 10, 64)
+		n, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 		if err != nil {
 			// Retry as a decimal literal, truncating the fraction, which
 			// both engines accept for strings like "3.0".
-			d, derr := ParseDecimal(v.S)
+			d, derr := ParseDecimal(v.s)
 			if derr != nil {
-				return Value{}, castErr(v.Type, to, "CAST_INVALID_INPUT", fmt.Sprintf("%q is not a number", v.S))
+				return Value{}, castErr(v.Type(), to, "CAST_INVALID_INPUT", fmt.Sprintf("%q is not a number", v.s))
 			}
 			r, _, rerr := d.Rescale(0)
 			if rerr != nil {
-				return Value{}, castErr(v.Type, to, "CAST_OVERFLOW", rerr.Error())
+				return Value{}, castErr(v.Type(), to, "CAST_OVERFLOW", rerr.Error())
 			}
 			n = r.Unscaled
 		}
 		raw = n
 	case KindDate:
-		return Value{}, castErr(v.Type, to, "CAST_UNSUPPORTED", "DATE to integral")
+		return Value{}, castErr(v.Type(), to, "CAST_UNSUPPORTED", "DATE to integral")
 	case KindTimestamp:
-		raw = v.I / MicrosPerSecond
+		raw = v.Int() / MicrosPerSecond
 	default:
-		return Value{}, castErr(v.Type, to, "CAST_UNSUPPORTED", "no conversion to integral")
+		return Value{}, castErr(v.Type(), to, "CAST_UNSUPPORTED", "no conversion to integral")
 	}
 	min, max := IntegralRange(to.Kind)
 	if raw < min || raw > max {
@@ -191,7 +192,7 @@ func castToIntegral(v Value, to Type, mode CastMode) (Value, error) {
 			}
 			return IntVal(to, raw), nil
 		}
-		return Value{}, castErr(v.Type, to, "CAST_OVERFLOW",
+		return Value{}, castErr(v.Type(), to, "CAST_OVERFLOW",
 			fmt.Sprintf("value %d out of range [%d, %d]", raw, min, max))
 	}
 	return IntVal(to, raw), nil
@@ -204,27 +205,27 @@ func castToFloating(v Value, to Type, mode CastMode) (Value, error) {
 		}
 		return DoubleVal(f)
 	}
-	switch v.Type.Kind {
+	switch v.kind {
 	case KindTinyInt, KindSmallInt, KindInt, KindBigInt:
-		return mk(float64(v.I)), nil
+		return mk(float64(v.Int())), nil
 	case KindFloat, KindDouble:
-		return mk(v.F), nil
+		return mk(v.Float()), nil
 	case KindDecimal:
-		return mk(v.D.Float64()), nil
+		return mk(v.Dec().Float64()), nil
 	case KindBoolean:
-		if v.B {
+		if v.Bool() {
 			return mk(1), nil
 		}
 		return mk(0), nil
 	case KindString, KindChar, KindVarchar:
-		s := strings.TrimSpace(v.S)
+		s := strings.TrimSpace(v.s)
 		switch strings.ToLower(s) {
 		case "nan", "infinity", "inf", "+infinity", "-infinity", "-inf":
 			// ANSI SQL numeric syntax does not admit the IEEE special
 			// spellings; the legacy path accepts them (SPARK-40525).
 			if mode == CastANSI {
-				return Value{}, castErr(v.Type, to, "CAST_INVALID_INPUT",
-					fmt.Sprintf("%q is not a valid ANSI numeric literal", v.S))
+				return Value{}, castErr(v.Type(), to, "CAST_INVALID_INPUT",
+					fmt.Sprintf("%q is not a valid ANSI numeric literal", v.s))
 			}
 			switch strings.ToLower(s) {
 			case "nan":
@@ -237,194 +238,183 @@ func castToFloating(v Value, to Type, mode CastMode) (Value, error) {
 		}
 		f, err := strconv.ParseFloat(s, 64)
 		if err != nil || math.IsInf(f, 0) {
-			return Value{}, castErr(v.Type, to, "CAST_INVALID_INPUT", fmt.Sprintf("%q is not a number", v.S))
+			return Value{}, castErr(v.Type(), to, "CAST_INVALID_INPUT", fmt.Sprintf("%q is not a number", v.s))
 		}
 		return mk(f), nil
 	default:
-		return Value{}, castErr(v.Type, to, "CAST_UNSUPPORTED", "no conversion to floating point")
+		return Value{}, castErr(v.Type(), to, "CAST_UNSUPPORTED", "no conversion to floating point")
 	}
 }
 
 func castToDecimal(v Value, to Type) (Value, error) {
 	var d Decimal
-	switch v.Type.Kind {
+	switch v.kind {
 	case KindDecimal:
-		d = v.D
+		d = v.Dec()
 	case KindTinyInt, KindSmallInt, KindInt, KindBigInt:
-		d = Decimal{Unscaled: v.I}
+		d = Decimal{Unscaled: v.Int()}
 	case KindFloat, KindDouble:
 		var err error
-		d, err = ParseDecimal(strconv.FormatFloat(v.F, 'f', to.Scale, 64))
+		d, err = ParseDecimal(strconv.FormatFloat(v.Float(), 'f', to.Scale(), 64))
 		if err != nil {
-			return Value{}, castErr(v.Type, to, "CAST_INVALID_INPUT", err.Error())
+			return Value{}, castErr(v.Type(), to, "CAST_INVALID_INPUT", err.Error())
 		}
 	case KindString, KindChar, KindVarchar:
 		var err error
-		d, err = ParseDecimal(v.S)
+		d, err = ParseDecimal(v.s)
 		if err != nil {
-			return Value{}, castErr(v.Type, to, "CAST_INVALID_INPUT", err.Error())
+			return Value{}, castErr(v.Type(), to, "CAST_INVALID_INPUT", err.Error())
 		}
 	default:
-		return Value{}, castErr(v.Type, to, "CAST_UNSUPPORTED", "no conversion to DECIMAL")
+		return Value{}, castErr(v.Type(), to, "CAST_UNSUPPORTED", "no conversion to DECIMAL")
 	}
-	r, lost, err := d.Rescale(to.Scale)
+	r, lost, err := d.Rescale(to.Scale())
 	if err != nil {
-		return Value{}, castErr(v.Type, to, "CAST_OVERFLOW", err.Error())
+		return Value{}, castErr(v.Type(), to, "CAST_OVERFLOW", err.Error())
 	}
 	if lost {
-		return Value{}, castErr(v.Type, to, "CAST_OVERFLOW",
-			fmt.Sprintf("value %s has more than %d fractional digits", d, to.Scale))
+		return Value{}, castErr(v.Type(), to, "CAST_OVERFLOW",
+			fmt.Sprintf("value %s has more than %d fractional digits", d, to.Scale()))
 	}
-	if r.Precision() > to.Precision && r.Unscaled != 0 {
-		return Value{}, castErr(v.Type, to, "CAST_OVERFLOW",
-			fmt.Sprintf("value %s exceeds DECIMAL(%d,%d)", d, to.Precision, to.Scale))
+	if r.Precision() > to.Precision() && r.Unscaled != 0 {
+		return Value{}, castErr(v.Type(), to, "CAST_OVERFLOW",
+			fmt.Sprintf("value %s exceeds DECIMAL(%d,%d)", d, to.Precision(), to.Scale()))
 	}
-	return Value{Type: to, D: r}, nil
+	return DecimalVal(to, r), nil
 }
 
 // renderForString produces the cast-to-string rendering, which differs
 // from Value.String by not quoting character content.
 func renderForString(v Value) string {
-	if v.Type.IsCharacter() {
-		return v.S
-	}
-	if v.Type.Kind == KindBinary {
-		return string(v.Bytes)
+	if v.Type().IsCharacter() || v.kind == KindBinary {
+		return v.s
 	}
 	return v.String()
 }
 
 func castToChar(v Value, to Type, mode CastMode) (Value, error) {
 	s := renderForString(v)
-	if len(s) > to.Length {
+	if len(s) > to.Length() {
 		trimmed := strings.TrimRight(s, " ")
-		if len(trimmed) > to.Length {
+		if len(trimmed) > to.Length() {
 			if mode == CastANSI {
-				return Value{}, castErr(v.Type, to, "EXCEED_CHAR_LENGTH",
-					fmt.Sprintf("input length %d exceeds CHAR(%d)", len(trimmed), to.Length))
+				return Value{}, castErr(v.Type(), to, "EXCEED_CHAR_LENGTH",
+					fmt.Sprintf("input length %d exceeds CHAR(%d)", len(trimmed), to.Length()))
 			}
-			trimmed = trimmed[:to.Length]
+			trimmed = trimmed[:to.Length()]
 		}
 		s = trimmed
 	}
 	// CHAR semantics pad the stored value to the declared length.
-	for len(s) < to.Length {
+	for len(s) < to.Length() {
 		s += " "
 	}
-	return Value{Type: to, S: s}, nil
+	return textVal(to, s), nil
 }
 
 func castToVarchar(v Value, to Type, mode CastMode) (Value, error) {
 	s := renderForString(v)
-	if len(s) > to.Length {
+	if len(s) > to.Length() {
 		trimmed := strings.TrimRight(s, " ")
-		if len(trimmed) > to.Length {
+		if len(trimmed) > to.Length() {
 			if mode == CastANSI {
-				return Value{}, castErr(v.Type, to, "EXCEED_VARCHAR_LENGTH",
-					fmt.Sprintf("input length %d exceeds VARCHAR(%d)", len(trimmed), to.Length))
+				return Value{}, castErr(v.Type(), to, "EXCEED_VARCHAR_LENGTH",
+					fmt.Sprintf("input length %d exceeds VARCHAR(%d)", len(trimmed), to.Length()))
 			}
-			trimmed = trimmed[:to.Length]
+			trimmed = trimmed[:to.Length()]
 		}
 		s = trimmed
 	}
-	return Value{Type: to, S: s}, nil
+	return textVal(to, s), nil
 }
 
 func castToBinary(v Value) (Value, error) {
-	switch v.Type.Kind {
+	switch v.kind {
 	case KindBinary:
 		return v, nil
 	case KindString, KindChar, KindVarchar:
-		return BinaryVal([]byte(v.S)), nil
+		return textVal(Binary, v.s), nil
 	default:
-		return Value{}, castErr(v.Type, Binary, "CAST_UNSUPPORTED", "no conversion to BINARY")
+		return Value{}, castErr(v.Type(), Binary, "CAST_UNSUPPORTED", "no conversion to BINARY")
 	}
 }
 
 func castToDate(v Value) (Value, error) {
-	switch v.Type.Kind {
+	switch v.kind {
 	case KindDate:
 		return v, nil
 	case KindTimestamp:
-		micros := v.I
+		micros := v.Int()
 		days := micros / MicrosPerDay
 		if micros%MicrosPerDay < 0 {
 			days--
 		}
 		return DateVal(days), nil
 	case KindString, KindChar, KindVarchar:
-		days, err := ParseDate(v.S)
+		days, err := ParseDate(v.s)
 		if err != nil {
-			return Value{}, castErr(v.Type, Date, "CAST_INVALID_INPUT", err.Error())
+			return Value{}, castErr(v.Type(), Date, "CAST_INVALID_INPUT", err.Error())
 		}
 		return DateVal(days), nil
 	default:
-		return Value{}, castErr(v.Type, Date, "CAST_UNSUPPORTED", "no conversion to DATE")
+		return Value{}, castErr(v.Type(), Date, "CAST_UNSUPPORTED", "no conversion to DATE")
 	}
 }
 
 func castToTimestamp(v Value) (Value, error) {
-	switch v.Type.Kind {
+	switch v.kind {
 	case KindTimestamp:
 		return v, nil
 	case KindDate:
-		return TimestampVal(v.I * MicrosPerDay), nil
+		return TimestampVal(v.Int() * MicrosPerDay), nil
 	case KindString, KindChar, KindVarchar:
-		micros, err := ParseTimestamp(v.S)
+		micros, err := ParseTimestamp(v.s)
 		if err != nil {
-			return Value{}, castErr(v.Type, Timestamp, "CAST_INVALID_INPUT", err.Error())
+			return Value{}, castErr(v.Type(), Timestamp, "CAST_INVALID_INPUT", err.Error())
 		}
 		return TimestampVal(micros), nil
 	default:
-		return Value{}, castErr(v.Type, Timestamp, "CAST_UNSUPPORTED", "no conversion to TIMESTAMP")
+		return Value{}, castErr(v.Type(), Timestamp, "CAST_UNSUPPORTED", "no conversion to TIMESTAMP")
 	}
 }
 
 func castToArray(v Value, to Type, mode CastMode) (Value, error) {
-	if v.Type.Kind != KindArray {
-		return Value{}, castErr(v.Type, to, "CAST_UNSUPPORTED", "no conversion to ARRAY")
+	if v.kind != KindArray {
+		return Value{}, castErr(v.Type(), to, "CAST_UNSUPPORTED", "no conversion to ARRAY")
 	}
-	out := Value{Type: to, List: make([]Value, len(v.List))}
-	for i, e := range v.List {
-		c, err := Cast(e, *to.Elem, mode)
-		if err != nil {
-			return Value{}, err
-		}
-		out.List[i] = c
-	}
-	return out, nil
+	return castElems(v, to, mode, func(int) Type { return to.Elem() })
 }
 
 func castToMap(v Value, to Type, mode CastMode) (Value, error) {
-	if v.Type.Kind != KindMap {
-		return Value{}, castErr(v.Type, to, "CAST_UNSUPPORTED", "no conversion to MAP")
+	if v.kind != KindMap {
+		return Value{}, castErr(v.Type(), to, "CAST_UNSUPPORTED", "no conversion to MAP")
 	}
-	out := Value{Type: to, Keys: make([]Value, len(v.Keys)), Vals: make([]Value, len(v.Vals))}
-	for i := range v.Keys {
-		k, err := Cast(v.Keys[i], *to.Key, mode)
-		if err != nil {
-			return Value{}, err
+	return castElems(v, to, mode, func(i int) Type {
+		if i%2 == 0 {
+			return to.Key()
 		}
-		val, err := Cast(v.Vals[i], *to.Value, mode)
-		if err != nil {
-			return Value{}, err
-		}
-		out.Keys[i], out.Vals[i] = k, val
-	}
-	return out, nil
+		return to.Val()
+	})
 }
 
 func castToStruct(v Value, to Type, mode CastMode) (Value, error) {
-	if v.Type.Kind != KindStruct || len(v.FieldVals) != len(to.Fields) {
-		return Value{}, castErr(v.Type, to, "CAST_UNSUPPORTED", "struct shape mismatch")
+	fields := to.Fields()
+	if v.kind != KindStruct || len(v.elems) != len(fields) {
+		return Value{}, castErr(v.Type(), to, "CAST_UNSUPPORTED", "struct shape mismatch")
 	}
-	out := Value{Type: to, FieldVals: make([]Value, len(to.Fields))}
-	for i := range to.Fields {
-		c, err := Cast(v.FieldVals[i], to.Fields[i].Type, mode)
+	return castElems(v, to, mode, func(i int) Type { return fields[i].Type })
+}
+
+// castElems casts each member of a nested value to the member type
+// elemType gives for its position, stopping at the first error.
+func castElems(v Value, to Type, mode CastMode, elemType func(int) Type) (Value, error) {
+	out := nestedVal(to, make([]Value, len(v.elems)))
+	for i, e := range v.elems {
+		c, err := Cast(e, elemType(i), mode)
 		if err != nil {
 			return Value{}, err
 		}
-		out.FieldVals[i] = c
+		out.elems[i] = c
 	}
 	return out, nil
 }

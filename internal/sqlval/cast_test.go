@@ -27,7 +27,7 @@ func castCode(err error) string {
 func TestCastNullPropagates(t *testing.T) {
 	for _, to := range []Type{Int, String, DecimalType(5, 2), ArrayType(Int)} {
 		out := mustCast(t, NullOf(String), to, CastANSI)
-		if !out.Null || !out.Type.Equal(to) {
+		if !out.IsNull() || !out.Type().Equal(to) {
 			t.Errorf("NULL cast to %v = %v", to, out)
 		}
 	}
@@ -35,7 +35,7 @@ func TestCastNullPropagates(t *testing.T) {
 
 func TestCastIntegralWidening(t *testing.T) {
 	v := mustCast(t, IntVal(TinyInt, 42), BigInt, CastANSI)
-	if v.I != 42 || v.Type.Kind != KindBigInt {
+	if v.Int() != 42 || v.Kind() != KindBigInt {
 		t.Errorf("widening = %v", v)
 	}
 }
@@ -48,11 +48,11 @@ func TestCastIntegralOverflowModes(t *testing.T) {
 	}
 	wrapped := uint32(3000000000)
 	v := mustCast(t, big, Int, CastLegacy)
-	if v.Null || v.I != int64(int32(wrapped)) {
+	if v.IsNull() || v.Int() != int64(int32(wrapped)) {
 		t.Errorf("legacy wrap = %v", v)
 	}
 	v = mustCast(t, big, Int, CastHive)
-	if !v.Null {
+	if !v.IsNull() {
 		t.Errorf("hive overflow should be NULL, got %v", v)
 	}
 }
@@ -64,29 +64,29 @@ func TestCastTinyIntOverflow(t *testing.T) {
 	}
 	wrapped := uint8(200)
 	leg := mustCast(t, v200, TinyInt, CastLegacy)
-	if leg.I != int64(int8(wrapped)) {
-		t.Errorf("legacy 200 -> TINYINT = %d", leg.I)
+	if leg.Int() != int64(int8(wrapped)) {
+		t.Errorf("legacy 200 -> TINYINT = %d", leg.Int())
 	}
 	hv := mustCast(t, v200, TinyInt, CastHive)
-	if !hv.Null {
+	if !hv.IsNull() {
 		t.Error("hive 200 -> TINYINT should be NULL")
 	}
 }
 
 func TestCastStringToNumber(t *testing.T) {
 	v := mustCast(t, StringVal("123"), Int, CastANSI)
-	if v.I != 123 {
+	if v.Int() != 123 {
 		t.Errorf("got %v", v)
 	}
 	v = mustCast(t, StringVal("3.0"), Int, CastANSI)
-	if v.I != 3 {
+	if v.Int() != 3 {
 		t.Errorf("string decimal to int = %v", v)
 	}
 	_, err := Cast(StringVal("abc"), Int, CastANSI)
 	if castCode(err) != "CAST_INVALID_INPUT" {
 		t.Errorf("err = %v", err)
 	}
-	if v := mustCast(t, StringVal("abc"), Int, CastHive); !v.Null {
+	if v := mustCast(t, StringVal("abc"), Int, CastHive); !v.IsNull() {
 		t.Error("hive invalid string should be NULL")
 	}
 }
@@ -98,7 +98,7 @@ func TestCastNaNInfinityStrings(t *testing.T) {
 			t.Errorf("ANSI %q: err = %v", s, err)
 		}
 		v := mustCast(t, StringVal(s), Float, CastLegacy)
-		if v.Null {
+		if v.IsNull() {
 			t.Errorf("legacy %q should produce a value", s)
 		}
 	}
@@ -111,64 +111,64 @@ func TestCastNaNInfinityStrings(t *testing.T) {
 func TestCastDecimalPrecision(t *testing.T) {
 	d, _ := ParseDecimal("1.23456")
 	// SPARK-40439 model: excess precision errors under ANSI, NULL in Hive.
-	_, err := Cast(DecimalVal(d, 10), DecimalType(5, 2), CastANSI)
+	_, err := Cast(DecimalVal(DecimalType(10, d.Scale), d), DecimalType(5, 2), CastANSI)
 	if castCode(err) != "CAST_OVERFLOW" {
 		t.Errorf("ANSI decimal err = %v", err)
 	}
-	v := mustCast(t, DecimalVal(d, 10), DecimalType(5, 2), CastHive)
-	if !v.Null {
+	v := mustCast(t, DecimalVal(DecimalType(10, d.Scale), d), DecimalType(5, 2), CastHive)
+	if !v.IsNull() {
 		t.Error("hive decimal excess precision should be NULL")
 	}
 	ok, _ := ParseDecimal("1.23")
-	v = mustCast(t, DecimalVal(ok, 10), DecimalType(5, 2), CastANSI)
-	if v.D.String() != "1.23" {
+	v = mustCast(t, DecimalVal(DecimalType(10, ok.Scale), ok), DecimalType(5, 2), CastANSI)
+	if v.Dec().String() != "1.23" {
 		t.Errorf("exact decimal = %v", v)
 	}
 	// Overflowing the integral digits.
 	huge, _ := ParseDecimal("123456.78")
-	if _, err := Cast(DecimalVal(huge, 10), DecimalType(5, 2), CastANSI); castCode(err) != "CAST_OVERFLOW" {
+	if _, err := Cast(DecimalVal(DecimalType(10, huge.Scale), huge), DecimalType(5, 2), CastANSI); castCode(err) != "CAST_OVERFLOW" {
 		t.Errorf("integral overflow err = %v", err)
 	}
 }
 
 func TestCastCharPaddingAndLength(t *testing.T) {
 	v := mustCast(t, StringVal("ab"), CharType(4), CastANSI)
-	if v.S != "ab  " {
-		t.Errorf("CHAR pad = %q", v.S)
+	if v.Str() != "ab  " {
+		t.Errorf("CHAR pad = %q", v.Str())
 	}
 	_, err := Cast(StringVal("abcde"), CharType(4), CastANSI)
 	if castCode(err) != "EXCEED_CHAR_LENGTH" {
 		t.Errorf("err = %v", err)
 	}
 	v = mustCast(t, StringVal("abcde"), CharType(4), CastLegacy)
-	if v.S != "abcd" {
-		t.Errorf("legacy CHAR truncate = %q", v.S)
+	if v.Str() != "abcd" {
+		t.Errorf("legacy CHAR truncate = %q", v.Str())
 	}
 	// Trailing spaces beyond the length are not an error.
 	v = mustCast(t, StringVal("abcd   "), CharType(4), CastANSI)
-	if v.S != "abcd" {
-		t.Errorf("trailing-space CHAR = %q", v.S)
+	if v.Str() != "abcd" {
+		t.Errorf("trailing-space CHAR = %q", v.Str())
 	}
 }
 
 func TestCastVarcharLength(t *testing.T) {
 	v := mustCast(t, StringVal("ab"), VarcharType(4), CastANSI)
-	if v.S != "ab" {
-		t.Errorf("VARCHAR keeps content = %q", v.S)
+	if v.Str() != "ab" {
+		t.Errorf("VARCHAR keeps content = %q", v.Str())
 	}
 	_, err := Cast(StringVal("abcdef"), VarcharType(4), CastANSI)
 	if castCode(err) != "EXCEED_VARCHAR_LENGTH" {
 		t.Errorf("err = %v", err)
 	}
 	v = mustCast(t, StringVal("abcdef"), VarcharType(4), CastHive)
-	if v.S != "abcd" {
-		t.Errorf("hive VARCHAR truncate = %q", v.S)
+	if v.Str() != "abcd" {
+		t.Errorf("hive VARCHAR truncate = %q", v.Str())
 	}
 }
 
 func TestCastBooleanStrings(t *testing.T) {
 	v := mustCast(t, StringVal("true"), Boolean, CastANSI)
-	if !v.B {
+	if !v.Bool() {
 		t.Error("true not parsed")
 	}
 	// SPARK-40630 model: 'yes' is invalid; lenient modes yield NULL
@@ -177,14 +177,14 @@ func TestCastBooleanStrings(t *testing.T) {
 		t.Errorf("ANSI 'yes' err = %v", err)
 	}
 	v = mustCast(t, StringVal("yes"), Boolean, CastLegacy)
-	if !v.Null {
+	if !v.IsNull() {
 		t.Error("legacy 'yes' should be NULL")
 	}
 }
 
 func TestCastDates(t *testing.T) {
 	v := mustCast(t, StringVal("2021-06-15"), Date, CastANSI)
-	if FormatDate(v.I) != "2021-06-15" {
+	if FormatDate(v.Int()) != "2021-06-15" {
 		t.Errorf("date = %v", v)
 	}
 	// SPARK-40629 model: invalid date errors under ANSI, NULL otherwise.
@@ -192,40 +192,40 @@ func TestCastDates(t *testing.T) {
 		t.Errorf("invalid date err = %v", err)
 	}
 	v = mustCast(t, StringVal("2021-02-30"), Date, CastLegacy)
-	if !v.Null {
+	if !v.IsNull() {
 		t.Error("legacy invalid date should be NULL")
 	}
 	// Date <-> timestamp.
 	ts := mustCast(t, v, Timestamp, CastANSI)
-	if !ts.Null {
+	if !ts.IsNull() {
 		t.Error("NULL date to timestamp should stay NULL")
 	}
 	d := mustCast(t, StringVal("2021-06-15"), Date, CastANSI)
 	ts = mustCast(t, d, Timestamp, CastANSI)
 	back := mustCast(t, ts, Date, CastANSI)
-	if back.I != d.I {
-		t.Errorf("date->ts->date = %d, want %d", back.I, d.I)
+	if back.Int() != d.Int() {
+		t.Errorf("date->ts->date = %d, want %d", back.Int(), d.Int())
 	}
 }
 
 func TestCastNested(t *testing.T) {
-	arr := ArrayVal(Int, IntVal(Int, 1), IntVal(Int, 2))
+	arr := ArrayVal(ArrayType(Int), IntVal(Int, 1), IntVal(Int, 2))
 	out := mustCast(t, arr, ArrayType(BigInt), CastANSI)
-	if out.List[0].Type.Kind != KindBigInt || out.List[1].I != 2 {
+	if out.Elems()[0].Kind() != KindBigInt || out.Elems()[1].Int() != 2 {
 		t.Errorf("array cast = %v", out)
 	}
-	m := MapVal(String, Int, []Value{StringVal("a")}, []Value{IntVal(Int, 1)})
+	m := MapVal(MapType(String, Int), StringVal("a"), IntVal(Int, 1))
 	outM := mustCast(t, m, MapType(String, Double), CastANSI)
-	if outM.Vals[0].F != 1.0 {
+	if outM.Val(0).Float() != 1.0 {
 		t.Errorf("map cast = %v", outM)
 	}
 	st := StructVal(StructType(Field{"x", Int}), IntVal(Int, 7))
 	outS := mustCast(t, st, StructType(Field{"x", BigInt}), CastANSI)
-	if outS.FieldVals[0].I != 7 {
+	if outS.Elems()[0].Int() != 7 {
 		t.Errorf("struct cast = %v", outS)
 	}
 	// Element failure propagates under ANSI.
-	bad := ArrayVal(BigInt, IntVal(BigInt, 3000000000))
+	bad := ArrayVal(ArrayType(BigInt), IntVal(BigInt, 3000000000))
 	if _, err := Cast(bad, ArrayType(Int), CastANSI); err == nil {
 		t.Error("nested overflow should error under ANSI")
 	}
@@ -243,8 +243,8 @@ func TestCastToString(t *testing.T) {
 	}
 	for _, c := range cases {
 		got := mustCast(t, c.v, String, CastANSI)
-		if got.S != c.want {
-			t.Errorf("%v to string = %q, want %q", c.v, got.S, c.want)
+		if got.Str() != c.want {
+			t.Errorf("%v to string = %q, want %q", c.v, got.Str(), c.want)
 		}
 	}
 }
@@ -266,7 +266,7 @@ func TestCastIntegralRoundTripProperty(t *testing.T) {
 			return false
 		}
 		back, err := Cast(s, Int, mode)
-		return err == nil && !back.Null && back.I == int64(n)
+		return err == nil && !back.IsNull() && back.Int() == int64(n)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -301,7 +301,7 @@ func TestValueEqualData(t *testing.T) {
 	if !DoubleVal(0).EqualData(DoubleVal(0)) {
 		t.Error("double equality")
 	}
-	nan := Value{Type: Double, F: nanValue()}
+	nan := DoubleVal(nanValue())
 	if !nan.EqualData(nan) {
 		t.Error("NaN should equal NaN for oracle purposes")
 	}
@@ -319,16 +319,17 @@ func nanValue() float64 {
 }
 
 func TestValueCloneIsDeep(t *testing.T) {
-	arr := ArrayVal(Int, IntVal(Int, 1))
+	arr := ArrayVal(ArrayType(Int), IntVal(Int, 1))
 	cp := arr.Clone()
-	cp.List[0].I = 99
-	if arr.List[0].I != 1 {
+	cp.Elems()[0] = IntVal(Int, 99)
+	if arr.Elems()[0].Int() != 1 {
 		t.Error("clone shares list storage")
 	}
-	b := BinaryVal([]byte{1, 2})
-	cb := b.Clone()
-	cb.Bytes[0] = 9
-	if b.Bytes[0] != 1 {
-		t.Error("clone shares byte storage")
+	raw := []byte{1, 2}
+	b := BinaryVal(raw)
+	raw[0] = 9
+	b.Bytes()[1] = 9
+	if b.String() != "X'0102'" {
+		t.Errorf("binary value shares byte storage: %v", b)
 	}
 }

@@ -1,7 +1,6 @@
 package sqlval
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 )
@@ -11,45 +10,45 @@ import (
 // compare lexicographically. NULL compares less than everything and
 // equal to NULL. Nested types and cross-family comparisons are errors.
 func Compare(a, b Value) (int, error) {
-	if a.Null || b.Null {
+	if a.null || b.null {
 		switch {
-		case a.Null && b.Null:
+		case a.null && b.null:
 			return 0, nil
-		case a.Null:
+		case a.null:
 			return -1, nil
 		default:
 			return 1, nil
 		}
 	}
 	switch {
-	case a.Type.IsNumeric() && b.Type.IsNumeric():
+	case a.Type().IsNumeric() && b.Type().IsNumeric():
 		return compareNumeric(a, b), nil
-	case a.Type.IsCharacter() && b.Type.IsCharacter():
-		return strings.Compare(a.S, b.S), nil
-	case a.Type.Kind == KindBoolean && b.Type.Kind == KindBoolean:
+	case a.Type().IsCharacter() && b.Type().IsCharacter():
+		return strings.Compare(a.s, b.s), nil
+	case a.kind == KindBoolean && b.kind == KindBoolean:
 		switch {
-		case a.B == b.B:
+		case a.Bool() == b.Bool():
 			return 0, nil
-		case b.B:
+		case b.Bool():
 			return -1, nil
 		default:
 			return 1, nil
 		}
-	case a.Type.Kind == KindBinary && b.Type.Kind == KindBinary:
-		return bytes.Compare(a.Bytes, b.Bytes), nil
-	case a.Type.Kind == b.Type.Kind && (a.Type.Kind == KindDate || a.Type.Kind == KindTimestamp):
-		return compareInt64(a.I, b.I), nil
+	case a.kind == KindBinary && b.kind == KindBinary:
+		return strings.Compare(a.s, b.s), nil
+	case a.kind == b.kind && (a.kind == KindDate || a.kind == KindTimestamp):
+		return compareInt64(a.Int(), b.Int()), nil
 	default:
-		return 0, fmt.Errorf("sqlval: cannot compare %s with %s", a.Type, b.Type)
+		return 0, fmt.Errorf("sqlval: cannot compare %s with %s", a.Type(), b.Type())
 	}
 }
 
 func compareNumeric(a, b Value) int {
-	if a.Type.IsIntegral() && b.Type.IsIntegral() {
-		return compareInt64(a.I, b.I)
+	if a.Type().IsIntegral() && b.Type().IsIntegral() {
+		return compareInt64(a.Int(), b.Int())
 	}
-	if a.Type.Kind == KindDecimal && b.Type.Kind == KindDecimal {
-		return a.D.Cmp(b.D)
+	if a.kind == KindDecimal && b.kind == KindDecimal {
+		return a.Dec().Cmp(b.Dec())
 	}
 	fa, fb := numericFloat(a), numericFloat(b)
 	switch {
@@ -63,13 +62,13 @@ func compareNumeric(a, b Value) int {
 }
 
 func numericFloat(v Value) float64 {
-	switch v.Type.Kind {
+	switch v.kind {
 	case KindFloat, KindDouble:
-		return v.F
+		return v.Float()
 	case KindDecimal:
-		return v.D.Float64()
+		return v.Dec().Float64()
 	default:
-		return float64(v.I)
+		return float64(v.Int())
 	}
 }
 

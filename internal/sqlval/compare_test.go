@@ -20,10 +20,10 @@ func TestCompareNumericFamilies(t *testing.T) {
 	}
 	d1, _ := ParseDecimal("1.50")
 	d2, _ := ParseDecimal("1.5")
-	if cmp(t, DecimalVal(d1, 5), DecimalVal(d2, 5)) != 0 {
+	if cmp(t, DecimalVal(DecimalType(5, d1.Scale), d1), DecimalVal(DecimalType(5, d2.Scale), d2)) != 0 {
 		t.Error("decimal scale-insensitive equality")
 	}
-	if cmp(t, DecimalVal(d1, 5), DoubleVal(2.0)) != -1 {
+	if cmp(t, DecimalVal(DecimalType(5, d1.Scale), d1), DoubleVal(2.0)) != -1 {
 		t.Error("decimal vs double")
 	}
 	if cmp(t, FloatVal(1.5), FloatVal(1.5)) != 0 {
@@ -74,7 +74,7 @@ func TestCompareIncomparable(t *testing.T) {
 	if _, err := Compare(IntVal(Int, 1), StringVal("x")); err == nil {
 		t.Error("int vs string should error")
 	}
-	if _, err := Compare(ArrayVal(Int), ArrayVal(Int)); err == nil {
+	if _, err := Compare(ArrayVal(ArrayType(Int)), ArrayVal(ArrayType(Int))); err == nil {
 		t.Error("arrays should not compare")
 	}
 	if _, err := Compare(DateVal(0), TimestampVal(0)); err == nil {
@@ -84,33 +84,33 @@ func TestCompareIncomparable(t *testing.T) {
 
 func TestTransformLeavesNested(t *testing.T) {
 	inner := StructVal(StructType(Field{"d", Date}), DateVal(100))
-	arr := ArrayVal(inner.Type, inner)
-	m := MapVal(String, arr.Type, []Value{StringVal("k")}, []Value{arr})
+	arr := ArrayVal(ArrayType(inner.Type()), inner)
+	m := MapVal(MapType(String, arr.Type()), StringVal("k"), arr)
 	out := TransformLeaves(m, RebaseDates(func(d int64) int64 { return d + 1 }))
-	got := out.Vals[0].List[0].FieldVals[0].I
+	got := out.Val(0).Elems()[0].Elems()[0].Int()
 	if got != 101 {
 		t.Errorf("nested rebase = %d", got)
 	}
 	// Original untouched.
-	if m.Vals[0].List[0].FieldVals[0].I != 100 {
+	if m.Val(0).Elems()[0].Elems()[0].Int() != 100 {
 		t.Error("TransformLeaves mutated the input")
 	}
 	// Nulls pass through.
 	n := TransformLeaves(NullOf(Date), RebaseDates(func(int64) int64 { return 0 }))
-	if !n.Null {
+	if !n.IsNull() {
 		t.Error("null should pass through")
 	}
 }
 
 func TestShiftTimestamps(t *testing.T) {
 	v := TransformLeaves(TimestampVal(1000), ShiftTimestamps(500))
-	if v.I != 1500 {
-		t.Errorf("shift = %d", v.I)
+	if v.Int() != 1500 {
+		t.Errorf("shift = %d", v.Int())
 	}
 	// Non-timestamp leaves untouched.
 	v = TransformLeaves(IntVal(Int, 7), ShiftTimestamps(500))
-	if v.I != 7 {
-		t.Errorf("int = %d", v.I)
+	if v.Int() != 7 {
+		t.Errorf("int = %d", v.Int())
 	}
 }
 
@@ -120,21 +120,21 @@ func TestValueStringRenderings(t *testing.T) {
 		"NULL":                NullOf(Int),
 		"true":                BoolVal(true),
 		"-7":                  IntVal(Int, -7),
-		"NaN":                 {Type: Double, F: nanValue()},
+		"NaN":                 DoubleVal(nanValue()),
 		"Infinity":            DoubleVal(inf(1)),
 		"-Infinity":           DoubleVal(inf(-1)),
-		"1.50":                DecimalVal(d, 5),
+		"1.50":                DecimalVal(DecimalType(5, d.Scale), d),
 		`"hi"`:                StringVal("hi"),
 		"X'0102'":             BinaryVal([]byte{1, 2}),
 		"1970-01-01":          DateVal(0),
 		"1970-01-01 00:00:00": TimestampVal(0),
-		"[1,2]":               ArrayVal(Int, IntVal(Int, 1), IntVal(Int, 2)),
-		`{"k":1}`:             MapVal(String, Int, []Value{StringVal("k")}, []Value{IntVal(Int, 1)}),
+		"[1,2]":               ArrayVal(ArrayType(Int), IntVal(Int, 1), IntVal(Int, 2)),
+		`{"k":1}`:             MapVal(MapType(String, Int), StringVal("k"), IntVal(Int, 1)),
 		"{x:1}":               StructVal(StructType(Field{"x", Int}), IntVal(Int, 1)),
 	}
 	for want, v := range cases {
 		if got := v.String(); got != want {
-			t.Errorf("String(%#v kind %v) = %q, want %q", v, v.Type.Kind, got, want)
+			t.Errorf("String(%#v kind %v) = %q, want %q", v, v.Kind(), got, want)
 		}
 	}
 }
@@ -154,8 +154,8 @@ func TestValueEqualStrictType(t *testing.T) {
 	if !IntVal(Int, 5).Equal(IntVal(Int, 5)) {
 		t.Error("Equal on identical values")
 	}
-	a := ArrayVal(Int, IntVal(Int, 1))
-	b := ArrayVal(Int, IntVal(Int, 2))
+	a := ArrayVal(ArrayType(Int), IntVal(Int, 1))
+	b := ArrayVal(ArrayType(Int), IntVal(Int, 2))
 	if a.Equal(b) {
 		t.Error("array data inequality")
 	}
@@ -176,8 +176,8 @@ func TestRowHelpers(t *testing.T) {
 		t.Error("length mismatch")
 	}
 	cp := r.Clone()
-	cp[0].I = 99
-	if r[0].I != 1 {
+	cp[0] = IntVal(Int, 99)
+	if r[0].Int() != 1 {
 		t.Error("row clone shares storage")
 	}
 }
@@ -190,45 +190,45 @@ func TestCastModeString(t *testing.T) {
 
 func TestCastToBinaryAndTimestamp(t *testing.T) {
 	v, err := Cast(StringVal("abc"), Binary, CastANSI)
-	if err != nil || string(v.Bytes) != "abc" {
+	if err != nil || string(v.Bytes()) != "abc" {
 		t.Errorf("string->binary = %v, %v", v, err)
 	}
 	if _, err := Cast(IntVal(Int, 1), Binary, CastANSI); err == nil {
 		t.Error("int->binary should error under ANSI")
 	}
 	ts, err := Cast(StringVal("2021-06-15 10:30:00"), Timestamp, CastANSI)
-	if err != nil || FormatTimestamp(ts.I) != "2021-06-15 10:30:00" {
+	if err != nil || FormatTimestamp(ts.Int()) != "2021-06-15 10:30:00" {
 		t.Errorf("string->timestamp = %v, %v", ts, err)
 	}
 	d, err := Cast(ts, Date, CastANSI)
-	if err != nil || FormatDate(d.I) != "2021-06-15" {
+	if err != nil || FormatDate(d.Int()) != "2021-06-15" {
 		t.Errorf("timestamp->date = %v, %v", d, err)
 	}
 	back, err := Cast(d, Timestamp, CastANSI)
-	if err != nil || FormatTimestamp(back.I) != "2021-06-15 00:00:00" {
+	if err != nil || FormatTimestamp(back.Int()) != "2021-06-15 00:00:00" {
 		t.Errorf("date->timestamp = %v, %v", back, err)
 	}
 	sec, err := Cast(ts, BigInt, CastANSI)
-	if err != nil || sec.I != ts.I/MicrosPerSecond {
+	if err != nil || sec.Int() != ts.Int()/MicrosPerSecond {
 		t.Errorf("timestamp->bigint = %v, %v", sec, err)
 	}
 }
 
 func TestCastBooleanNumericForms(t *testing.T) {
 	v, _ := Cast(IntVal(Int, 2), Boolean, CastANSI)
-	if !v.B {
+	if !v.Bool() {
 		t.Error("nonzero int is true")
 	}
 	v, _ = Cast(BoolVal(true), Int, CastANSI)
-	if v.I != 1 {
+	if v.Int() != 1 {
 		t.Error("true -> 1")
 	}
 	v, _ = Cast(BoolVal(false), Double, CastANSI)
-	if v.F != 0 {
+	if v.Float() != 0 {
 		t.Error("false -> 0.0")
 	}
 	v, _ = Cast(StringVal(" F "), Boolean, CastANSI)
-	if v.B {
+	if v.Bool() {
 		t.Error("'F' -> false")
 	}
 }

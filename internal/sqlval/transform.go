@@ -5,40 +5,23 @@ package sqlval
 // Engines use it to apply read/write-side reinterpretations such as
 // calendar rebasing and time-zone adjustment uniformly to nested data.
 func TransformLeaves(v Value, f func(Value) Value) Value {
-	if v.Null {
+	if v.null {
 		return v
 	}
-	switch v.Type.Kind {
-	case KindArray:
-		out := v.Clone()
-		for i := range out.List {
-			out.List[i] = TransformLeaves(out.List[i], f)
-		}
-		return out
-	case KindMap:
-		out := v.Clone()
-		for i := range out.Keys {
-			out.Keys[i] = TransformLeaves(out.Keys[i], f)
-			out.Vals[i] = TransformLeaves(out.Vals[i], f)
-		}
-		return out
-	case KindStruct:
-		out := v.Clone()
-		for i := range out.FieldVals {
-			out.FieldVals[i] = TransformLeaves(out.FieldVals[i], f)
-		}
-		return out
-	default:
+	if !v.Type().IsNested() {
 		return f(v)
 	}
+	out := v
+	out.elems = mapElems(v.elems, func(e Value) Value { return TransformLeaves(e, f) })
+	return out
 }
 
 // RebaseDates returns a leaf transformer that applies f to DATE day
 // counts and leaves other values untouched.
 func RebaseDates(f func(int64) int64) func(Value) Value {
 	return func(v Value) Value {
-		if v.Type.Kind == KindDate {
-			v.I = f(v.I)
+		if v.kind == KindDate {
+			v.word = uint64(f(v.Int()))
 		}
 		return v
 	}
@@ -48,8 +31,8 @@ func RebaseDates(f func(int64) int64) func(Value) Value {
 // TIMESTAMP values.
 func ShiftTimestamps(deltaMicros int64) func(Value) Value {
 	return func(v Value) Value {
-		if v.Type.Kind == KindTimestamp {
-			v.I += deltaMicros
+		if v.kind == KindTimestamp {
+			v.word = uint64(v.Int() + deltaMicros)
 		}
 		return v
 	}

@@ -10,12 +10,13 @@ package sqlval
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
 
 // Kind enumerates the primitive and nested type constructors.
-type Kind int
+type Kind uint8
 
 // The supported kinds, ordered roughly by the widening lattice.
 const (
@@ -89,20 +90,33 @@ type Field struct {
 	Type Type
 }
 
-// Type is a (possibly nested) SQL type. Primitive types carry their
-// parameters (precision/scale for DECIMAL, length for CHAR/VARCHAR);
-// nested types carry element types. The zero Type is the NULL type.
+// Type is a (possibly nested) SQL type in 16 bytes: the kind and its
+// parameters (precision/scale for DECIMAL, length for CHAR/VARCHAR)
+// share one word, and the member types of ARRAY, MAP and STRUCT sit
+// behind one pointer. A Type is immutable once built, so copies share
+// their members; build one with the constructors or ParseType. The
+// zero Type is the NULL type.
 type Type struct {
-	Kind      Kind
-	Precision int // DECIMAL precision
-	Scale     int // DECIMAL scale
-	Length    int // CHAR / VARCHAR declared length
-
-	Elem   *Type   // ARRAY element
-	Key    *Type   // MAP key
-	Value  *Type   // MAP value
-	Fields []Field // STRUCT members
+	_      [0]func() // compare with Equal, never ==
+	Kind   Kind
+	prec   uint8
+	scale  uint8
+	length uint16
+	nest   *nested
 }
+
+// nested holds the member types of an ARRAY, MAP or STRUCT type.
+type nested struct {
+	key    Type    // MAP key
+	elem   Type    // ARRAY element or MAP value
+	fields []Field // STRUCT members
+}
+
+// The widest parameters the narrow type word holds.
+const (
+	maxTypePrecision = math.MaxUint8  // DECIMAL precision and scale
+	maxTypeLength    = math.MaxUint16 // CHAR / VARCHAR length
+)
 
 // Convenience constructors for the common types.
 var (
@@ -120,55 +134,96 @@ var (
 	Timestamp = Type{Kind: KindTimestamp}
 )
 
-// DecimalType returns DECIMAL(p, s).
+// DecimalType returns DECIMAL(p, s). It panics when p or s is outside
+// [0, maxTypePrecision]; ParseType reports those as errors instead.
 func DecimalType(precision, scale int) Type {
-	return Type{Kind: KindDecimal, Precision: precision, Scale: scale}
+	if precision < 0 || precision > maxTypePrecision || scale < 0 || scale > maxTypePrecision {
+		panic(fmt.Sprintf("sqlval: DECIMAL(%d,%d) out of range", precision, scale))
+	}
+	return Type{Kind: KindDecimal, prec: uint8(precision), scale: uint8(scale)}
 }
 
-// CharType returns CHAR(n).
-func CharType(n int) Type { return Type{Kind: KindChar, Length: n} }
+// CharType returns CHAR(n). It panics when n is outside
+// [0, maxTypeLength].
+func CharType(n int) Type { return Type{Kind: KindChar, length: typeLength("CHAR", n)} }
 
-// VarcharType returns VARCHAR(n).
-func VarcharType(n int) Type { return Type{Kind: KindVarchar, Length: n} }
+// VarcharType returns VARCHAR(n). It panics when n is outside
+// [0, maxTypeLength].
+func VarcharType(n int) Type { return Type{Kind: KindVarchar, length: typeLength("VARCHAR", n)} }
+
+func typeLength(kind string, n int) uint16 {
+	if n < 0 || n > maxTypeLength {
+		panic(fmt.Sprintf("sqlval: %s(%d) out of range", kind, n))
+	}
+	return uint16(n)
+}
 
 // ArrayType returns ARRAY<elem>.
 func ArrayType(elem Type) Type {
-	e := elem
-	return Type{Kind: KindArray, Elem: &e}
+	return Type{Kind: KindArray, nest: &nested{elem: elem}}
 }
 
 // MapType returns MAP<key, value>.
 func MapType(key, value Type) Type {
-	k, v := key, value
-	return Type{Kind: KindMap, Key: &k, Value: &v}
+	return Type{Kind: KindMap, nest: &nested{key: key, elem: value}}
 }
 
-// StructType returns STRUCT<fields...>.
+// StructType returns STRUCT<fields...>. The type keeps fields, which
+// the caller must not modify afterwards.
 func StructType(fields ...Field) Type {
-	return Type{Kind: KindStruct, Fields: fields}
+	return Type{Kind: KindStruct, nest: &nested{fields: fields}}
+}
+
+// Precision returns a DECIMAL type's precision.
+func (t Type) Precision() int { return int(t.prec) }
+
+// Scale returns a DECIMAL type's scale.
+func (t Type) Scale() int { return int(t.scale) }
+
+// Length returns a CHAR or VARCHAR type's declared length.
+func (t Type) Length() int { return int(t.length) }
+
+// Elem returns an ARRAY type's element type.
+func (t Type) Elem() Type { return t.nest.elem }
+
+// Key returns a MAP type's key type.
+func (t Type) Key() Type { return t.nest.key }
+
+// Val returns a MAP type's value type.
+func (t Type) Val() Type { return t.nest.elem }
+
+// Fields returns a STRUCT type's members, nil for any other kind. The
+// slice is shared by every copy of the type: read it, never modify it.
+func (t Type) Fields() []Field {
+	if t.Kind != KindStruct || t.nest == nil {
+		return nil
+	}
+	return t.nest.fields
 }
 
 // String renders the type in HiveQL/SparkSQL DDL syntax.
 func (t Type) String() string {
 	switch t.Kind {
 	case KindDecimal:
-		return "DECIMAL(" + strconv.Itoa(t.Precision) + "," + strconv.Itoa(t.Scale) + ")"
+		return "DECIMAL(" + strconv.Itoa(t.Precision()) + "," + strconv.Itoa(t.Scale()) + ")"
 	case KindChar:
-		return "CHAR(" + strconv.Itoa(t.Length) + ")"
+		return "CHAR(" + strconv.Itoa(t.Length()) + ")"
 	case KindVarchar:
-		return "VARCHAR(" + strconv.Itoa(t.Length) + ")"
+		return "VARCHAR(" + strconv.Itoa(t.Length()) + ")"
 	case KindArray:
-		return fmt.Sprintf("ARRAY<%s>", t.Elem)
+		return "ARRAY<" + t.Elem().String() + ">"
 	case KindMap:
-		return fmt.Sprintf("MAP<%s,%s>", t.Key, t.Value)
+		return "MAP<" + t.Key().String() + "," + t.Val().String() + ">"
 	case KindStruct:
 		var b strings.Builder
 		b.WriteString("STRUCT<")
-		for i, f := range t.Fields {
+		for i, f := range t.Fields() {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			fmt.Fprintf(&b, "%s:%s", f.Name, f.Type)
+			b.WriteString(f.Name)
+			b.WriteByte(':')
+			b.WriteString(f.Type.String())
 		}
 		b.WriteString(">")
 		return b.String()
@@ -186,19 +241,25 @@ func (t Type) Equal(o Type) bool {
 	}
 	switch t.Kind {
 	case KindDecimal:
-		return t.Precision == o.Precision && t.Scale == o.Scale
+		return t.prec == o.prec && t.scale == o.scale
 	case KindChar, KindVarchar:
-		return t.Length == o.Length
-	case KindArray:
-		return t.Elem.Equal(*o.Elem)
-	case KindMap:
-		return t.Key.Equal(*o.Key) && t.Value.Equal(*o.Value)
-	case KindStruct:
-		if len(t.Fields) != len(o.Fields) {
+		return t.length == o.length
+	case KindArray, KindMap, KindStruct:
+		if t.nest == o.nest {
+			return true
+		}
+		switch t.Kind {
+		case KindArray:
+			return t.Elem().Equal(o.Elem())
+		case KindMap:
+			return t.Key().Equal(o.Key()) && t.Val().Equal(o.Val())
+		}
+		tf, of := t.Fields(), o.Fields()
+		if len(tf) != len(of) {
 			return false
 		}
-		for i := range t.Fields {
-			if t.Fields[i].Name != o.Fields[i].Name || !t.Fields[i].Type.Equal(o.Fields[i].Type) {
+		for i := range tf {
+			if tf[i].Name != of[i].Name || !tf[i].Type.Equal(of[i].Type) {
 				return false
 			}
 		}
@@ -311,7 +372,9 @@ func (p *typeParser) expect(c byte) error {
 	return nil
 }
 
-func (p *typeParser) number() (int, error) {
+// number reads a type parameter and rejects one above max, the widest
+// the type word holds; what names the parameter in the error.
+func (p *typeParser) number(what string, max int) (int, error) {
 	p.skipSpace()
 	start := p.pos
 	for p.pos < len(p.src) && p.src[p.pos] >= '0' && p.src[p.pos] <= '9' {
@@ -323,6 +386,9 @@ func (p *typeParser) number() (int, error) {
 	n := 0
 	for _, c := range p.src[start:p.pos] {
 		n = n*10 + int(c-'0')
+		if n > max {
+			return 0, fmt.Errorf("sqlval: %s %s exceeds %d in type %q", what, p.src[start:p.pos], max, p.src)
+		}
 	}
 	return n, nil
 }
@@ -356,7 +422,7 @@ func (p *typeParser) parse() (Type, error) {
 		p.skipSpace()
 		if p.pos < len(p.src) && p.src[p.pos] == '(' {
 			p.pos++
-			prec, err := p.number()
+			prec, err := p.number("DECIMAL precision", maxTypePrecision)
 			if err != nil {
 				return Null, err
 			}
@@ -364,7 +430,7 @@ func (p *typeParser) parse() (Type, error) {
 			p.skipSpace()
 			if p.pos < len(p.src) && p.src[p.pos] == ',' {
 				p.pos++
-				scale, err = p.number()
+				scale, err = p.number("DECIMAL scale", maxTypePrecision)
 				if err != nil {
 					return Null, err
 				}
@@ -379,7 +445,7 @@ func (p *typeParser) parse() (Type, error) {
 		if err := p.expect('('); err != nil {
 			return Null, err
 		}
-		n, err := p.number()
+		n, err := p.number(w+" length", maxTypeLength)
 		if err != nil {
 			return Null, err
 		}

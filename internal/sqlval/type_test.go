@@ -1,6 +1,7 @@
 package sqlval
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -66,6 +67,49 @@ func TestParseTypeErrors(t *testing.T) {
 		if _, err := ParseType(in); err == nil {
 			t.Errorf("ParseType(%q): expected error", in)
 		}
+	}
+}
+
+func TestParseTypeParameterRange(t *testing.T) {
+	for _, c := range []struct{ in, msg string }{
+		// Overflowing int: these used to wrap to CHAR(7766279631452241919)
+		// and DECIMAL(10,1).
+		{"CHAR(99999999999999999999)", "CHAR length"},
+		{"DECIMAL(18446744073709551626,1)", "DECIMAL precision"},
+		// Past what the type word holds.
+		{"VARCHAR(65536)", "VARCHAR length"},
+		{"DECIMAL(256,2)", "DECIMAL precision"},
+		{"DECIMAL(10,256)", "DECIMAL scale"},
+		{"ARRAY<CHAR(70000)>", "CHAR length"},
+	} {
+		_, err := ParseType(c.in)
+		if err == nil || !strings.Contains(err.Error(), c.msg) || !strings.Contains(err.Error(), c.in) {
+			t.Errorf("ParseType(%q) = %v, want an error naming %s and the type", c.in, err, c.msg)
+		}
+	}
+	for _, in := range []string{"CHAR(65535)", "VARCHAR(255)", "DECIMAL(38,18)", "DECIMAL(255,255)"} {
+		got, err := ParseType(in)
+		if err != nil || got.String() != in {
+			t.Errorf("ParseType(%q) = %v, %v", in, got, err)
+		}
+	}
+}
+
+func TestTypeConstructorsRejectWideParameters(t *testing.T) {
+	for name, build := range map[string]func(){
+		"CHAR":    func() { CharType(maxTypeLength + 1) },
+		"VARCHAR": func() { VarcharType(-1) },
+		"DECIMAL": func() { DecimalType(maxTypePrecision+1, 0) },
+		"scale":   func() { DecimalType(10, -1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: out-of-range parameter did not panic", name)
+				}
+			}()
+			build()
+		}()
 	}
 }
 

@@ -1,148 +1,270 @@
 package sqlval
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
 )
 
-// Value is a typed SQL value. Exactly one payload field is meaningful,
-// selected by Type.Kind; Null values carry only their type.
+// Value is a typed SQL value in 64 bytes. Its layout is private to the
+// package: build values with the constructors below and read them
+// through the accessors.
 //
 // Representation:
-//   - BOOLEAN: B
-//   - TINYINT..BIGINT: I
-//   - FLOAT/DOUBLE: F
-//   - DECIMAL: D
-//   - STRING/CHAR/VARCHAR: S
-//   - BINARY: Bytes
-//   - DATE: I (days since 1970-01-01, proleptic Gregorian)
-//   - TIMESTAMP: I (microseconds since 1970-01-01T00:00:00, no zone)
-//   - ARRAY: List
-//   - MAP: Keys/Vals parallel slices in insertion order
-//   - STRUCT: FieldVals parallel to Type.Fields
+//   - kind, prec, scale, length and nest are the value's Type, with the
+//     type word flattened so that null and dscale fit beside it;
+//   - word holds BOOLEAN (0 or 1), TINYINT..BIGINT, DATE (days since
+//     1970-01-01, proleptic Gregorian), TIMESTAMP (microseconds since
+//     1970-01-01T00:00:00, no zone), FLOAT/DOUBLE (IEEE bits) and the
+//     DECIMAL unscaled integer;
+//   - dscale is the DECIMAL payload's own scale, which in a decoded
+//     file may differ from the type's;
+//   - s holds STRING/CHAR/VARCHAR text and BINARY bytes;
+//   - elems holds ARRAY items, STRUCT field values parallel to the
+//     type's fields, and MAP entries interleaved as k0,v0,k1,v1,….
 type Value struct {
-	Type Type
-	Null bool
+	kind   Kind
+	prec   uint8
+	scale  uint8
+	null   bool
+	dscale uint8
+	length uint16
+	nest   *nested
+	word   uint64
+	s      string
+	elems  []Value
+}
 
-	B     bool
-	I     int64
-	F     float64
-	D     Decimal
-	S     string
-	Bytes []byte
-
-	List      []Value
-	Keys      []Value
-	Vals      []Value
-	FieldVals []Value
+// of returns the non-null zero value of type t.
+func of(t Type) Value {
+	return Value{kind: t.Kind, prec: t.prec, scale: t.scale, length: t.length, nest: t.nest}
 }
 
 // NullOf returns the NULL value of the given type.
-func NullOf(t Type) Value { return Value{Type: t, Null: true} }
+func NullOf(t Type) Value {
+	v := of(t)
+	v.null = true
+	return v
+}
 
 // BoolVal returns a BOOLEAN value.
-func BoolVal(b bool) Value { return Value{Type: Boolean, B: b} }
+func BoolVal(b bool) Value {
+	v := of(Boolean)
+	if b {
+		v.word = 1
+	}
+	return v
+}
 
 // IntVal returns a value of the given integral kind. The caller is
 // responsible for range checking; use Cast for checked conversion.
-func IntVal(t Type, v int64) Value { return Value{Type: t, I: v} }
+func IntVal(t Type, i int64) Value {
+	v := of(t)
+	v.word = uint64(i)
+	return v
+}
 
 // FloatVal returns a FLOAT value (stored as float64, rounded to float32
 // precision to model the narrower type).
 func FloatVal(f float64) Value {
-	return Value{Type: Float, F: float64(float32(f))}
+	v := of(Float)
+	v.word = math.Float64bits(float64(float32(f)))
+	return v
 }
 
 // DoubleVal returns a DOUBLE value.
-func DoubleVal(f float64) Value { return Value{Type: Double, F: f} }
+func DoubleVal(f float64) Value {
+	v := of(Double)
+	v.word = math.Float64bits(f)
+	return v
+}
 
-// DecimalVal returns a DECIMAL(p,s) value. The decimal is stored as-is;
-// use Cast to coerce into a declared precision/scale.
-func DecimalVal(d Decimal, precision int) Value {
-	return Value{Type: DecimalType(precision, d.Scale), D: d}
+// DecimalVal returns a value of the DECIMAL type t holding d at d's own
+// scale, which need not be t's: a decoder keeps the scale its file
+// recorded. Use Cast to coerce d into t. It panics when d's scale is
+// outside [0, maxTypePrecision].
+func DecimalVal(t Type, d Decimal) Value {
+	if d.Scale < 0 || d.Scale > maxTypePrecision {
+		panic(fmt.Sprintf("sqlval: decimal scale %d out of range", d.Scale))
+	}
+	v := of(t)
+	v.word = uint64(d.Unscaled)
+	v.dscale = uint8(d.Scale)
+	return v
 }
 
 // StringVal returns a STRING value.
-func StringVal(s string) Value { return Value{Type: String, S: s} }
+func StringVal(s string) Value { return textVal(String, s) }
 
 // CharVal returns a CHAR(n) value without padding or truncation.
-func CharVal(s string, n int) Value { return Value{Type: CharType(n), S: s} }
+func CharVal(s string, n int) Value { return textVal(CharType(n), s) }
 
 // VarcharVal returns a VARCHAR(n) value without truncation.
-func VarcharVal(s string, n int) Value { return Value{Type: VarcharType(n), S: s} }
+func VarcharVal(s string, n int) Value { return textVal(VarcharType(n), s) }
 
-// BinaryVal returns a BINARY value.
-func BinaryVal(b []byte) Value { return Value{Type: Binary, Bytes: b} }
+// BinaryVal returns a BINARY value holding a copy of b.
+func BinaryVal(b []byte) Value { return textVal(Binary, string(b)) }
 
-// DateVal returns a DATE value from days since the Unix epoch.
-func DateVal(days int64) Value { return Value{Type: Date, I: days} }
-
-// TimestampVal returns a TIMESTAMP value from microseconds since epoch.
-func TimestampVal(micros int64) Value { return Value{Type: Timestamp, I: micros} }
-
-// ArrayVal returns an ARRAY<elem> value.
-func ArrayVal(elem Type, items ...Value) Value {
-	return Value{Type: ArrayType(elem), List: items}
+func textVal(t Type, s string) Value {
+	v := of(t)
+	v.s = s
+	return v
 }
 
-// MapVal returns a MAP<k,v> value with parallel key/value slices.
-func MapVal(key, val Type, keys, vals []Value) Value {
-	return Value{Type: MapType(key, val), Keys: keys, Vals: vals}
+// DateVal returns a DATE value from days since the Unix epoch.
+func DateVal(days int64) Value { return IntVal(Date, days) }
+
+// TimestampVal returns a TIMESTAMP value from microseconds since epoch.
+func TimestampVal(micros int64) Value { return IntVal(Timestamp, micros) }
+
+// ArrayVal returns a value of the ARRAY type t holding items.
+func ArrayVal(t Type, items ...Value) Value { return nestedVal(t, items) }
+
+// MapVal returns a value of the MAP type t whose entries are
+// interleaved as key0, value0, key1, value1, ….
+func MapVal(t Type, entries ...Value) Value {
+	if len(entries)%2 != 0 {
+		panic("sqlval: MapVal needs a value for every key")
+	}
+	return nestedVal(t, entries)
 }
 
 // StructVal returns a STRUCT value whose field values parallel t.Fields.
-func StructVal(t Type, fieldVals ...Value) Value {
-	return Value{Type: t, FieldVals: fieldVals}
+func StructVal(t Type, fieldVals ...Value) Value { return nestedVal(t, fieldVals) }
+
+func nestedVal(t Type, elems []Value) Value {
+	v := of(t)
+	v.elems = elems
+	return v
 }
+
+// Type returns the value's type.
+func (v Value) Type() Type {
+	return Type{Kind: v.kind, prec: v.prec, scale: v.scale, length: v.length, nest: v.nest}
+}
+
+// Kind returns the kind of the value's type.
+func (v Value) Kind() Kind { return v.kind }
+
+// IsNull reports whether the value is NULL.
+func (v Value) IsNull() bool { return v.null }
+
+// Bool returns a BOOLEAN value's payload, false for any other kind.
+func (v Value) Bool() bool { return v.kind == KindBoolean && v.word != 0 }
+
+// Int returns the payload of an integral, DATE (days) or TIMESTAMP
+// (microseconds) value, 0 for any other kind.
+func (v Value) Int() int64 {
+	switch v.kind {
+	case KindTinyInt, KindSmallInt, KindInt, KindBigInt, KindDate, KindTimestamp:
+		return int64(v.word)
+	}
+	return 0
+}
+
+// Float returns a FLOAT or DOUBLE value's payload, 0 for any other kind.
+func (v Value) Float() float64 {
+	if v.kind == KindFloat || v.kind == KindDouble {
+		return math.Float64frombits(v.word)
+	}
+	return 0
+}
+
+// Dec returns a DECIMAL value's payload at its own scale, the zero
+// Decimal for any other kind.
+func (v Value) Dec() Decimal {
+	if v.kind != KindDecimal {
+		return Decimal{}
+	}
+	return Decimal{Unscaled: int64(v.word), Scale: int(v.dscale)}
+}
+
+// Str returns the text of a STRING, CHAR or VARCHAR value or the bytes
+// of a BINARY one, and "" for any other kind.
+func (v Value) Str() string { return v.s }
+
+// Bytes returns a copy of a BINARY value's bytes, nil for any other
+// kind.
+func (v Value) Bytes() []byte {
+	if v.kind != KindBinary {
+		return nil
+	}
+	return []byte(v.s)
+}
+
+// Elems returns an ARRAY value's items or a STRUCT value's field
+// values, nil for any other kind (a MAP reads through Len, Key and Val).
+// The slice is the value's own: a caller that changes it changes the
+// value and every copy of it, so Clone first.
+func (v Value) Elems() []Value {
+	if v.kind == KindMap {
+		return nil
+	}
+	return v.elems
+}
+
+// Len returns the number of entries of a MAP value, 0 for any other
+// kind.
+func (v Value) Len() int {
+	if v.kind != KindMap {
+		return 0
+	}
+	return len(v.elems) / 2
+}
+
+// Key returns the key of a MAP value's i-th entry.
+func (v Value) Key(i int) Value { return v.elems[2*i] }
+
+// Val returns the value of a MAP value's i-th entry.
+func (v Value) Val(i int) Value { return v.elems[2*i+1] }
 
 // IsNaN reports whether a floating value is NaN.
 func (v Value) IsNaN() bool {
-	return (v.Type.Kind == KindFloat || v.Type.Kind == KindDouble) && math.IsNaN(v.F)
+	return (v.kind == KindFloat || v.kind == KindDouble) && math.IsNaN(v.Float())
 }
 
 // String renders the value for logs and differential comparison. NULL
 // renders as "NULL"; strings are quoted; nested values render in Hive's
 // display syntax.
 func (v Value) String() string {
-	if v.Null {
+	if v.null {
 		return "NULL"
 	}
-	switch v.Type.Kind {
+	switch v.kind {
 	case KindBoolean:
-		if v.B {
+		if v.Bool() {
 			return "true"
 		}
 		return "false"
 	case KindTinyInt, KindSmallInt, KindInt, KindBigInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case KindFloat, KindDouble:
-		if math.IsNaN(v.F) {
+		f := v.Float()
+		if math.IsNaN(f) {
 			return "NaN"
 		}
-		if math.IsInf(v.F, 1) {
+		if math.IsInf(f, 1) {
 			return "Infinity"
 		}
-		if math.IsInf(v.F, -1) {
+		if math.IsInf(f, -1) {
 			return "-Infinity"
 		}
-		return fmt.Sprintf("%g", v.F)
+		return fmt.Sprintf("%g", f)
 	case KindDecimal:
-		return v.D.String()
+		return v.Dec().String()
 	case KindString, KindChar, KindVarchar:
-		return fmt.Sprintf("%q", v.S)
+		return strconv.Quote(v.s)
 	case KindBinary:
-		return fmt.Sprintf("X'%X'", v.Bytes)
+		return fmt.Sprintf("X'%X'", v.s)
 	case KindDate:
-		return FormatDate(v.I)
+		return FormatDate(v.Int())
 	case KindTimestamp:
-		return FormatTimestamp(v.I)
+		return FormatTimestamp(v.Int())
 	case KindArray:
 		var b strings.Builder
 		b.WriteByte('[')
-		for i, e := range v.List {
+		for i, e := range v.elems {
 			if i > 0 {
 				b.WriteByte(',')
 			}
@@ -153,27 +275,27 @@ func (v Value) String() string {
 	case KindMap:
 		var b strings.Builder
 		b.WriteByte('{')
-		for i := range v.Keys {
+		for i := 0; i < v.Len(); i++ {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(v.Keys[i].String())
+			b.WriteString(v.Key(i).String())
 			b.WriteByte(':')
-			b.WriteString(v.Vals[i].String())
+			b.WriteString(v.Val(i).String())
 		}
 		b.WriteByte('}')
 		return b.String()
 	case KindStruct:
 		var b strings.Builder
 		b.WriteByte('{')
-		for i, f := range v.Type.Fields {
+		for i, f := range v.Type().Fields() {
 			if i > 0 {
 				b.WriteByte(',')
 			}
 			b.WriteString(f.Name)
 			b.WriteByte(':')
-			if i < len(v.FieldVals) {
-				b.WriteString(v.FieldVals[i].String())
+			if i < len(v.elems) {
+				b.WriteString(v.elems[i].String())
 			}
 		}
 		b.WriteByte('}')
@@ -187,7 +309,7 @@ func (v Value) String() string {
 // the same type are equal; NaN equals NaN (so differential comparison
 // does not flag NaN round-trips).
 func (v Value) Equal(o Value) bool {
-	if !v.Type.Equal(o.Type) {
+	if !v.Type().Equal(o.Type()) {
 		return false
 	}
 	return v.EqualData(o)
@@ -199,59 +321,38 @@ func (v Value) Equal(o Value) bool {
 // the comparison used by the write-read oracle, which tolerates type
 // re-declaration but not data change.
 func (v Value) EqualData(o Value) bool {
-	if v.Null || o.Null {
-		return v.Null == o.Null
+	if v.null || o.null {
+		return v.null == o.null
 	}
-	a, b := v.Type.Kind, o.Type.Kind
-	if v.Type.IsCharacter() && o.Type.IsCharacter() {
-		return v.S == o.S
+	a, b := v.Type(), o.Type()
+	if a.IsCharacter() && b.IsCharacter() {
+		return v.s == o.s
 	}
-	if v.Type.IsIntegral() && o.Type.IsIntegral() {
-		return v.I == o.I
+	if a.IsIntegral() && b.IsIntegral() {
+		return v.word == o.word
 	}
-	if a != b {
+	if a.Kind != b.Kind {
 		return false
 	}
-	switch a {
-	case KindBoolean:
-		return v.B == o.B
+	switch a.Kind {
+	case KindBoolean, KindDate, KindTimestamp:
+		return v.word == o.word
 	case KindFloat, KindDouble:
-		if math.IsNaN(v.F) && math.IsNaN(o.F) {
+		fv, fo := v.Float(), o.Float()
+		if math.IsNaN(fv) && math.IsNaN(fo) {
 			return true
 		}
-		return v.F == o.F
+		return fv == fo
 	case KindDecimal:
-		return v.D.Cmp(o.D) == 0
+		return v.Dec().Cmp(o.Dec()) == 0
 	case KindBinary:
-		return bytes.Equal(v.Bytes, o.Bytes)
-	case KindDate, KindTimestamp:
-		return v.I == o.I
-	case KindArray:
-		if len(v.List) != len(o.List) {
+		return v.s == o.s
+	case KindArray, KindMap, KindStruct:
+		if len(v.elems) != len(o.elems) {
 			return false
 		}
-		for i := range v.List {
-			if !v.List[i].EqualData(o.List[i]) {
-				return false
-			}
-		}
-		return true
-	case KindMap:
-		if len(v.Keys) != len(o.Keys) {
-			return false
-		}
-		for i := range v.Keys {
-			if !v.Keys[i].EqualData(o.Keys[i]) || !v.Vals[i].EqualData(o.Vals[i]) {
-				return false
-			}
-		}
-		return true
-	case KindStruct:
-		if len(v.FieldVals) != len(o.FieldVals) {
-			return false
-		}
-		for i := range v.FieldVals {
-			if !v.FieldVals[i].EqualData(o.FieldVals[i]) {
+		for i := range v.elems {
+			if !v.elems[i].EqualData(o.elems[i]) {
 				return false
 			}
 		}
@@ -262,26 +363,22 @@ func (v Value) EqualData(o Value) bool {
 }
 
 // Clone returns a deep copy of the value; mutating the copy never
-// affects the original.
+// affects the original. The type and the string payload are immutable
+// and shared.
 func (v Value) Clone() Value {
 	out := v
-	if v.Bytes != nil {
-		out.Bytes = append([]byte(nil), v.Bytes...)
-	}
-	out.List = cloneSlice(v.List)
-	out.Keys = cloneSlice(v.Keys)
-	out.Vals = cloneSlice(v.Vals)
-	out.FieldVals = cloneSlice(v.FieldVals)
+	out.elems = mapElems(v.elems, Value.Clone)
 	return out
 }
 
-func cloneSlice(in []Value) []Value {
+// mapElems returns f applied to each member of in, keeping nil as nil.
+func mapElems(in []Value, f func(Value) Value) []Value {
 	if in == nil {
 		return nil
 	}
 	out := make([]Value, len(in))
 	for i := range in {
-		out[i] = in[i].Clone()
+		out[i] = f(in[i])
 	}
 	return out
 }

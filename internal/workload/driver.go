@@ -97,7 +97,7 @@ func Run(tables []Table, via Engine, format string, sparkConf map[string]string)
 			res.ScanAgree = false
 		}
 		hcount, err := d.Hive.Execute(fmt.Sprintf("SELECT COUNT(*) FROM %s", t.Name))
-		if err != nil || len(hcount.Rows) != 1 || hcount.Rows[0][0].I != int64(len(hres.Rows)) {
+		if err != nil || len(hcount.Rows) != 1 || hcount.Rows[0][0].Int() != int64(len(hres.Rows)) {
 			res.ScanAgree = false
 		}
 	}
@@ -126,18 +126,18 @@ func insertStatement(table string, batch []sqlval.Row) string {
 
 // literal renders a value as a SQL literal the parser accepts.
 func literal(v sqlval.Value) string {
-	if v.Null {
+	if v.IsNull() {
 		return "NULL"
 	}
-	switch v.Type.Kind {
+	switch v.Kind() {
 	case sqlval.KindString, sqlval.KindChar, sqlval.KindVarchar:
-		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
+		return "'" + strings.ReplaceAll(v.Str(), "'", "''") + "'"
 	case sqlval.KindTimestamp:
-		return fmt.Sprintf("TIMESTAMP '%s'", sqlval.FormatTimestamp(v.I))
+		return fmt.Sprintf("TIMESTAMP '%s'", sqlval.FormatTimestamp(v.Int()))
 	case sqlval.KindDate:
-		return fmt.Sprintf("DATE '%s'", sqlval.FormatDate(v.I))
+		return fmt.Sprintf("DATE '%s'", sqlval.FormatDate(v.Int()))
 	case sqlval.KindBoolean:
-		if v.B {
+		if v.Bool() {
 			return "true"
 		}
 		return "false"

@@ -99,7 +99,7 @@ func Generate(spec Spec) []Table {
 				sqlval.IntVal(sqlval.BigInt, int64(t)<<32|int64(i)),
 				sqlval.IntVal(sqlval.Int, int64(r.intn(100_000))),
 				sqlval.StringVal(actions[r.intn(len(actions))]),
-				sqlval.Value{Type: sqlval.DecimalType(12, 2), D: sqlval.Decimal{Unscaled: cents, Scale: 2}},
+				sqlval.DecimalVal(sqlval.DecimalType(12, 2), sqlval.Decimal{Unscaled: cents, Scale: 2}),
 				sqlval.DoubleVal(math.Sqrt(float64(r.intn(10_000)))),
 				sqlval.BoolVal(r.intn(100) < 3),
 				sqlval.TimestampVal(1_600_000_000_000_000 + int64(i)*sqlval.MicrosPerSecond),

@@ -47,7 +47,7 @@ func TestGenerateShape(t *testing.T) {
 				if len(row) != 7 {
 					t.Fatalf("row arity = %d", len(row))
 				}
-				if row[3].Type.Kind != sqlval.KindDecimal || row[3].D.Scale != 2 {
+				if row[3].Kind() != sqlval.KindDecimal || row[3].Dec().Scale != 2 {
 					t.Fatalf("amount = %v", row[3])
 				}
 			}
