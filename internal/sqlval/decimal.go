@@ -34,7 +34,8 @@ func Pow10(n int) int64 {
 }
 
 // ParseDecimal parses a decimal literal such as "-12.345". The resulting
-// scale equals the number of fractional digits written.
+// scale equals the number of fractional digits written, at most
+// MaxDecimalPrecision.
 func ParseDecimal(s string) (Decimal, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -62,6 +63,11 @@ func ParseDecimal(s string) (Decimal, error) {
 		if len(trimmed) > MaxDecimalPrecision {
 			return Decimal{}, fmt.Errorf("sqlval: decimal literal %q exceeds precision %d", s, MaxDecimalPrecision)
 		}
+	}
+	if len(fracPart) > MaxDecimalPrecision {
+		// Leading zeros after the point still count toward the scale,
+		// and no scale past 18 can be rendered or rescaled.
+		return Decimal{}, fmt.Errorf("sqlval: decimal literal %q exceeds scale %d", s, MaxDecimalPrecision)
 	}
 	var unscaled int64
 	for _, c := range digits {

@@ -20,6 +20,7 @@ func TestParseDecimal(t *testing.T) {
 		{"+7.5", 75, 1},
 		{"100.", 100, 0},
 		{".5", 5, 1},
+		{"0.000000000000000001", 1, 18},
 	}
 	for _, c := range cases {
 		d, err := ParseDecimal(c.in)
@@ -33,7 +34,9 @@ func TestParseDecimal(t *testing.T) {
 }
 
 func TestParseDecimalErrors(t *testing.T) {
-	for _, in := range []string{"", "abc", "1.2.3", ".", "12345678901234567890", "--5"} {
+	// The last two fit 18 significant digits but not an 18-digit scale.
+	for _, in := range []string{"", "abc", "1.2.3", ".", "12345678901234567890", "--5",
+		"0.0000000000000000001", "0.0000000000000000000"} {
 		if _, err := ParseDecimal(in); err == nil {
 			t.Errorf("ParseDecimal(%q): expected error", in)
 		}
