@@ -47,7 +47,7 @@ func main() {
 	}
 	if *list {
 		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Contract)
+			fmt.Printf("%-13s %s\n", a.Name, a.Contract)
 		}
 		return
 	}

@@ -111,37 +111,6 @@ func (r *RunResult) WriteOracleLogs(dir string) ([]string, error) {
 	return names, nil
 }
 
-// ReadOracleLogs reads back a directory written by WriteOracleLogs,
-// keyed like OracleLogs. Empty groups come back as empty (non-nil)
-// slices.
-func ReadOracleLogs(dir string) (map[string][]LogEntry, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string][]LogEntry{}
-	for _, e := range entries {
-		name := e.Name()
-		const suffix = "_failed.json"
-		if e.IsDir() || len(name) <= len(suffix) || name[len(name)-len(suffix):] != suffix {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		var logs []LogEntry
-		if err := json.Unmarshal(data, &logs); err != nil {
-			return nil, fmt.Errorf("core: parsing %s: %w", name, err)
-		}
-		if logs == nil {
-			logs = []LogEntry{}
-		}
-		out[name[:len(name)-len(suffix)]] = logs
-	}
-	return out, nil
-}
-
 func containsString(list []string, s string) bool {
 	for _, v := range list {
 		if v == s {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/csi"
-	"repro/internal/inject"
 )
 
 // PartitionFailure lifts one partition-campaign finding into the
@@ -23,12 +22,4 @@ func PartitionFailure(scenario, signature, detail string) Failure {
 		Signature: signature,
 		Detail:    fmt.Sprintf("[%s] %s", scenario, detail),
 	}
-}
-
-// ClassifyPartition maps a partition signature onto its P* registry
-// entry. ok=false marks a signature no registry entry claims — a
-// genuinely new partition finding.
-func ClassifyPartition(signature string) (inject.PartitionDiscrepancy, bool) {
-	d, ok := inject.PartitionBySignature()[signature]
-	return d, ok
 }

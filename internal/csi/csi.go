@@ -30,11 +30,6 @@ const (
 // first-class hop in propagation chains (e.g. Spark → SerDe → HDFS).
 const SerDe System = "SerDe"
 
-// Systems lists the seven target systems in the order of Table 1.
-func Systems() []System {
-	return []System{Spark, Hive, YARN, HDFS, Flink, Kafka, HBase}
-}
-
 // Plane is a logical interaction plane as defined in §2.2.
 type Plane int
 

@@ -47,9 +47,3 @@ func TestIssueIDSynthesized(t *testing.T) {
 		}
 	}
 }
-
-func TestSystemsList(t *testing.T) {
-	if len(Systems()) != 7 {
-		t.Errorf("systems = %v", Systems())
-	}
-}

@@ -42,6 +42,8 @@ var (
 
 // Failures returns the memoized dataset, panicking on a construction
 // bug (which the test suite rules out).
+//
+//crossvet:unused-export the Table 1-9 and Findings tests in internal/study read the memoized dataset
 func Failures() []Failure {
 	failuresOnce.Do(func() {
 		failuresMemo, failuresErr = BuildFailures()

@@ -112,6 +112,8 @@ type SamplingSummary struct {
 }
 
 // Sampling returns the §4 statistics.
+//
+//crossvet:unused-export the §4 sampling counts, pinned by TestSamplingSummary
 func Sampling() SamplingSummary {
 	return SamplingSummary{
 		CandidateIssues:    1428,

@@ -358,6 +358,8 @@ const (
 // ToHiveType maps a Flink logical type to the Hive type the catalog
 // stores. PROCTIME has no Hive representation and is stored as
 // TIMESTAMP — losing the attribute.
+//
+//crossvet:unused-export FLINK-17189 row of the EXPERIMENTS.md §6 table, pinned by TestHiveCatalogProctimeMapping
 func ToHiveType(t FlinkType) string {
 	return "TIMESTAMP"
 }
@@ -366,6 +368,8 @@ func ToHiveType(t FlinkType) string {
 // schema declared. With the FLINK-17189 defect present the reverse
 // mapping is missing: a PROCTIME column read back as TIMESTAMP fails
 // schema validation.
+//
+//crossvet:unused-export FLINK-17189 row of the EXPERIMENTS.md §6 table, pinned by TestHiveCatalogProctimeMapping
 func FromHiveType(hiveType string, declared FlinkType, fixed bool) (FlinkType, error) {
 	if declared == TypeProctime {
 		if !fixed {

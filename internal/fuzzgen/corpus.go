@@ -73,22 +73,6 @@ func LoadCorpus(dir string) ([]*Reproducer, error) {
 	return out, nil
 }
 
-// Replay executes a persisted reproducer and reports whether its
-// recorded signature is still detected.
-func Replay(r *Reproducer) (bool, error) {
-	cp := cloneCase(r.Case)
-	res, err := Execute(&cp, 1)
-	if err != nil {
-		return false, err
-	}
-	for _, f := range res.Failures {
-		if f.Signature == r.Signature {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
 func sanitizeSignature(sig string) string {
 	var b strings.Builder
 	for _, c := range sig {

@@ -12,6 +12,22 @@ import (
 // corpusDir is the repo-level discrepancy regression corpus.
 const corpusDir = "../../testdata/fuzzcorpus"
 
+// replay executes a persisted reproducer and reports whether its
+// recorded signature is still detected.
+func replay(r *Reproducer) (bool, error) {
+	cp := cloneCase(r.Case)
+	res, err := Execute(&cp, 1)
+	if err != nil {
+		return false, err
+	}
+	for _, f := range res.Failures {
+		if f.Signature == r.Signature {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
 // TestRegressionCorpusReplays is the forever-test: every reproducer a
 // past campaign promoted must still fail with its recorded signature.
 // A change that "fixes" one of these should consciously delete the
@@ -31,7 +47,7 @@ func TestRegressionCorpusReplays(t *testing.T) {
 			if _, ok := known[r.Signature]; ok {
 				t.Errorf("corpus entry %q duplicates a Figure-6 registry signature", r.Signature)
 			}
-			ok, err := Replay(r)
+			ok, err := replay(r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,4 +162,36 @@ func TestCampaignDedupsAgainstCorpus(t *testing.T) {
 			t.Errorf("campaign re-minimized already-persisted signature %q", r.Signature)
 		}
 	}
+}
+
+// FuzzLoadCorpus asserts corpus decoding is total: LoadCorpus rejects a
+// malformed file with an error, and every reproducer it accepts
+// executes, failing or not, without panicking. Seeded from the
+// regression corpus.
+func FuzzLoadCorpus(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join(corpusDir, "*.json"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no corpus seeds: %v", err)
+	}
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "case.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		corpus, err := LoadCorpus(dir)
+		if err != nil {
+			return
+		}
+		for _, r := range corpus {
+			cp := cloneCase(r.Case)
+			_, _ = Execute(&cp, 1)
+		}
+	})
 }

@@ -33,15 +33,10 @@ var (
 // DefaultLeaseTTLMs is the default lease soft limit.
 const DefaultLeaseTTLMs = 60_000
 
-// Lease is the NameNode's record of a file's write lease. Gen is the
-// pipeline generation stamp: it increments every time the lease changes
-// holder, so a DataNode can tell a stale writer from the current one.
-type Lease struct {
-	Holder   string
-	Gen      int64
-	ExpiryMs int64
-}
-
+// leaseState is the NameNode's record of a file's write lease. gen is
+// the pipeline generation stamp: it increments every time the lease
+// changes holder, so a DataNode can tell a stale writer from the
+// current one.
 type leaseState struct {
 	holder   string
 	gen      int64

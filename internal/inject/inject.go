@@ -10,8 +10,6 @@
 // oracles without consulting the registry.
 package inject
 
-import "sort"
-
 // Category is a §8.2 problem category.
 type Category string
 
@@ -232,16 +230,5 @@ func CategoryCounts(numbers []int) map[Category]int {
 			out[c]++
 		}
 	}
-	return out
-}
-
-// Numbers returns the sorted discrepancy numbers in the registry.
-func Numbers() []int {
-	reg := Registry()
-	out := make([]int, len(reg))
-	for i, d := range reg {
-		out[i] = d.Number
-	}
-	sort.Ints(out)
 	return out
 }

@@ -35,7 +35,7 @@ type LoadDiscrepancy struct {
 	// Categories are the load-plane categories above plus any §8.2
 	// category the failure manifests as.
 	Categories []Category
-	// Signatures are the classifier keys (loadgen.KnownSignatures)
+	// Signatures are the classifier keys (loadgen's Sig* constants)
 	// that map classified cells onto this entry — mirrored one-for-one
 	// with the loadgen classifier, tested from both packages.
 	Signatures []string
@@ -69,24 +69,4 @@ func LoadRegistry() []LoadDiscrepancy {
 			Signatures: []string{"thundering-herd"},
 		},
 	}
-}
-
-// LoadBySignature returns the signature → load discrepancy index.
-func LoadBySignature() map[string]LoadDiscrepancy {
-	out := make(map[string]LoadDiscrepancy)
-	for _, d := range LoadRegistry() {
-		for _, sig := range d.Signatures {
-			out[sig] = d
-		}
-	}
-	return out
-}
-
-// LoadByID returns the ID → load discrepancy index.
-func LoadByID() map[string]LoadDiscrepancy {
-	out := make(map[string]LoadDiscrepancy)
-	for _, d := range LoadRegistry() {
-		out[d.ID] = d
-	}
-	return out
 }

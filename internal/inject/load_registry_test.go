@@ -44,10 +44,4 @@ func TestLoadRegistryWellFormed(t *testing.T) {
 			bySig[sig] = d.ID
 		}
 	}
-	if len(LoadBySignature()) != len(bySig) {
-		t.Errorf("LoadBySignature has %d entries, want %d", len(LoadBySignature()), len(bySig))
-	}
-	if len(LoadByID()) != len(reg) {
-		t.Errorf("LoadByID has %d entries, want %d", len(LoadByID()), len(reg))
-	}
 }

@@ -41,6 +41,8 @@ type PartitionDiscrepancy struct {
 // PartitionRegistry returns the modeled partition discrepancies, in P*
 // order. IDs, scenario names, and signatures mirror the
 // internal/partition scenario registry one-for-one (tested both ways).
+//
+//crossvet:unused-export the P* registry: crossvet's registry check reads it by name and TestRegistryRoundTrip pins it to the scenarios
 func PartitionRegistry() []PartitionDiscrepancy {
 	return []PartitionDiscrepancy{
 		{
@@ -93,25 +95,4 @@ func PartitionRegistry() []PartitionDiscrepancy {
 			Signatures: []string{"partition-over-allocation"},
 		},
 	}
-}
-
-// PartitionBySignature returns the signature → partition discrepancy
-// index.
-func PartitionBySignature() map[string]PartitionDiscrepancy {
-	out := make(map[string]PartitionDiscrepancy)
-	for _, d := range PartitionRegistry() {
-		for _, sig := range d.Signatures {
-			out[sig] = d
-		}
-	}
-	return out
-}
-
-// PartitionByID returns the ID → partition discrepancy index.
-func PartitionByID() map[string]PartitionDiscrepancy {
-	out := make(map[string]PartitionDiscrepancy)
-	for _, d := range PartitionRegistry() {
-		out[d.ID] = d
-	}
-	return out
 }

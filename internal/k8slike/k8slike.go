@@ -74,6 +74,8 @@ type Options struct {
 }
 
 // New starts the reconciler on the clock.
+//
+//crossvet:unused-export BenchmarkControlPlaneAPIDesign (root bench_test.go) runs the declarative side of its comparison here
 func New(sim *vclock.Sim, opts Options) *Cluster {
 	if opts.StartupLatencyMs == 0 {
 		opts.StartupLatencyMs = 150
@@ -184,6 +186,8 @@ type ImpatientClient struct {
 }
 
 // NewImpatientClient creates the client.
+//
+//crossvet:unused-export BenchmarkControlPlaneAPIDesign (root bench_test.go) submits through it
 func NewImpatientClient(cluster *Cluster, name string, spec ReplicaSpec) *ImpatientClient {
 	return &ImpatientClient{cluster: cluster, name: name, spec: spec, doneAt: -1}
 }

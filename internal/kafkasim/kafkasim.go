@@ -257,6 +257,8 @@ type Client struct {
 }
 
 // NewClient returns a handle to the broker.
+//
+//crossvet:unused-export FLINK-4155 row of the EXPERIMENTS.md §6 table, pinned by TestClientPartitionDiscoveryContext
 func NewClient(broker *Broker, connected bool) *Client {
 	return &Client{broker: broker, Connected: connected}
 }

@@ -5,8 +5,8 @@
 // analyzers, each encoding one cross-boundary contract the dynamic
 // harness otherwise only assumes: determinism of the deterministic
 // packages, obs-tracer threading at simulator boundaries, registry ↔
-// classifier signature coverage, and errors.Is discipline for foreign
-// sentinels. Findings are emitted in deterministic order with a
+// classifier signature coverage, errors.Is discipline for foreign
+// sentinels, and no exported internal API without a non-test caller. Findings are emitted in deterministic order with a
 // sha256 report hash, following the same reproducibility conventions
 // as the crossfuzz and crosspart reports: the linter obeys the
 // contract it enforces.

@@ -41,6 +41,12 @@ func Analyzers() []Analyzer {
 				"never compared with == against a foreign sentinel",
 			run: analyzeErrorCmp,
 		},
+		{
+			Name: "unused-export",
+			Contract: "every exported func, type and var of an internal package is used by " +
+				"some non-test package, or waived as paper-table API",
+			run: analyzeUnusedExport,
+		},
 	}
 }
 

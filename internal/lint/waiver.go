@@ -10,10 +10,10 @@ import (
 //
 // placed either at the end of the offending line or on its own line
 // immediately above it. <check> is the finding's Check key (wallclock,
-// rand, env, maprange, boundary, registry, errorcmp); <reason> is a
-// mandatory free-text justification — a reasonless waiver is itself a
-// finding, as is a waiver that no longer waives anything, so stale
-// exceptions cannot accumulate silently.
+// rand, env, maprange, boundary, registry, errorcmp, unused-export);
+// <reason> is a mandatory free-text justification — a reasonless
+// waiver is itself a finding, as is a waiver that no longer waives
+// anything, so stale exceptions cannot accumulate silently.
 const waiverPrefix = "//crossvet:"
 
 // waiver is one parsed directive.

@@ -43,8 +43,8 @@ type Classification struct {
 	// PostAmplification is the attempts/arrivals ratio over the
 	// post-overload windows (0 when there are none).
 	PostAmplification float64 `json:"post_amplification"`
-	// Signatures name the failure modes observed, in KnownSignatures
-	// order.
+	// Signatures name the failure modes observed, in the order of the
+	// Sig* constants.
 	Signatures []string `json:"signatures,omitempty"`
 }
 

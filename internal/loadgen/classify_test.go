@@ -1,9 +1,6 @@
 package loadgen
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // classifyServer is the synthetic-window geometry: 400 requests of
 // capacity per 1 s window, collapse line at goodput < 120.
@@ -123,14 +120,5 @@ func TestClassifyEmpty(t *testing.T) {
 	cls := Classify(&RunStats{}, classifyServer, 1000, 0, false)
 	if cls.Class != ClassStable {
 		t.Errorf("empty run class = %s, want stable", cls.Class)
-	}
-}
-
-// TestKnownSignatures pins the stable order the inject.LoadRegistry
-// mirrors.
-func TestKnownSignatures(t *testing.T) {
-	want := []string{SigMetastableCollapse, SigRetryStorm, SigThunderingHerd}
-	if got := KnownSignatures(); !reflect.DeepEqual(got, want) {
-		t.Errorf("KnownSignatures() = %v, want %v", got, want)
 	}
 }

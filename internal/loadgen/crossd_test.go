@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -41,21 +42,24 @@ func (r *gateRunner) Execute(ctx context.Context, spec serve.JobSpec, _ func(cor
 	return &serve.JobResult{Key: key, Kind: spec.Kind, Spec: spec, Rendered: "storm", ReportSHA: core.HashBytes([]byte("storm"))}, nil
 }
 
-func newStormScheduler(t *testing.T, runner serve.Runner, workers, depth int) *serve.Scheduler {
+// newStormScheduler builds the scheduler under test and the metrics
+// registry it reports admission rejections to.
+func newStormScheduler(t *testing.T, runner serve.Runner, workers, depth int) (*serve.Scheduler, *obs.Registry) {
 	t.Helper()
 	cache, err := serve.NewCache(64, "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
 	s := serve.NewScheduler(serve.SchedulerOptions{
-		Workers: workers, QueueDepth: depth, Cache: cache, Executor: runner,
+		Workers: workers, QueueDepth: depth, Cache: cache, Executor: runner, Metrics: reg,
 	})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
 		s.Drain(ctx)
 	})
-	return s
+	return s, reg
 }
 
 // wedge fills the scheduler: every worker provably blocked inside
@@ -84,7 +88,7 @@ func wedge(t *testing.T, s *serve.Scheduler, runner *gateRunner, workers, depth 
 func TestCrossdStormNaiveGivesUp(t *testing.T) {
 	const workers, depth = 2, 4
 	runner := &gateRunner{gate: make(chan struct{}), started: make(chan struct{}, 256)}
-	s := newStormScheduler(t, runner, workers, depth)
+	s, _ := newStormScheduler(t, runner, workers, depth)
 	wedge(t, s, runner, workers, depth)
 
 	stats, err := DriveScheduler(s, CrossdStormOptions{
@@ -110,7 +114,7 @@ func TestCrossdStormNaiveGivesUp(t *testing.T) {
 func TestCrossdStormBreakerShedsTerminally(t *testing.T) {
 	const workers, depth = 2, 4
 	runner := &gateRunner{gate: make(chan struct{}), started: make(chan struct{}, 256)}
-	s := newStormScheduler(t, runner, workers, depth)
+	s, _ := newStormScheduler(t, runner, workers, depth)
 	wedge(t, s, runner, workers, depth)
 
 	// One client, so the breaker's state machine is sequential: session
@@ -143,7 +147,7 @@ func TestCrossdStormBreakerShedsTerminally(t *testing.T) {
 func TestCrossdStormBackoffRecovers(t *testing.T) {
 	const workers, depth = 2, 4
 	runner := &gateRunner{gate: make(chan struct{}), started: make(chan struct{}, 256), delay: 2 * time.Millisecond}
-	s := newStormScheduler(t, runner, workers, depth)
+	s, reg := newStormScheduler(t, runner, workers, depth)
 	wedge(t, s, runner, workers, depth)
 
 	done := make(chan struct{})
@@ -160,9 +164,13 @@ func TestCrossdStormBackoffRecovers(t *testing.T) {
 		})
 	}()
 
-	// Hold the wedge long enough that the first submissions certainly
-	// land on a full queue, then lift it and let the storm drain.
-	time.Sleep(100 * time.Millisecond)
+	// Hold the wedge until the storm has hit the full queue, then lift
+	// it and let the storm drain. The deadline is only a fail-safe: if
+	// it fires, the RejectQueue check below reports the unstressed run.
+	rejected := reg.Counter(obs.MetricAdmissionRejections, "reason", "queue_full")
+	for deadline := time.Now().Add(10 * time.Second); rejected.Value() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	close(runner.gate)
 	select {
 	case <-done:
@@ -180,7 +188,7 @@ func TestCrossdStormBackoffRecovers(t *testing.T) {
 		t.Errorf("failed %d give-ups %d shed %d, want 0s", stats.Failed, stats.GiveUps, stats.BreakerShed)
 	}
 	if stats.RejectQueue == 0 {
-		t.Error("no queue rejections during a 100 ms wedge: the storm never stressed the scheduler")
+		t.Error("no queue rejections while wedged: the storm never stressed the scheduler")
 	}
 	if stats.Attempts <= stats.Completed {
 		t.Errorf("attempts %d <= completions %d: retries never happened", stats.Attempts, stats.Completed)
@@ -192,7 +200,7 @@ func TestCrossdStormOptionValidation(t *testing.T) {
 		t.Error("nil scheduler accepted")
 	}
 	runner := &gateRunner{}
-	s := newStormScheduler(t, runner, 1, 1)
+	s, _ := newStormScheduler(t, runner, 1, 1)
 	if _, err := DriveScheduler(s, CrossdStormOptions{Policy: Naive{MaxAttempts: 1}}); err == nil {
 		t.Error("zero sessions accepted")
 	}

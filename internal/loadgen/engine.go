@@ -43,11 +43,6 @@ type EngineConfig struct {
 	Server    ServerConfig
 	Client    ClientConfig
 
-	// Backend, when set, is the control plane every served request
-	// drives (one YARN application lifecycle, one Kafka produce/fetch
-	// round trip, ...). Nil keeps the server purely synthetic.
-	Backend Backend
-
 	// Arrivals overrides the generated schedule. The phase-diagram
 	// runner passes the same slice to every policy row so the
 	// collapse-vs-recovery comparison runs on a byte-identical
@@ -91,10 +86,6 @@ type RunStats struct {
 	P99Ms        float64       `json:"p99_ms"`
 	BreakerOpens int64         `json:"breaker_opens,omitempty"`
 	Events       int           `json:"events"`
-	// BackendOps / BackendErrs mirror the SimServer's control-plane
-	// counters when a Backend is attached.
-	BackendOps  int64 `json:"backend_ops,omitempty"`
-	BackendErrs int64 `json:"backend_errs,omitempty"`
 }
 
 // Run executes one cell to the horizon. Deterministic: identical
@@ -128,7 +119,6 @@ func Run(cfg EngineConfig) (*RunStats, error) {
 
 	sim := vclock.New()
 	server := NewSimServer(sim, cfg.Server)
-	server.Backend = cfg.Backend
 	breaker := NewBreaker(cfg.Client.Breaker)
 	hist := cfg.Metrics.Histogram(obs.MetricLoadLatencyMs, LatencyBucketsMs, "cell", cfg.Label)
 	if hist == nil {
@@ -374,8 +364,6 @@ func Run(cfg EngineConfig) (*RunStats, error) {
 		}
 	}
 	stats.Totals.QueueLen = server.QueueLen()
-	stats.BackendOps = server.BackendOps
-	stats.BackendErrs = server.BackendErrs
 	stats.P50Ms = hist.Quantile(0.50)
 	stats.P95Ms = hist.Quantile(0.95)
 	stats.P99Ms = hist.Quantile(0.99)

@@ -87,9 +87,3 @@ const (
 	// jitter-free policy).
 	SigThunderingHerd = "thundering-herd"
 )
-
-// KnownSignatures lists every signature the classifier can emit, in
-// stable order. inject.LoadRegistry mirrors it one-for-one.
-func KnownSignatures() []string {
-	return []string{SigMetastableCollapse, SigRetryStorm, SigThunderingHerd}
-}

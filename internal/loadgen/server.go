@@ -56,13 +56,6 @@ type SimServer struct {
 
 	// Served counts completed requests (useful or wasted).
 	Served int64
-
-	// Backend, when set, performs one control-plane operation per
-	// completed request (see backend.go). BackendOps counts operations
-	// attempted; BackendErrs counts the ones that failed.
-	Backend     Backend
-	BackendOps  int64
-	BackendErrs int64
 }
 
 // NewSimServer builds a server on the simulator.
@@ -142,12 +135,6 @@ func (s *SimServer) dispatch() {
 		s.sim.After(s.cfg.ServiceMs, func() {
 			s.busy--
 			s.Served++
-			if s.Backend != nil {
-				if err := s.Backend.Op(s.BackendOps); err != nil {
-					s.BackendErrs++
-				}
-				s.BackendOps++
-			}
 			req.done(s.sim.Now())
 			s.dispatch()
 		})

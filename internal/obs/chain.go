@@ -131,16 +131,3 @@ func renderHop(h Hop) string {
 	}
 	return label
 }
-
-// Systems returns the distinct systems in hop order, each once.
-func Systems(hops []Hop) []csi.System {
-	seen := map[csi.System]bool{}
-	var out []csi.System
-	for _, h := range hops {
-		if !seen[h.System] {
-			seen[h.System] = true
-			out = append(out, h.System)
-		}
-	}
-	return out
-}

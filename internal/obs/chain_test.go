@@ -257,11 +257,3 @@ func TestRenderChainElidesLongTails(t *testing.T) {
 		t.Errorf("no elision marker: %q", rendered)
 	}
 }
-
-func TestSystemsDedup(t *testing.T) {
-	hops := []Hop{{System: csi.Flink}, {System: csi.YARN}, {System: csi.Flink}}
-	got := Systems(hops)
-	if len(got) != 2 || got[0] != csi.Flink || got[1] != csi.YARN {
-		t.Errorf("Systems = %v", got)
-	}
-}

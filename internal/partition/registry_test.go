@@ -22,8 +22,14 @@ func TestRegistryRoundTrip(t *testing.T) {
 
 	// Scenario -> discrepancy: every scenario's ID, anchor, and
 	// signature must resolve to the matching P* entry.
-	byID := inject.PartitionByID()
-	bySig := inject.PartitionBySignature()
+	byID := map[string]inject.PartitionDiscrepancy{}
+	bySig := map[string]inject.PartitionDiscrepancy{}
+	for _, d := range registry {
+		byID[d.ID] = d
+		for _, sig := range d.Signatures {
+			bySig[sig] = d
+		}
+	}
 	for _, sc := range scenarios {
 		d, ok := byID[sc.ID]
 		if !ok {
@@ -58,20 +64,6 @@ func TestRegistryRoundTrip(t *testing.T) {
 		if len(d.Signatures) != 1 || d.Signatures[0] != sc.Signature {
 			t.Errorf("%s: registry signatures %v, want exactly [%s]", d.ID, d.Signatures, sc.Signature)
 		}
-	}
-}
-
-// TestClassifyPartition pins the classifier bridge: campaign findings
-// classify by signature, unknown signatures report as genuinely new.
-func TestClassifyPartition(t *testing.T) {
-	for _, sc := range Scenarios() {
-		d, ok := core.ClassifyPartition(sc.Signature)
-		if !ok || d.ID != sc.ID {
-			t.Errorf("ClassifyPartition(%q) = %v/%v, want %s", sc.Signature, d.ID, ok, sc.ID)
-		}
-	}
-	if _, ok := core.ClassifyPartition("partition-nope"); ok {
-		t.Error("unknown signature classified")
 	}
 }
 

@@ -222,16 +222,6 @@ func Scenario23Trace(name string) (*obs.Tracer, error) {
 	return tr, nil
 }
 
-// Scenario23Chain renders the cross-system propagation chain of a §2.3
-// scenario's buggy replay.
-func Scenario23Chain(name string) (string, error) {
-	tr, err := Scenario23Trace(name)
-	if err != nil {
-		return "", err
-	}
-	return obs.RenderChain(tr.Chain(nil)), nil
-}
-
 // PmemKill replays FLINK-887: a JobManager container sized with or
 // without JVM headroom against YARN's pmem monitor. It reports whether
 // the monitor killed the JobManager and the kill message.

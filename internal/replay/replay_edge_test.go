@@ -15,17 +15,14 @@ import (
 	"repro/internal/kafkasim"
 )
 
-// TestScenario23UnknownNames rejects every unknown name on both the
-// trace and chain entry points, and names the offender in the error.
+// TestScenario23UnknownNames rejects every unknown name and names the
+// offender in the error.
 func TestScenario23UnknownNames(t *testing.T) {
 	for _, name := range []string{"", "nope", "Storm", "storm ", "filesize2"} {
 		if _, err := Scenario23Trace(name); err == nil {
 			t.Errorf("Scenario23Trace(%q) accepted an unknown name", name)
 		} else if !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
 			t.Errorf("Scenario23Trace(%q) error does not name the offender: %v", name, err)
-		}
-		if _, err := Scenario23Chain(name); err == nil {
-			t.Errorf("Scenario23Chain(%q) accepted an unknown name", name)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestScenario23Chains(t *testing.T) {
 				t.Fatal(err)
 			}
 			hops := tr.Chain(nil)
-			systems := obs.Systems(hops)
+			systems := chainSystems(hops)
 			if len(systems) < 2 {
 				t.Fatalf("chain crosses %d systems, want >= 2: %v", len(systems), systems)
 			}
@@ -52,14 +53,26 @@ func TestScenario23Chains(t *testing.T) {
 	}
 }
 
+// chainSystems returns the distinct systems of a chain in hop order.
+func chainSystems(hops []obs.Hop) []csi.System {
+	var out []csi.System
+	for _, h := range hops {
+		if !slices.Contains(out, h.System) {
+			out = append(out, h.System)
+		}
+	}
+	return out
+}
+
 // TestScenario23FailureMarked pins that the buggy filesize and
 // scheduler replays mark the failing hop.
 func TestScenario23FailureMarked(t *testing.T) {
 	for _, name := range []string{"filesize", "scheduler"} {
-		chain, err := Scenario23Chain(name)
+		tr, err := Scenario23Trace(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		chain := obs.RenderChain(tr.Chain(nil))
 		if !strings.Contains(chain, "✗") {
 			t.Errorf("%s chain has no failure mark: %q", name, chain)
 		}

@@ -30,7 +30,7 @@ func benchRows(n int) (Schema, []sqlval.Row) {
 // ad-hoc serialization hot path Finding 6 discusses.
 func BenchmarkEncode(b *testing.B) {
 	schema, rows := benchRows(1000)
-	for _, name := range Formats() {
+	for _, name := range formatNames {
 		format, _ := ByName(name)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -46,7 +46,7 @@ func BenchmarkEncode(b *testing.B) {
 // BenchmarkDecode measures read-side deserialization per format.
 func BenchmarkDecode(b *testing.B) {
 	schema, rows := benchRows(1000)
-	for _, name := range Formats() {
+	for _, name := range formatNames {
 		format, _ := ByName(name)
 		data, err := format.Encode(schema, nil, rows)
 		if err != nil {

@@ -37,7 +37,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(decimalFile(orcMagic, 300))
 	f.Add(decimalFile(parquetMagic, 300))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, name := range Formats() {
+		for _, name := range formatNames {
 			format, _ := ByName(name)
 			file, err := format.Decode(data)
 			if err != nil {
@@ -83,7 +83,7 @@ func sameRows(a, b []sqlval.Row) bool {
 // have is corruption: before the check, ORC and Parquet accepted a
 // scale of 300 and the value's String panicked in Pow10.
 func TestDecodeRejectsDecimalScaleOutOfRange(t *testing.T) {
-	for _, name := range Formats() {
+	for _, name := range formatNames {
 		format, _ := ByName(name)
 		magic := map[string]string{"avro": avroMagic, "orc": orcMagic, "parquet": parquetMagic}[name]
 		for _, scale := range []int64{300, 19, -1} {

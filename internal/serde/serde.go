@@ -104,9 +104,6 @@ func ByName(name string) (Format, error) {
 	}
 }
 
-// Formats lists the three supported format names in the paper's order.
-func Formats() []string { return []string{"orc", "parquet", "avro"} }
-
 // --- binary codec -----------------------------------------------------
 
 type writer struct {

@@ -57,6 +57,8 @@ func (s *Session) Version() string { return s.conf.Get(confVersion) }
 // VersionConf returns a copy of a version profile's configuration
 // defaults, suitable for applying as deployment configuration (e.g. to
 // a cross-test run). Unknown versions return nil.
+//
+//crossvet:unused-export BenchmarkVersionMatrix (root bench_test.go) applies each version's defaults through it
 func VersionConf(version string) map[string]string {
 	profile, ok := versions.GetSparkProfile(version)
 	if !ok {

@@ -20,7 +20,7 @@ func TestGeneratedRowsRoundTripEveryFormat(t *testing.T) {
 		for i, v := range row {
 			schema.Columns = append(schema.Columns, serde.Column{Name: fmt.Sprintf("c%d", i), Type: v.Type()})
 		}
-		for _, name := range serde.Formats() {
+		for _, name := range []string{"orc", "parquet", "avro"} {
 			format, _ := serde.ByName(name)
 			data, err := format.Encode(schema, nil, []sqlval.Row{row})
 			var unsupported *serde.UnsupportedError

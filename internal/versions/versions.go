@@ -35,7 +35,6 @@ package versions
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -302,12 +301,6 @@ func ParsePair(s string) (Pair, error) {
 // against: Spark 3.2.1 with Hive 3.1.2.
 func BaselineStack() Stack { return Stack{Spark: Spark32, Hive: Hive31} }
 
-// BaselinePair is the unskewed baseline cell. It must reproduce exactly
-// the 15 Figure-6 discrepancies and zero skew-only discrepancies.
-func BaselinePair() Pair {
-	return Pair{Writer: BaselineStack(), Reader: BaselineStack()}
-}
-
 // DefaultPairs is the default skew matrix: the baseline, a full
 // upgrade (old cluster wrote, new cluster reads), a half-upgraded
 // writer (Spark 2.4 already has built-in Avro), a Hive-only upgrade
@@ -326,65 +319,4 @@ func DefaultPairs() []Pair {
 		{Writer: oldHive, Reader: now},
 		{Writer: now, Reader: old},
 	}
-}
-
-// Compare orders two dotted version strings numerically per segment
-// (missing segments count as zero): -1, 0, or +1.
-func Compare(a, b string) int {
-	as, bs := strings.Split(a, "."), strings.Split(b, ".")
-	for i := 0; i < len(as) || i < len(bs); i++ {
-		av, bv := 0, 0
-		if i < len(as) {
-			av = atoiSafe(as[i])
-		}
-		if i < len(bs) {
-			bv = atoiSafe(bs[i])
-		}
-		if av != bv {
-			if av < bv {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
-
-// AtLeast reports whether version v is at least version min.
-func AtLeast(v, min string) bool { return Compare(v, min) >= 0 }
-
-func atoiSafe(s string) int {
-	n := 0
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			break
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n
-}
-
-// SparkNotes returns the behavior notes of a Spark release, sorted by
-// note id for deterministic rendering.
-func SparkNotes(version string) []Note {
-	p, ok := sparkProfiles[version]
-	if !ok {
-		return nil
-	}
-	return sortedNotes(p.Notes)
-}
-
-// HiveNotes returns the behavior notes of a Hive release.
-func HiveNotes(version string) []Note {
-	p, ok := hiveProfiles[version]
-	if !ok {
-		return nil
-	}
-	return sortedNotes(p.Notes)
-}
-
-func sortedNotes(in []Note) []Note {
-	out := append([]Note(nil), in...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

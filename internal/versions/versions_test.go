@@ -58,10 +58,10 @@ func TestNotesAreAnchored(t *testing.T) {
 		}
 	}
 	for _, v := range SparkVersions() {
-		check("spark", v, SparkNotes(v))
+		check("spark", v, sparkProfiles[v].Notes)
 	}
 	for _, v := range HiveVersions() {
-		check("hive", v, HiveNotes(v))
+		check("hive", v, hiveProfiles[v].Notes)
 	}
 }
 
@@ -124,7 +124,7 @@ func TestParseStackAndPair(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParsePair(bare): %v", err)
 	}
-	if b.Skewed() || b != BaselinePair() {
+	if b.Skewed() || b != (Pair{Writer: BaselineStack(), Reader: BaselineStack()}) {
 		t.Errorf("bare stack pair = %+v", b)
 	}
 	// Unknown profiles are rejected, never normalized.
@@ -140,7 +140,7 @@ func TestDefaultPairs(t *testing.T) {
 	if len(pairs) != 5 {
 		t.Fatalf("DefaultPairs: %d pairs", len(pairs))
 	}
-	if pairs[0] != BaselinePair() {
+	if pairs[0] != (Pair{Writer: BaselineStack(), Reader: BaselineStack()}) {
 		t.Errorf("first default pair is not the baseline: %v", pairs[0])
 	}
 	seen := map[string]bool{}
@@ -155,26 +155,5 @@ func TestDefaultPairs(t *testing.T) {
 		if i > 0 && !p.Skewed() {
 			t.Errorf("pair %d should be skewed: %v", i, p)
 		}
-	}
-}
-
-func TestCompare(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"2.3.0", "2.4.8", -1},
-		{"3.2.1", "3.2.1", 0},
-		{"3.2.1", "2.4.8", 1},
-		{"3.0", "3.0.0", 0},
-		{"3.1.0", "3.0.99", 1},
-	}
-	for _, c := range cases {
-		if got := Compare(c.a, c.b); got != c.want {
-			t.Errorf("Compare(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-	if !AtLeast("3.2.1", "3.0.0") || AtLeast("2.4.8", "3.0.0") {
-		t.Error("AtLeast ordering wrong")
 	}
 }

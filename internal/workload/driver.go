@@ -40,6 +40,8 @@ type RunResult struct {
 // engine under the given Spark configuration, then scans every table
 // back through BOTH engines and compares row counts — a bulk-data smoke
 // of the cross-system data plane.
+//
+//crossvet:unused-export BenchmarkWorkloadScale (root bench_test.go) drives the bulk-data path through it
 func Run(tables []Table, via Engine, format string, sparkConf map[string]string) (RunResult, error) {
 	d := core.NewDeployment()
 	for k, v := range sparkConf {

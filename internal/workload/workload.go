@@ -85,6 +85,8 @@ func analyticSchema() serde.Schema {
 var actions = []string{"view", "click", "purchase", "refund", "share"}
 
 // Generate builds the workload.
+//
+//crossvet:unused-export BenchmarkWorkloadScale (root bench_test.go) builds its tables with it
 func Generate(spec Spec) []Table {
 	spec = spec.Defaults()
 	r := &rng{state: spec.Seed}
@@ -115,15 +117,4 @@ func Generate(spec Spec) []Table {
 		tables[t] = table
 	}
 	return tables
-}
-
-// Totals reports the workload's size.
-func Totals(tables []Table) (rows, batches int) {
-	for _, t := range tables {
-		for _, b := range t.Batches {
-			rows += len(b)
-			batches++
-		}
-	}
-	return rows, batches
 }

@@ -31,7 +31,13 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateShape(t *testing.T) {
 	tables := Generate(Spec{Tables: 3, RowsPerTable: 55, BatchSize: 20})
-	rows, batches := Totals(tables)
+	rows, batches := 0, 0
+	for _, tab := range tables {
+		for _, b := range tab.Batches {
+			rows += len(b)
+			batches++
+		}
+	}
 	if rows != 165 {
 		t.Errorf("rows = %d", rows)
 	}
