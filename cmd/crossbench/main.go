@@ -30,7 +30,7 @@ import (
 	"time"
 
 	"repro/internal/benchrec"
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/versions"
@@ -43,12 +43,7 @@ func main() {
 	tolerance := flag.Float64("tolerance", 0.15, "allowed relative regression before the gate fails")
 	all := flag.Bool("all", false, "gate machine-dependent metrics (throughput, latency) too, not just allocation counts")
 	benchtime := flag.String("benchtime", "1x", "per-measurement budget, as go test -benchtime (e.g. 1x, 3x, 2s)")
-	version := flag.Bool("version", false, "print build information and exit")
-	flag.Parse()
-	if *version {
-		fmt.Printf("crossbench %s\n", buildinfo.Get())
-		return
-	}
+	cli.Parse("crossbench")
 	if err := flag.Set("test.benchtime", *benchtime); err != nil {
 		fmt.Fprintf(os.Stderr, "crossbench: bad -benchtime: %v\n", err)
 		os.Exit(2)

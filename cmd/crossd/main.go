@@ -63,6 +63,7 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/cluster/chash"
 	"repro/internal/obs"
@@ -105,16 +106,10 @@ func main() {
 	flag.StringVar(&cfg.nodeName, "node", "", "this worker's cluster node name (joins the peer cache tier with -peers)")
 	flag.StringVar(&cfg.peersSpec, "peers", "", "cluster membership for the peer cache tier: name=url[,name=url...]")
 	flag.IntVar(&cfg.split, "split", 0, "fuzz-campaign split factor in cluster mode (0 = node count)")
-	version := flag.Bool("version", false, "print build information and exit")
-	flag.Parse()
-	if *version {
-		fmt.Printf("crossd %s\n", buildinfo.Get())
-		return
-	}
+	cli.Parse("crossd")
 
 	if err := run(cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "crossd: %v\n", err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 }
 

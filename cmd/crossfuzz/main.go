@@ -33,9 +33,8 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/fuzzgen"
-	"repro/internal/obs"
 )
 
 func main() {
@@ -47,14 +46,9 @@ func main() {
 	promote := flag.Bool("promote", false, "write minimized new-signature reproducers into -corpus")
 	confs := flag.Int("confs", 6, "size of the random session-configuration pool")
 	versionsFlag := flag.Bool("versions", false, "also fuzz the version axis: each case draws a writer->reader version pair (changes the campaign outcome for a given seed)")
-	traceDir := flag.String("trace", "", "record causal spans and write them to <dir>/spans.jsonl")
-	metricsFile := flag.String("metrics", "", "write Prometheus-text harness metrics to this file (\"-\" for stdout)")
-	version := flag.Bool("version", false, "print build information and exit")
-	flag.Parse()
-	if *version {
-		fmt.Printf("crossfuzz %s\n", buildinfo.Get())
-		return
-	}
+	cli.Observe()
+	cli.Parse("crossfuzz")
+	defer cli.Flush()
 
 	opts := fuzzgen.Options{
 		Seed:      *seed,
@@ -64,12 +58,8 @@ func main() {
 		Confs:     *confs,
 		Versions:  *versionsFlag,
 		CorpusDir: *corpus,
-	}
-	if *traceDir != "" {
-		opts.Tracer = obs.NewTracer(nil)
-	}
-	if *metricsFile != "" {
-		opts.Metrics = obs.NewRegistry()
+		Tracer:    cli.Tracer,
+		Metrics:   cli.Metrics,
 	}
 
 	// SIGINT/SIGTERM cancel the campaign between probe groups: the
@@ -82,8 +72,7 @@ func main() {
 
 	res, err := fuzzgen.RunCampaign(opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "crossfuzz: %v\n", err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 	if res.Cancelled {
 		fmt.Fprintln(os.Stderr, "crossfuzz: interrupted; flushing partial report")
@@ -95,27 +84,11 @@ func main() {
 	if *promote && len(res.Reproducers) > 0 {
 		files, err := res.Promote(*corpus)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "crossfuzz: promote: %v\n", err)
-			os.Exit(1)
+			cli.Fatal(fmt.Errorf("promote: %w", err))
 		}
 		fmt.Printf("promoted %d reproducer(s):\n", len(files))
 		for _, f := range files {
 			fmt.Printf("  %s\n", f)
-		}
-	}
-
-	if *traceDir != "" {
-		path, err := opts.Tracer.WriteSpansFile(*traceDir, "spans.jsonl")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "crossfuzz: writing spans: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d spans to %s\n", opts.Tracer.Len(), path)
-	}
-	if *metricsFile != "" {
-		if err := opts.Metrics.WritePrometheusFile(*metricsFile); err != nil {
-			fmt.Fprintf(os.Stderr, "crossfuzz: writing metrics: %v\n", err)
-			os.Exit(1)
 		}
 	}
 }

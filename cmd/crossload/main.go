@@ -34,10 +34,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/inject"
 	"repro/internal/loadgen"
-	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -51,14 +50,9 @@ func main() {
 	base := flag.Int64("base", loadgen.StdBaseRPS, "single-cell base rate in rps")
 	storm := flag.Int("storm", 0, "wall-clock mode: drive N sessions against an in-process crossd scheduler")
 	list := flag.Bool("list", false, "list policies, curves, and the L* failure registry, then exit")
-	traceDir := flag.String("trace", "", "record per-phase spans and write them to <dir>/spans.jsonl")
-	metricsFile := flag.String("metrics", "", "write Prometheus-text engine metrics to this file (\"-\" for stdout)")
-	version := flag.Bool("version", false, "print build information and exit")
-	flag.Parse()
-	if *version {
-		fmt.Printf("crossload %s\n", buildinfo.Get())
-		return
-	}
+	cli.Observe()
+	cli.Parse("crossload")
+	defer cli.Flush()
 
 	if *list {
 		listRegistries()
@@ -74,42 +68,17 @@ func main() {
 		}
 	}
 
-	var tracer *obs.Tracer
-	var metrics *obs.Registry
-	if *traceDir != "" {
-		tracer = obs.NewTracer(nil)
-	}
-	if *metricsFile != "" {
-		metrics = obs.NewRegistry()
-	}
-
 	var err error
 	switch {
 	case *storm > 0:
 		err = runStorm(*seed, *storm, policies)
 	case *curve != "":
-		err = runCell(*seed, *curve, *base, firstPeak(*peaks, 800), policies, *admission, tracer, metrics)
+		err = runCell(*seed, *curve, *base, firstPeak(*peaks, 800), policies, *admission)
 	default:
-		err = runSweep(*seed, policies, *peaks, *admission, *parallel, tracer, metrics)
+		err = runSweep(*seed, policies, *peaks, *admission, *parallel)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "crossload: %v\n", err)
-		os.Exit(1)
-	}
-
-	if tracer != nil {
-		path, err := tracer.WriteSpansFile(*traceDir, "spans.jsonl")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "crossload: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d spans to %s\n", tracer.Len(), path)
-	}
-	if metrics != nil {
-		if err := metrics.WritePrometheusFile(*metricsFile); err != nil {
-			fmt.Fprintf(os.Stderr, "crossload: writing metrics: %v\n", err)
-			os.Exit(1)
-		}
+		cli.Fatal(err)
 	}
 }
 
@@ -159,7 +128,7 @@ func firstPeak(s string, def int64) int64 {
 	return peaks[0]
 }
 
-func runSweep(seed uint64, policies []string, peakList string, admission bool, parallel int, tracer *obs.Tracer, metrics *obs.Registry) error {
+func runSweep(seed uint64, policies []string, peakList string, admission bool, parallel int) error {
 	peaks, err := parsePeaks(peakList)
 	if err != nil {
 		return err
@@ -167,7 +136,7 @@ func runSweep(seed uint64, policies []string, peakList string, admission bool, p
 	res, err := loadgen.RunPhaseDiagram(loadgen.PhaseOptions{
 		Seed: seed, Policies: policies, PeakRPS: peaks,
 		Admission: admission, Parallel: parallel,
-		Tracer: tracer, Metrics: metrics,
+		Tracer: cli.Tracer, Metrics: cli.Metrics,
 	})
 	if err != nil {
 		return err
@@ -177,7 +146,7 @@ func runSweep(seed uint64, policies []string, peakList string, admission bool, p
 	return nil
 }
 
-func runCell(seed uint64, curveName string, base, peak int64, policies []string, admission bool, tracer *obs.Tracer, metrics *obs.Registry) error {
+func runCell(seed uint64, curveName string, base, peak int64, policies []string, admission bool) error {
 	label := "backoff+jitter+breaker"
 	if len(policies) > 0 {
 		label = policies[0]
@@ -195,8 +164,8 @@ func runCell(seed uint64, curveName string, base, peak int64, policies []string,
 	cfg.Curve = c
 	cfg.Arrivals = nil
 	cfg.Label = fmt.Sprintf("%s@%s", spec.Label, curveName)
-	cfg.Tracer = tracer
-	cfg.Metrics = metrics
+	cfg.Tracer = cli.Tracer
+	cfg.Metrics = cli.Metrics
 	stats, err := loadgen.Run(cfg)
 	if err != nil {
 		return err
@@ -204,19 +173,8 @@ func runCell(seed uint64, curveName string, base, peak int64, policies []string,
 	cls := loadgen.Classify(stats, cfg.Server, cfg.WindowMs,
 		loadgen.OverloadEndMs(c, cfg.HorizonMs), spec.Policy.Jittered())
 
-	t := stats.Totals
 	fmt.Printf("cell %s base=%drps peak=%drps seed=%d: %s\n", cfg.Label, base, peak, seed, cls.Class)
-	fmt.Printf("  arrivals=%d attempts=%d goodput=%d wasted=%d timeouts=%d\n",
-		t.Arrivals, t.Attempts, t.Goodput, t.Wasted, t.Timeouts)
-	fmt.Printf("  rejected: queue=%d throttled=%d breaker_shed=%d give_ups=%d final_queue=%d\n",
-		t.RejectQueue, t.RejectThrottle, t.BreakerShed, t.GiveUps, t.QueueLen)
-	fmt.Printf("  latency p50=%.1fms p95=%.1fms p99=%.1fms breaker_opens=%d\n",
-		stats.P50Ms, stats.P95Ms, stats.P99Ms, stats.BreakerOpens)
-	fmt.Printf("  collapsed_windows=%d tail_collapsed=%d post_amplification=%.2f\n",
-		cls.CollapsedWindows, cls.TailCollapsed, cls.PostAmplification)
-	if len(cls.Signatures) > 0 {
-		fmt.Printf("  signatures: %s\n", strings.Join(cls.Signatures, " "))
-	}
+	loadgen.RenderCellStats(os.Stdout, stats, &cls)
 	return nil
 }
 

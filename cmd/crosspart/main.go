@@ -22,11 +22,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
-	"repro/internal/buildinfo"
-	"repro/internal/obs"
+	"repro/internal/cli"
 	"repro/internal/partition"
 )
 
@@ -39,14 +37,9 @@ func main() {
 	parallel := flag.Int("parallel", 1, "concurrent campaign units")
 	plan := flag.Bool("plan", false, "print the deterministic random-cut schedule and exit (runs nothing)")
 	list := flag.Bool("list", false, "list the scenario registry and exit")
-	traceDir := flag.String("trace", "", "record causal spans and write them to <dir>/spans.jsonl")
-	metricsFile := flag.String("metrics", "", "write Prometheus-text harness metrics to this file (\"-\" for stdout)")
-	version := flag.Bool("version", false, "print build information and exit")
-	flag.Parse()
-	if *version {
-		fmt.Printf("crosspart %s\n", buildinfo.Get())
-		return
-	}
+	cli.Observe()
+	cli.Parse("crosspart")
+	defer cli.Flush()
 
 	var names []string
 	if *scenarios != "" {
@@ -69,8 +62,7 @@ func main() {
 	if *plan {
 		cuts, err := partition.PlanRandom(*seed, names, *trials, *hold)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "crosspart: %v\n", err)
-			os.Exit(1)
+			cli.Fatal(err)
 		}
 		fmt.Printf("random schedule seed=%d trials=%d hold=%dms\n", *seed, *trials, *hold)
 		for _, c := range cuts {
@@ -80,41 +72,19 @@ func main() {
 		return
 	}
 
-	opts := partition.Options{
+	res, err := partition.Run(partition.Options{
 		Seed:      *seed,
 		Scenarios: names,
 		Strategy:  partition.Strategy(*strategy),
 		Trials:    *trials,
 		HoldMs:    *hold,
 		Parallel:  *parallel,
-	}
-	if *traceDir != "" {
-		opts.Tracer = obs.NewTracer(nil)
-	}
-	if *metricsFile != "" {
-		opts.Metrics = obs.NewRegistry()
-	}
-
-	res, err := partition.Run(opts)
+		Tracer:    cli.Tracer,
+		Metrics:   cli.Metrics,
+	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "crosspart: %v\n", err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 	fmt.Print(res.Render())
 	fmt.Printf("\nreport-hash: %s\n", res.Hash())
-
-	if *traceDir != "" {
-		path, err := opts.Tracer.WriteSpansFile(*traceDir, "spans.jsonl")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "crosspart: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d spans to %s\n", opts.Tracer.Len(), path)
-	}
-	if *metricsFile != "" {
-		if err := opts.Metrics.WritePrometheusFile(*metricsFile); err != nil {
-			fmt.Fprintf(os.Stderr, "crosspart: writing metrics: %v\n", err)
-			os.Exit(1)
-		}
-	}
 }

@@ -24,7 +24,8 @@
 // case and writes them to <dir>/spans.jsonl; -failures output then
 // includes each failure's reconstructed propagation chain. -metrics
 // writes harness counters (per-plan, per-oracle, durations) in
-// Prometheus text format ("-" for stdout).
+// Prometheus text format ("-" for stdout, after the report; with -json,
+// name a file to keep stdout a single JSON document).
 package main
 
 import (
@@ -34,10 +35,9 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/inject"
-	"repro/internal/obs"
 	"repro/internal/versions"
 )
 
@@ -65,21 +65,15 @@ func main() {
 	partitions := flag.Bool("partitions", false, "also run the partitioned-table mode (candidate new discrepancies)")
 	jsonOut := flag.Bool("json", false, "emit the machine-readable report (the same shape crossd's /result embeds) instead of text")
 	logsDir := flag.String("logs", "", "write per-oracle failure logs (<family>_<oracle>_failed.json) to this directory")
-	traceDir := flag.String("trace", "", "record causal spans and write them to <dir>/spans.jsonl")
-	metricsFile := flag.String("metrics", "", "write Prometheus-text harness metrics to this file (\"-\" for stdout)")
 	versionsSpec := flag.String("versions", "", "version-skew mode: \"matrix\" (default pair matrix), \"list\" (modeled versions and skew registry), or one writer->reader pair like \"2.3.0/2.3.9->3.2.1/3.1.2\"")
 	flag.Var(conf, "conf", "Spark configuration override, key=value (repeatable)")
-	version := flag.Bool("version", false, "print build information and exit")
-	flag.Parse()
-	if *version {
-		fmt.Printf("crosstest %s\n", buildinfo.Get())
-		return
-	}
+	cli.Observe()
+	cli.Parse("crosstest")
+	defer cli.Flush()
 
 	corpus, err := core.BuildCorpus()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "crosstest: %v\n", err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 	if *inputs != "" {
 		var filtered []core.Input
@@ -90,15 +84,9 @@ func main() {
 		}
 		corpus = filtered
 	}
-	opts := core.RunOptions{SparkConf: conf, Parallel: *parallel}
+	opts := core.RunOptions{SparkConf: conf, Parallel: *parallel, Tracer: cli.Tracer, Metrics: cli.Metrics}
 	if *family != "" {
 		opts.Families = []string{*family}
-	}
-	if *traceDir != "" {
-		opts.Tracer = obs.NewTracer(nil)
-	}
-	if *metricsFile != "" {
-		opts.Metrics = obs.NewRegistry()
 	}
 
 	if *versionsSpec != "" {
@@ -111,8 +99,7 @@ func main() {
 	}
 	result, err := core.Run(corpus, opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "crosstest: %v\n", err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 	if *jsonOut {
 		// The same core.ReportJSON shape crossd serves inside /result,
@@ -120,8 +107,7 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(result.Report.JSON()); err != nil {
-			fmt.Fprintf(os.Stderr, "crosstest: encoding report: %v\n", err)
-			os.Exit(1)
+			cli.Fatal(fmt.Errorf("encoding report: %w", err))
 		}
 		return
 	}
@@ -130,8 +116,7 @@ func main() {
 	if *logsDir != "" {
 		names, err := result.WriteOracleLogs(*logsDir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "crosstest: writing logs: %v\n", err)
-			os.Exit(1)
+			cli.Fatal(fmt.Errorf("writing logs: %w", err))
 		}
 		fmt.Printf("\nWrote %d oracle failure logs to %s: %s\n", len(names), *logsDir, strings.Join(names, ", "))
 	}
@@ -149,20 +134,6 @@ func main() {
 		}
 	}
 
-	if *traceDir != "" {
-		path, err := opts.Tracer.WriteSpansFile(*traceDir, "spans.jsonl")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "crosstest: writing spans: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nWrote %d spans to %s\n", opts.Tracer.Len(), path)
-	}
-	if *metricsFile != "" {
-		if err := opts.Metrics.WritePrometheusFile(*metricsFile); err != nil {
-			fmt.Fprintf(os.Stderr, "crosstest: writing metrics: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	if unknown := result.Report.UnknownSignatures(); len(unknown) > 0 {
 		fmt.Printf("\nUnmapped signatures (candidate new discrepancies): %v\n", unknown)
 	}
@@ -183,8 +154,7 @@ func main() {
 		}
 		cells, err := core.ConfigSweep(corpus, names, configs, core.RunOptions{Parallel: *parallel})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "crosstest: sweep: %v\n", err)
-			os.Exit(1)
+			cli.Fatal(fmt.Errorf("sweep: %w", err))
 		}
 		fmt.Println()
 		fmt.Print(core.RenderSweep(cells))
@@ -193,8 +163,7 @@ func main() {
 	if *partitions {
 		pres, err := core.RunPartitions("orc", opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "crosstest: partitions: %v\n", err)
-			os.Exit(1)
+			cli.Fatal(fmt.Errorf("partitions: %w", err))
 		}
 		fmt.Printf("\nPartitioned-table mode: %d failures; candidate new discrepancies: %v\n",
 			len(pres.Failures), pres.Report.UnknownSignatures())
@@ -206,8 +175,7 @@ func main() {
 	if *wide {
 		wres, err := core.RunWide(corpus, opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "crosstest: wide: %v\n", err)
-			os.Exit(1)
+			cli.Fatal(fmt.Errorf("wide: %w", err))
 		}
 		fmt.Printf("\nWide-table mode (%d columns, one table per plan and format): %d failures, %d distinct discrepancies %v\n",
 			len(wres.Columns), len(wres.Failures), len(wres.Report.DistinctKnown()), wres.Report.DistinctKnown())
@@ -240,8 +208,7 @@ func runVersions(spec string, corpus []core.Input, opts core.RunOptions) {
 	default:
 		p, err := versions.ParsePair(spec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "crosstest: -versions: %v\n", err)
-			os.Exit(1)
+			cli.Fatal(fmt.Errorf("-versions: %w", err))
 		}
 		pairs = []versions.Pair{p}
 	}
@@ -249,8 +216,7 @@ func runVersions(spec string, corpus []core.Input, opts core.RunOptions) {
 		len(corpus), plansIn(opts), len(pairs))
 	m, err := core.RunSkewMatrix(corpus, pairs, opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "crosstest: %v\n", err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 	fmt.Print(m.Render())
 }

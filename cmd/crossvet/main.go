@@ -26,7 +26,7 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/lint"
 )
 
@@ -36,15 +36,10 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit the report as JSON")
 		ci         = flag.Bool("ci", false, "run the full CI gate: gofmt check plus the analyzer suite")
 		list       = flag.Bool("list", false, "list the analyzers and the contract each enforces")
-		version    = flag.Bool("version", false, "print build identity and exit")
 		showWaived = flag.Bool("show-waived", false, "include waived findings in the text report")
 	)
-	flag.Parse()
+	cli.Parse("crossvet")
 
-	if *version {
-		fmt.Println("crossvet", buildinfo.Get().String())
-		return
-	}
 	if *list {
 		for _, a := range lint.Analyzers() {
 			fmt.Printf("%-13s %s\n", a.Name, a.Contract)

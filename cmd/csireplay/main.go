@@ -20,10 +20,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/flinksim"
 	"repro/internal/hbasesim"
@@ -36,24 +35,14 @@ import (
 	"repro/internal/yarnsim"
 )
 
-var (
-	traceDir    = flag.String("trace", "", "directory to write per-scenario span JSONL files to")
-	metricsFile = flag.String("metrics", "", "file to write Prometheus-text scenario metrics to (\"-\" for stdout)")
-	version     = flag.Bool("version", false, "print build information and exit")
-
-	registry *obs.Registry
-)
-
 func main() {
-	flag.Parse()
-	if *version {
-		fmt.Printf("csireplay %s\n", buildinfo.Get())
-		return
-	}
+	cli.Observe()
+	cli.Parse("csireplay")
+	// Each traced scenario writes its own <dir>/<scenario>.jsonl, so
+	// there is no run-wide tracer and no spans.jsonl.
+	cli.Tracer = nil
+	defer cli.Flush()
 	which := flag.Arg(0)
-	if *metricsFile != "" {
-		registry = obs.NewRegistry()
-	}
 	scenarios := []struct {
 		name string
 		run  func()
@@ -72,7 +61,7 @@ func main() {
 	for _, s := range scenarios {
 		if which == "" || which == s.name {
 			s.run()
-			registry.Counter("csireplay_scenario_runs_total", "scenario", s.name).Inc()
+			cli.Metrics.Counter("csireplay_scenario_runs_total", "scenario", s.name).Inc()
 			fmt.Println()
 			ran = true
 		}
@@ -81,11 +70,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "csireplay: unknown scenario %q\n", which)
 		os.Exit(2)
 	}
-	if registry != nil {
-		if err := registry.WritePrometheusFile(*metricsFile); err != nil {
-			log.Fatal(err)
-		}
-	}
 }
 
 // propagation prints the §2.3 scenario's cross-system chain and, with
@@ -93,15 +77,15 @@ func main() {
 func propagation(name string) {
 	tr, err := replay.Scenario23Trace(name)
 	if err != nil {
-		log.Fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Printf("  propagation: %s\n", obs.RenderChain(tr.Chain(nil)))
-	registry.Counter("csireplay_spans_total", "scenario", name).Add(int64(tr.Len()))
-	if *traceDir == "" {
+	cli.Metrics.Counter("csireplay_spans_total", "scenario", name).Add(int64(tr.Len()))
+	if cli.TraceDir == "" {
 		return
 	}
-	if _, err := tr.WriteSpansFile(*traceDir, name+".jsonl"); err != nil {
-		log.Fatal(err)
+	if _, err := tr.WriteSpansFile(cli.TraceDir, name+".jsonl"); err != nil {
+		cli.Fatal(err)
 	}
 }
 
@@ -199,15 +183,15 @@ func redundancyDemo() {
 	schema := serde.Schema{Columns: []serde.Column{{Name: "amt", Type: sqlval.DecimalType(10, 2)}}}
 	df, err := d.Spark.CreateDataFrame(schema, []sqlval.Row{{sqlval.DecimalVal(sqlval.DecimalType(10, dec.Scale), dec)}})
 	if err != nil {
-		log.Fatal(err)
+		cli.Fatal(err)
 	}
 	if err := df.SaveAsTable("amounts", "parquet"); err != nil {
-		log.Fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Println("A DataFrame-written decimal table (legacy binary encoding, SPARK-39158):")
 	res, err := redundancy.ReadWithFailover(d, "amounts", core.HiveQL, core.SparkSQL)
 	if err != nil {
-		log.Fatal(err)
+		cli.Fatal(err)
 	}
 	for _, a := range res.Attempts {
 		fmt.Printf("  %s\n", a)

@@ -11,11 +11,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"os"
+	"slices"
 
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/dataset"
 	"repro/internal/study"
 )
@@ -26,18 +27,12 @@ func main() {
 	incidents := flag.Bool("incidents", false, "print the §3 cloud-incident analysis")
 	cbs := flag.Bool("cbs", false, "print the §5.1 CBS comparison")
 	listDataset := flag.Bool("dataset", false, "list all 120 CSI failure records")
-	version := flag.Bool("version", false, "print build information and exit")
-	flag.Parse()
-	if *version {
-		fmt.Printf("csistudy %s\n", buildinfo.Get())
-		return
-	}
+	cli.Parse("csistudy")
 
 	all := !*tables && !*findings && !*incidents && !*cbs && !*listDataset
 	failures, err := dataset.BuildFailures()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "csistudy: %v\n", err)
-		os.Exit(1)
+		cli.Fatal(err)
 	}
 
 	if all || *tables {
@@ -52,8 +47,7 @@ func main() {
 			ok = ok && f.OK()
 		}
 		if !ok {
-			fmt.Fprintln(os.Stderr, "csistudy: some findings did not reproduce")
-			os.Exit(1)
+			cli.Fatal(errors.New("some findings did not reproduce"))
 		}
 		fmt.Println("All quantitative findings reproduce the published statistics.")
 	}
@@ -75,10 +69,7 @@ func main() {
 }
 
 func printIncidents() {
-	fmt.Printf("\nCloud incidents (§3): %d sampled", dataset.TotalIncidents())
-	for p, n := range dataset.IncidentSampleSizes {
-		fmt.Printf("  %s=%d", p, n)
-	}
+	fmt.Printf("\n%s", incidentSample())
 	incidents := dataset.CSIIncidents()
 	fmt.Printf("\nCSI-failure-induced incidents: %d (%d%%), median duration %d minutes\n\n",
 		len(incidents), len(incidents)*100/dataset.TotalIncidents(), study.MedianDuration(incidents))
@@ -95,4 +86,18 @@ func printIncidents() {
 			inc.DurationMinutes, inc.Plane, inc.Title)
 	}
 	fmt.Println("\n  C = cascaded to external services, F = postmortem mentioned interaction code fixes")
+}
+
+// incidentSample renders the §3 sample line, providers in name order.
+func incidentSample() string {
+	out := fmt.Sprintf("Cloud incidents (§3): %d sampled", dataset.TotalIncidents())
+	var providers []dataset.Provider
+	for p := range dataset.IncidentSampleSizes {
+		providers = append(providers, p)
+	}
+	slices.Sort(providers)
+	for _, p := range providers {
+		out += fmt.Sprintf("  %s=%d", p, dataset.IncidentSampleSizes[p])
+	}
+	return out
 }

@@ -2,8 +2,6 @@ package fuzzgen
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -410,8 +408,7 @@ func (res *Result) Render() string {
 // Hash is the reproducibility fingerprint: sha256 over the rendered
 // report.
 func (res *Result) Hash() string {
-	sum := sha256.Sum256([]byte(res.Render()))
-	return hex.EncodeToString(sum[:])
+	return core.HashBytes([]byte(res.Render()))
 }
 
 func summarizeCase(c Case) string {

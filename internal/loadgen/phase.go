@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 
@@ -213,20 +214,8 @@ func (r *PhaseResult) Render() string {
 		StdSpikeFrom/1000, StdSpikeTo/1000, StdHorizonMs/1000)
 	for i := range r.Cells {
 		cell := &r.Cells[i]
-		st, cls := cell.Stats, &cell.Classification
-		t := st.Totals
-		fmt.Fprintf(&b, "\n%s peak=%drps: %s\n", cell.Policy, cell.PeakRPS, cls.Class)
-		fmt.Fprintf(&b, "  arrivals=%d attempts=%d goodput=%d wasted=%d timeouts=%d\n",
-			t.Arrivals, t.Attempts, t.Goodput, t.Wasted, t.Timeouts)
-		fmt.Fprintf(&b, "  rejected: queue=%d throttled=%d breaker_shed=%d give_ups=%d final_queue=%d\n",
-			t.RejectQueue, t.RejectThrottle, t.BreakerShed, t.GiveUps, t.QueueLen)
-		fmt.Fprintf(&b, "  latency p50=%.1fms p95=%.1fms p99=%.1fms breaker_opens=%d\n",
-			st.P50Ms, st.P95Ms, st.P99Ms, st.BreakerOpens)
-		fmt.Fprintf(&b, "  collapsed_windows=%d tail_collapsed=%d post_amplification=%.2f\n",
-			cls.CollapsedWindows, cls.TailCollapsed, cls.PostAmplification)
-		if len(cls.Signatures) > 0 {
-			fmt.Fprintf(&b, "  signatures: %s\n", strings.Join(cls.Signatures, " "))
-		}
+		fmt.Fprintf(&b, "\n%s peak=%drps: %s\n", cell.Policy, cell.PeakRPS, cell.Classification.Class)
+		RenderCellStats(&b, cell.Stats, &cell.Classification)
 	}
 
 	fmt.Fprintf(&b, "\nphase matrix (rows=policy, cols=spike peak rps)\n")
@@ -247,6 +236,24 @@ func (r *PhaseResult) Render() string {
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// RenderCellStats writes the indented body of one cell's report, the
+// lines under its headline: totals, rejections, latency, collapse
+// windows and any signatures.
+func RenderCellStats(w io.Writer, st *RunStats, cls *Classification) {
+	t := st.Totals
+	fmt.Fprintf(w, "  arrivals=%d attempts=%d goodput=%d wasted=%d timeouts=%d\n",
+		t.Arrivals, t.Attempts, t.Goodput, t.Wasted, t.Timeouts)
+	fmt.Fprintf(w, "  rejected: queue=%d throttled=%d breaker_shed=%d give_ups=%d final_queue=%d\n",
+		t.RejectQueue, t.RejectThrottle, t.BreakerShed, t.GiveUps, t.QueueLen)
+	fmt.Fprintf(w, "  latency p50=%.1fms p95=%.1fms p99=%.1fms breaker_opens=%d\n",
+		st.P50Ms, st.P95Ms, st.P99Ms, st.BreakerOpens)
+	fmt.Fprintf(w, "  collapsed_windows=%d tail_collapsed=%d post_amplification=%.2f\n",
+		cls.CollapsedWindows, cls.TailCollapsed, cls.PostAmplification)
+	if len(cls.Signatures) > 0 {
+		fmt.Fprintf(w, "  signatures: %s\n", strings.Join(cls.Signatures, " "))
+	}
 }
 
 // Hash is the sweep's content hash: sha256 over the rendered report.

@@ -67,22 +67,16 @@ type hopSpan struct {
 }
 
 // hopSpans copies, under one lock, the spans of root's subtree (every
-// retained span when root is nil) in creation order. Spans are
-// retained in ID order and a parent's ID is below its children's, so
-// the subtree starts at the first retained ID >= root.ID and one
-// forward pass finds it: a span belongs when its parent is root or an
-// already collected span, which the ascending IDs of the collected
-// prefix let a binary search answer.
+// retained span when root is nil) in creation order. A span's ID is
+// above its parent's and at most its root's lastDesc, so window cuts
+// the retained spans to that ID range, and one forward pass keeps the
+// spans whose parent is root or an already collected span, which the
+// ascending IDs of the collected prefix let a binary search answer.
 func (t *Tracer) hopSpans(root *Span) []hopSpan {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	spans := t.spans
-	if root != nil {
-		i, _ := slices.BinarySearchFunc(spans, root.ID, func(s *Span, id int64) int { return cmp.Compare(s.ID, id) })
-		spans = spans[i:]
-	}
 	var out []hopSpan
-	for _, s := range spans {
+	for _, s := range t.window(root) {
 		if root != nil && s.ID != root.ID && s.ParentID != root.ID {
 			if _, in := slices.BinarySearchFunc(out, s.ParentID, func(h hopSpan, id int64) int { return cmp.Compare(h.id, id) }); !in {
 				continue
@@ -91,6 +85,19 @@ func (t *Tracer) hopSpans(root *Span) []hopSpan {
 		out = append(out, hopSpan{id: s.ID, start: s.StartMs, system: s.System, plane: s.Plane, name: s.Name, err: s.Error})
 	}
 	return out
+}
+
+// window returns the retained spans whose IDs fall in root's subtree
+// range [root.ID, root.lastDesc], or every retained span when root is
+// nil. It must be called with t.mu held.
+func (t *Tracer) window(root *Span) []*Span {
+	if root == nil {
+		return t.spans
+	}
+	byID := func(s *Span, id int64) int { return cmp.Compare(s.ID, id) }
+	i, _ := slices.BinarySearchFunc(t.spans, root.ID, byID)
+	j, _ := slices.BinarySearchFunc(t.spans, root.lastDesc+1, byID)
+	return t.spans[i:j]
 }
 
 // maxRenderHops caps rendered chains: a request storm folds into long

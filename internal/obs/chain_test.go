@@ -239,6 +239,43 @@ func TestChainAllocsIndependentOfRetainedSpans(t *testing.T) {
 	}
 }
 
+// TestChainVisitsOnlySubtree pins the spans a subtree chain visits,
+// not its allocations: the first root's chain in a trace with 100k
+// later, unrelated spans walks its own four spans and no others, and
+// a descendant created after all of them widens the walk to reach it.
+func TestChainVisitsOnlySubtree(t *testing.T) {
+	tr := NewTracer(nil)
+	root := tr.Span(nil, csi.Spark, csi.DataPlane, "case")
+	write := root.Child(csi.SerDe, csi.DataPlane, "orc/encode")
+	write.Child(csi.HDFS, csi.DataPlane, "warehouse/write").End()
+	write.End()
+	root.Child(csi.Hive, csi.DataPlane, "hiveql/select").End()
+	for i := 0; i < 50_000; i++ {
+		other := tr.Span(nil, csi.Kafka, csi.DataPlane, "other-case")
+		other.Child(csi.HDFS, csi.DataPlane, "write").End()
+		other.End()
+	}
+	visited := func() int {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return len(tr.window(root))
+	}
+	if n := visited(); n != 4 {
+		t.Fatalf("chain of a 4-span subtree visits %d spans", n)
+	}
+	if hops := tr.Chain(root); len(hops) != 4 {
+		t.Fatalf("chain = %v, want 4 hops", RenderChain(hops))
+	}
+
+	write.Child(csi.HDFS, csi.DataPlane, "late-write").End()
+	if n, want := visited(), tr.Len(); n != want {
+		t.Fatalf("after a late descendant the chain visits %d spans, want all %d", n, want)
+	}
+	if hops := tr.Chain(root); hops[len(hops)-1].Name != "late-write" {
+		t.Fatalf("chain misses the late descendant: %v", RenderChain(hops))
+	}
+}
+
 func TestRenderChainElidesLongTails(t *testing.T) {
 	tr := NewTracer(nil)
 	for i := 0; i < 40; i++ {

@@ -114,6 +114,13 @@ type Span struct {
 	EndMs    int64 // -1 while open
 	Error    string
 	Attrs    []Attr
+
+	// parent lets span creation raise lastDesc on every ancestor, so
+	// Chain can stop at a subtree's end. It keeps the ancestors of a
+	// retained span alive after the cap drops them: at most one
+	// ancestor path per retained span.
+	parent   *Span
+	lastDesc int64 // highest ID in the subtree rooted here
 }
 
 // now must be called with t.mu held.
@@ -133,9 +140,12 @@ func (t *Tracer) Span(parent *Span, system csi.System, plane csi.Plane, name str
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.seq++
-	s := &Span{tr: t, ID: t.seq, System: system, Plane: plane, Name: name, StartMs: t.now(), EndMs: -1}
+	s := &Span{tr: t, ID: t.seq, System: system, Plane: plane, Name: name, StartMs: t.now(), EndMs: -1, parent: parent, lastDesc: t.seq}
 	if parent != nil {
 		s.ParentID = parent.ID
+	}
+	for p := parent; p != nil; p = p.parent {
+		p.lastDesc = s.ID
 	}
 	if t.cap > 0 && len(t.spans) >= t.cap {
 		// Copy into a fresh slice so the dropped half is released.
