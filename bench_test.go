@@ -246,6 +246,29 @@ func BenchmarkFigure6CrossTest(b *testing.B) {
 	b.ReportMetric(float64(len(res.Cases)), "test_cases")
 }
 
+// BenchmarkFigure6CrossTestTraced is BenchmarkFigure6CrossTest with a
+// tracer recording every case's span tree (a fresh tracer per
+// iteration, so spans do not pile up across iterations). Its ns/op over
+// the untraced benchmark's is the harness's tracing overhead; the report
+// is the same either way (TestTracedRunReportUnchanged in core).
+func BenchmarkFigure6CrossTestTraced(b *testing.B) {
+	inputs, err := core.BuildBaseCorpus()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var res *core.RunResult
+	var tr *obs.Tracer
+	for i := 0; i < b.N; i++ {
+		tr = obs.NewTracer(nil)
+		res, err = core.Run(inputs, core.RunOptions{Tracer: tr})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(res.Report.DistinctKnown())), "distinct_discrepancies")
+	b.ReportMetric(float64(tr.Len())/float64(len(res.Cases)), "spans_per_case")
+}
+
 // BenchmarkFigure6PerFamily runs each plan family separately, matching
 // the artifact's three scripts (spark_e2e, spark_hive_oneway,
 // hive_spark_oneway).

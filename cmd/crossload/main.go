@@ -195,7 +195,9 @@ func runStorm(seed uint64, sessions int, policies []string) error {
 		return err
 	}
 	sched := serve.NewScheduler(serve.SchedulerOptions{
-		Workers: 2, QueueDepth: 4, Cache: cache, Executor: &serve.Executor{},
+		Workers: 2, QueueDepth: 4, Cache: cache,
+		Executor: &serve.Executor{Tracer: cli.Tracer, Metrics: cli.Metrics},
+		Tracer:   cli.Tracer, Metrics: cli.Metrics,
 	})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

@@ -71,31 +71,26 @@ func main() {
 	cli.Parse("crosstest")
 	defer cli.Flush()
 
-	corpus, err := core.BuildCorpus()
+	corpus, err := core.CorpusInputs(*inputs)
 	if err != nil {
 		cli.Fatal(err)
-	}
-	if *inputs != "" {
-		var filtered []core.Input
-		for _, in := range corpus {
-			if strings.HasPrefix(in.Name, *inputs) {
-				filtered = append(filtered, in)
-			}
-		}
-		corpus = filtered
 	}
 	opts := core.RunOptions{SparkConf: conf, Parallel: *parallel, Tracer: cli.Tracer, Metrics: cli.Metrics}
 	if *family != "" {
 		opts.Families = []string{*family}
 	}
+	plans, err := core.PlansIn(opts.Families)
+	if err != nil {
+		cli.Fatal(err)
+	}
 
 	if *versionsSpec != "" {
-		runVersions(*versionsSpec, corpus, opts)
+		runVersions(*versionsSpec, corpus, len(plans), opts)
 		return
 	}
 
 	if !*jsonOut {
-		fmt.Printf("Running cross-test: %d inputs x %d plans x 3 formats\n\n", len(corpus), plansIn(opts))
+		fmt.Printf("Running cross-test: %d inputs x %d plans x 3 formats\n\n", len(corpus), len(plans))
 	}
 	result, err := core.Run(corpus, opts)
 	if err != nil {
@@ -139,20 +134,7 @@ func main() {
 	}
 
 	if *sweep {
-		names := []string{"default"}
-		configs := map[string]map[string]string{"default": nil}
-		for _, d := range inject.Registry() {
-			if len(d.FixConf) == 0 {
-				continue
-			}
-			name := fmt.Sprintf("fix-%d", d.Number)
-			if _, seen := configs[name]; seen {
-				continue
-			}
-			names = append(names, name)
-			configs[name] = d.FixConf
-		}
-		cells, err := core.ConfigSweep(corpus, names, configs, core.RunOptions{Parallel: *parallel})
+		cells, err := core.FixSweep(corpus, core.RunOptions{Parallel: *parallel})
 		if err != nil {
 			cli.Fatal(fmt.Errorf("sweep: %w", err))
 		}
@@ -184,7 +166,7 @@ func main() {
 
 // runVersions is the -versions mode: list the modeled versions, or run
 // the skew matrix over the default pairs or one explicit pair.
-func runVersions(spec string, corpus []core.Input, opts core.RunOptions) {
+func runVersions(spec string, corpus []core.Input, plans int, opts core.RunOptions) {
 	var pairs []versions.Pair
 	switch spec {
 	case "list":
@@ -213,25 +195,10 @@ func runVersions(spec string, corpus []core.Input, opts core.RunOptions) {
 		pairs = []versions.Pair{p}
 	}
 	fmt.Printf("Running version-skew cross-test: %d inputs x %d plans x 3 formats x %d pairs\n\n",
-		len(corpus), plansIn(opts), len(pairs))
+		len(corpus), plans, len(pairs))
 	m, err := core.RunSkewMatrix(corpus, pairs, opts)
 	if err != nil {
 		cli.Fatal(err)
 	}
 	fmt.Print(m.Render())
-}
-
-func plansIn(opts core.RunOptions) int {
-	if len(opts.Families) == 0 {
-		return len(core.Plans())
-	}
-	n := 0
-	for _, p := range core.Plans() {
-		for _, f := range opts.Families {
-			if p.Family == f {
-				n++
-			}
-		}
-	}
-	return n
 }

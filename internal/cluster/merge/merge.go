@@ -4,8 +4,9 @@
 //
 //   - corpus: sub-reports (one per plan family) merge at the
 //     ReportJSON level; failure ranks carried in MergeMeta decide which
-//     shard's example represents each merged cluster, and the rendered
-//     text is rebuilt with core.RenderReportJSON.
+//     shard's example represents each merged cluster, core.AssembleReport
+//     orders and tallies the merged clusters, and core.RenderReportJSON
+//     (the one report renderer) rebuilds the text.
 //   - fuzz: sub-campaigns (contiguous seed ranges) rebuild a
 //     fuzzgen.Result — sums, rank-merged clusters, and the minimum-rank
 //     shard's reproducers — and the real Render produces the text.
@@ -28,11 +29,11 @@ package merge
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/fuzzgen"
-	"repro/internal/inject"
 	"repro/internal/partition"
 	"repro/internal/serve"
 	"repro/internal/versions"
@@ -61,98 +62,47 @@ func better(a, b string) bool {
 	return a < b
 }
 
-// Corpus merges family-shard corpus results into the parent report.
+// Corpus merges family-shard corpus results into the parent report:
+// it sums the shards' oracle totals and per-cluster counts, keeps each
+// cluster's example from the shard with the minimum rank, and leaves
+// the ordering and every derived field to core.AssembleReport, the
+// builder Report.JSON uses.
 func Corpus(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, error) {
-	merged := core.ReportJSON{
-		OracleFailures: map[string]int{},
-		Categories:     map[string]int{},
-	}
-	type acc struct {
-		fj   core.FoundJSON
-		rank string
-	}
-	found := map[string]*acc{}
+	oracles := map[string]int{}
+	var found []core.FoundJSON
+	var ranks []string     // ranks[i]: the rank of found[i]'s example
+	at := map[string]int{} // signature -> index into found
 	for _, sub := range subs {
 		if sub == nil || sub.Report == nil {
 			return nil, fmt.Errorf("merge: corpus sub-result missing report")
 		}
 		for k, v := range sub.Report.OracleFailures {
-			if k == "skew" && v == 0 {
-				continue // the conditional key: never emitted at zero
-			}
-			merged.OracleFailures[k] += v
+			oracles[k] += v
 		}
 		for _, fj := range sub.Report.Found {
 			rank := subRank(sub, fj.Signature)
-			a, ok := found[fj.Signature]
+			i, ok := at[fj.Signature]
 			if !ok {
-				cp := fj
-				cp.Oracles = map[string]int{}
-				for o, n := range fj.Oracles {
-					cp.Oracles[o] = n
-				}
-				found[fj.Signature] = &acc{fj: cp, rank: rank}
+				at[fj.Signature] = len(found)
+				ranks = append(ranks, rank)
+				own := make(map[string]int, len(fj.Oracles))
+				maps.Copy(own, fj.Oracles)
+				fj.Oracles = own
+				found = append(found, fj)
 				continue
 			}
-			a.fj.Failures += fj.Failures
+			a := &found[i]
+			a.Failures += fj.Failures
 			for o, n := range fj.Oracles {
-				a.fj.Oracles[o] += n
+				a.Oracles[o] += n
 			}
-			if better(rank, a.rank) {
-				a.fj.Example = fj.Example
-				a.rank = rank
-			}
-		}
-	}
-	// Always-present oracle keys, even at zero — exactly what
-	// Report.JSON emits.
-	for _, o := range []string{"wr", "eh", "difft"} {
-		merged.OracleFailures[o] += 0
-	}
-	sigs := make([]string, 0, len(found))
-	for s := range found {
-		sigs = append(sigs, s)
-	}
-	sort.Strings(sigs)
-	merged.Found = make([]core.FoundJSON, 0, len(sigs))
-	for _, s := range sigs {
-		merged.Found = append(merged.Found, found[s].fj)
-	}
-	// The report's cluster order: known number ascending, known before
-	// unknown, then signature — buildReport's comparator.
-	sort.SliceStable(merged.Found, func(i, j int) bool {
-		a, b := merged.Found[i], merged.Found[j]
-		switch {
-		case a.Known != 0 && b.Known != 0:
-			return a.Known < b.Known
-		case a.Known != 0:
-			return true
-		case b.Known != 0:
-			return false
-		default:
-			return a.Signature < b.Signature
-		}
-	})
-	merged.Distinct = len(merged.Found)
-	bySig := inject.BySignature()
-	for _, fj := range merged.Found {
-		if fj.Known == 0 {
-			merged.NewSignatures = append(merged.NewSignatures, fj.Signature)
-			continue
-		}
-		merged.KnownNumbers = append(merged.KnownNumbers, fj.Known)
-		if d, ok := bySig[fj.Signature]; ok {
-			if d.InConnector {
-				merged.InConnector++
-			} else {
-				merged.Generic++
+			if better(rank, ranks[i]) {
+				a.Example = fj.Example
+				ranks[i] = rank
 			}
 		}
 	}
-	sort.Ints(merged.KnownNumbers)
-	for c, n := range inject.CategoryCounts(merged.KnownNumbers) {
-		merged.Categories[string(c)] = n
-	}
+	merged := core.AssembleReport(found, oracles)
 	return spec.Stamp(&serve.JobResult{Report: &merged, Rendered: core.RenderReportJSON(merged)})
 }
 
@@ -160,7 +110,11 @@ func Corpus(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, erro
 // result, rebuilding a fuzzgen.Result under the parent's resolved
 // options so the real Render produces the report text.
 func Fuzz(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, error) {
-	camp := &fuzzgen.Result{Opts: spec.FuzzOptions()}
+	opts, err := spec.FuzzOptions()
+	if err != nil {
+		return nil, err
+	}
+	camp := &fuzzgen.Result{Opts: opts}
 	type acc struct {
 		cl   fuzzgen.Cluster
 		rank string
@@ -259,7 +213,10 @@ func Skew(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, error)
 // Partition merges per-scenario campaign outcomes, in parent scenario
 // order (the sub-result order), into the parent campaign result.
 func Partition(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, error) {
-	o := spec.PartitionOptions()
+	o, err := spec.PartitionOptions()
+	if err != nil {
+		return nil, err
+	}
 	pres := &partition.Result{Seed: o.Seed, Strategy: o.Strategy, Trials: o.Trials, HoldMs: o.HoldMs}
 	for _, sub := range subs {
 		if sub == nil || sub.Partition == nil {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/inject"
 )
 
 // Configuration sweeping implements the §6.2.1 implication —
@@ -75,6 +77,27 @@ func ConfigSweep(inputs []Input, names []string, configs map[string]map[string]s
 		cells = append(cells, cell)
 	}
 	return cells, nil
+}
+
+// FixSweep runs ConfigSweep over the registry's fix configurations:
+// the default configuration as baseline, then every distinct registry
+// fix configuration, named fix-<number>. crosstest -sweep and crossd's
+// sweep jobs both run this matrix.
+func FixSweep(inputs []Input, opts RunOptions) ([]SweepCell, error) {
+	names := []string{"default"}
+	configs := map[string]map[string]string{"default": nil}
+	for _, d := range inject.Registry() {
+		if len(d.FixConf) == 0 {
+			continue
+		}
+		name := fmt.Sprintf("fix-%d", d.Number)
+		if _, seen := configs[name]; seen {
+			continue
+		}
+		names = append(names, name)
+		configs[name] = d.FixConf
+	}
+	return ConfigSweep(inputs, names, configs, opts)
 }
 
 // RenderSweep formats the sweep as an aligned table.

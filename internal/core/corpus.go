@@ -11,6 +11,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/sqlparse"
 	"repro/internal/sqlval"
@@ -161,6 +163,22 @@ var baseSpecs = []inputSpec{
 	{"struct_simple", "STRUCT<a:INT,b:STRING>", "NAMED_STRUCT('a', 1, 'b', 'x')", true},
 	{"struct_all_null", "STRUCT<a:INT,b:STRING>", "NAMED_STRUCT('a', NULL, 'b', NULL)", true},
 	{"struct_null", "STRUCT<a:INT,b:STRING>", "NULL", true},
+}
+
+// CorpusInputs builds the corpus restricted to the inputs whose name
+// has the prefix, the whole corpus for an empty prefix. A prefix that
+// matches no input is an error, never a run that silently tests
+// nothing.
+func CorpusInputs(prefix string) ([]Input, error) {
+	inputs, err := BuildCorpus()
+	if err != nil || prefix == "" {
+		return inputs, err
+	}
+	inputs = slices.DeleteFunc(inputs, func(in Input) bool { return !strings.HasPrefix(in.Name, prefix) })
+	if len(inputs) == 0 {
+		return nil, fmt.Errorf("core: input prefix %q matches no corpus input", prefix)
+	}
+	return inputs, nil
 }
 
 // CorpusSize is the total number of generated inputs, matching the

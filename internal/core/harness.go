@@ -171,22 +171,12 @@ func run(inputs []Input, opts RunOptions, probes *readerProbes) (*RunResult, err
 	// the full run would, so shard failure order merges back into the
 	// global order.
 	planPos := map[string]int{}
-	plans := Plans()
-	for i, p := range plans {
+	for i, p := range Plans() {
 		planPos[p.Name()] = i
 	}
-	if len(opts.Families) > 0 {
-		want := make(map[string]bool, len(opts.Families))
-		for _, f := range opts.Families {
-			want[f] = true
-		}
-		var filtered []Plan
-		for _, p := range plans {
-			if want[p.Family] {
-				filtered = append(filtered, p)
-			}
-		}
-		plans = filtered
+	plans, err := PlansIn(opts.Families)
+	if err != nil {
+		return nil, err
 	}
 
 	// The cases live in one slab, as columnResults' results do.

@@ -122,10 +122,10 @@ func TestFullRunFindsFifteenDiscrepancies(t *testing.T) {
 	if unknown := res.Report.UnknownSignatures(); len(unknown) != 0 {
 		t.Errorf("unknown signatures = %v", unknown)
 	}
-	counts := res.Report.CategoryCounts()
+	counts := res.Report.JSON().Categories
 	for cat, want := range inject.PaperCategoryCounts {
-		if counts[cat] != want {
-			t.Errorf("category %s = %d, want %d", cat, counts[cat], want)
+		if counts[string(cat)] != want {
+			t.Errorf("category %s = %d, want %d", cat, counts[string(cat)], want)
 		}
 	}
 	// All three oracles fired.

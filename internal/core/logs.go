@@ -123,7 +123,7 @@ func containsString(list []string, s string) bool {
 // oracleNames lists the log keys a full run can produce.
 func oracleNames() []string {
 	var out []string
-	for _, fam := range []string{"ss", "sh", "hs"} {
+	for _, fam := range Families() {
 		for _, o := range []csi.Oracle{csi.OracleWriteRead, csi.OracleErrorHandling, csi.OracleDifferential} {
 			out = append(out, fmt.Sprintf("%s_%s", fam, o))
 		}

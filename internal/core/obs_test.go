@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"strings"
@@ -10,6 +11,42 @@ import (
 	"repro/internal/csi"
 	"repro/internal/obs"
 )
+
+// A traced run over the base corpus reports exactly what an untraced
+// one does: the same rendered text (by sha256) and the same JSON bytes.
+// Tracing only records spans beside the run.
+func TestTracedRunReportUnchanged(t *testing.T) {
+	inputs, err := BuildBaseCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Run(inputs, RunOptions{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer(nil)
+	traced, err := Run(inputs, RunOptions{Parallel: 2, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() == 0 {
+		t.Fatal("the traced run recorded no span")
+	}
+	if a, b := HashBytes([]byte(plain.Report.Render())), HashBytes([]byte(traced.Report.Render())); a != b {
+		t.Errorf("Render sha256: untraced %s, traced %s", a, b)
+	}
+	pj, err := json.Marshal(plain.Report.JSON())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tj, err := json.Marshal(traced.Report.JSON())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pj, tj) {
+		t.Errorf("JSON report differs under tracing:\nuntraced %s\n  traced %s", pj, tj)
+	}
+}
 
 // TestRunWithTracerAttachesChains runs traced harness passes — the
 // input × plan × format cross product and explicit multi-column table

@@ -1,5 +1,11 @@
 package core
 
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
+
 // Plan is one write→read interface pair of Figure 6.
 type Plan struct {
 	Family string // "ss" (Spark to Spark), "sh" (Spark to Hive), "hs" (Hive to Spark)
@@ -46,6 +52,26 @@ func Plans() []Plan {
 		{Family: "hs", Write: HiveQL, Read: SparkSQL},
 		{Family: "hs", Write: HiveQL, Read: DataFrame},
 	}
+}
+
+// Families returns the plan families, in Plans() order: Spark to
+// Spark, Spark to Hive, Hive to Spark.
+func Families() []string { return []string{"ss", "sh", "hs"} }
+
+// PlansIn returns the plans of the given families in Plans() order,
+// every plan for an empty list. An unknown family is an error, never a
+// run that silently tests nothing.
+func PlansIn(families []string) ([]Plan, error) {
+	for _, f := range families {
+		if !slices.Contains(Families(), f) {
+			return nil, fmt.Errorf("core: unknown plan family %q (want %s)", f, strings.Join(Families(), ", "))
+		}
+	}
+	plans := Plans()
+	if len(families) == 0 {
+		return plans, nil
+	}
+	return slices.DeleteFunc(plans, func(p Plan) bool { return !slices.Contains(families, p.Family) }), nil
 }
 
 // Formats returns the backend formats under test, in the paper's order.

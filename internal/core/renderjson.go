@@ -8,14 +8,15 @@ import (
 	"repro/internal/inject"
 )
 
-// RenderReportJSON re-renders the human-readable report from its
-// machine-readable projection, byte-identical to Report.Render() on the
-// report the projection came from. A cluster coordinator merges shard
-// reports at the ReportJSON level; this is how the merged report gets
-// the same Rendered text (and therefore the same ReportSHA) the
-// single-node run produces. The one field Render needs that FoundJSON
-// does not carry — the resolving configuration — is recovered from the
-// registry by signature.
+// RenderReportJSON renders the human-readable report from its
+// machine-readable projection: the per-oracle failure totals, the
+// distinct discrepancies with their JIRA ids and category labels, and
+// the category tallies of §8.2. It is the report's one renderer —
+// Report.Render and a cluster coordinator's merged report both go
+// through it, so a merged report gets the same text (and therefore the
+// same ReportSHA) the single-node run produces. The one field it needs
+// that FoundJSON does not carry — the resolving configuration — is
+// recovered from the registry by signature.
 func RenderReportJSON(rj ReportJSON) string {
 	bySig := inject.BySignature()
 	var b strings.Builder

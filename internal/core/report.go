@@ -1,9 +1,8 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/csi"
 	"repro/internal/inject"
@@ -16,6 +15,14 @@ type Found struct {
 	Known     *inject.Discrepancy // nil for signatures outside the registry
 	Failures  []Failure
 	Oracles   map[csi.Oracle]int
+}
+
+// number is the registry number of a known discrepancy, 0 otherwise.
+func (f *Found) number() int {
+	if f.Known == nil {
+		return 0
+	}
+	return f.Known.Number
 }
 
 // Example returns a representative failure detail.
@@ -66,19 +73,7 @@ func buildReport(failures []Failure) *Report {
 		c.Failures = append(c.Failures, f)
 	}
 	report := &Report{Found: found, ByOracle: byOracle}
-	sort.Slice(report.Found, func(i, j int) bool {
-		a, b := report.Found[i], report.Found[j]
-		switch {
-		case a.Known != nil && b.Known != nil:
-			return a.Known.Number < b.Known.Number
-		case a.Known != nil:
-			return true
-		case b.Known != nil:
-			return false
-		default:
-			return a.Signature < b.Signature
-		}
-	})
+	slices.SortFunc(report.Found, func(a, b Found) int { return foundOrder(a.number(), a.Signature, b.number(), b.Signature) })
 	return report
 }
 
@@ -107,80 +102,9 @@ func (r *Report) UnknownSignatures() []string {
 	return out
 }
 
-// CategoryCounts tallies §8.2 category membership over the found known
-// discrepancies.
-func (r *Report) CategoryCounts() map[inject.Category]int {
-	return inject.CategoryCounts(r.DistinctKnown())
-}
-
-// ConnectorShare reports how many of the found discrepancies live in
-// dedicated connector modules versus generic engine code — Finding
-// 13/14's observation that connectors are a small but failure-dense
-// starting point for CSI testing.
-func (r *Report) ConnectorShare() (inConnector, generic int) {
-	for _, f := range r.Found {
-		if f.Known == nil {
-			continue
-		}
-		if f.Known.InConnector {
-			inConnector++
-		} else {
-			generic++
-		}
-	}
-	return inConnector, generic
-}
-
 // Render produces the human-readable report: the per-oracle failure
 // totals, the distinct discrepancies with their JIRA ids and category
-// labels, and the category tallies of §8.2.
-func (r *Report) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Cross-system testing report (Spark-Hive data plane)\n")
-	fmt.Fprintf(&b, "====================================================\n\n")
-	fmt.Fprintf(&b, "Oracle failures: wr=%d eh=%d difft=%d\n\n",
-		r.ByOracle[csi.OracleWriteRead], r.ByOracle[csi.OracleErrorHandling], r.ByOracle[csi.OracleDifferential])
-	fmt.Fprintf(&b, "Distinct discrepancies: %d\n\n", len(r.Found))
-	for _, f := range r.Found {
-		if f.Known != nil {
-			id := f.Known.JIRA
-			if id == "" {
-				id = "(unreported)"
-			}
-			fmt.Fprintf(&b, "#%-2d %-12s %s\n", f.Known.Number, id, f.Known.Title)
-			if len(f.Known.Categories) > 0 {
-				cats := make([]string, len(f.Known.Categories))
-				for i, c := range f.Known.Categories {
-					cats[i] = string(c)
-				}
-				fmt.Fprintf(&b, "    categories: %s\n", strings.Join(cats, ", "))
-			}
-			if len(f.Known.FixConf) > 0 {
-				keys := make([]string, 0, len(f.Known.FixConf))
-				for k := range f.Known.FixConf {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					fmt.Fprintf(&b, "    resolved by: %s=%s\n", k, f.Known.FixConf[k])
-				}
-			}
-		} else {
-			fmt.Fprintf(&b, "??  %-12s (not in registry)\n", f.Signature)
-		}
-		if f.Known != nil && f.Known.Module != "" {
-			fmt.Fprintf(&b, "    module: %s\n", f.Known.Module)
-		}
-		fmt.Fprintf(&b, "    failures: %d (wr=%d eh=%d difft=%d)\n", len(f.Failures),
-			f.Oracles[csi.OracleWriteRead], f.Oracles[csi.OracleErrorHandling], f.Oracles[csi.OracleDifferential])
-		fmt.Fprintf(&b, "    example: %s\n\n", f.Example())
-	}
-	inConn, generic := r.ConnectorShare()
-	fmt.Fprintf(&b, "Module locality (Finding 13/14): %d in dedicated connectors, %d in generic engine code\n\n", inConn, generic)
-	fmt.Fprintf(&b, "Category tallies (paper: 2/2/5/7/8):\n")
-	counts := r.CategoryCounts()
-	for _, c := range inject.Categories() {
-		fmt.Fprintf(&b, "  %-36s %d/%d\n", c, counts[c], inject.PaperCategoryCounts[c])
-	}
-	return b.String()
-}
+// labels, and the category tallies of §8.2. It renders the report's
+// JSON projection, the one rendering a merged cluster report also goes
+// through.
+func (r *Report) Render() string { return RenderReportJSON(r.JSON()) }

@@ -35,12 +35,12 @@ func TestReportEmpty(t *testing.T) {
 	if len(r.Found) != 0 {
 		t.Fatalf("empty report has %d found clusters", len(r.Found))
 	}
-	if got := r.CategoryCounts(); len(got) != 0 {
-		t.Errorf("CategoryCounts on empty report = %v, want empty", got)
+	j := r.JSON()
+	if len(j.Categories) != 0 {
+		t.Errorf("category tallies on empty report = %v, want empty", j.Categories)
 	}
-	inConn, generic := r.ConnectorShare()
-	if inConn != 0 || generic != 0 {
-		t.Errorf("ConnectorShare on empty report = %d/%d, want 0/0", inConn, generic)
+	if j.InConnector != 0 || j.Generic != 0 {
+		t.Errorf("connector locality on empty report = %d/%d, want 0/0", j.InConnector, j.Generic)
 	}
 	text := r.Render()
 	for _, want := range []string{
@@ -63,13 +63,12 @@ func TestReportSingleFailure(t *testing.T) {
 	if f.Known == nil || f.Known.Number != 8 {
 		t.Fatalf("char-padding did not map to registry #8: %+v", f.Known)
 	}
-	counts := r.CategoryCounts()
-	if counts[inject.TypeViolation] != 1 || counts[inject.CustomConfig] != 1 {
-		t.Errorf("CategoryCounts = %v, want type-violation=1 custom-config=1", counts)
+	j := r.JSON()
+	if counts := j.Categories; counts[string(inject.TypeViolation)] != 1 || counts[string(inject.CustomConfig)] != 1 {
+		t.Errorf("category tallies = %v, want type-violation=1 custom-config=1", counts)
 	}
-	inConn, generic := r.ConnectorShare()
-	if inConn != 0 || generic != 1 {
-		t.Errorf("ConnectorShare = %d/%d, want 0 connector / 1 generic", inConn, generic)
+	if j.InConnector != 0 || j.Generic != 1 {
+		t.Errorf("connector locality = %d/%d, want 0 connector / 1 generic", j.InConnector, j.Generic)
 	}
 	text := r.Render()
 	for _, want := range []string{

@@ -1,7 +1,11 @@
 package core
 
 import (
-	"repro/internal/csi"
+	"cmp"
+	"slices"
+	"strings"
+
+	"repro/internal/inject"
 )
 
 // The machine-readable report shape: what `crosstest -json` prints and
@@ -38,32 +42,12 @@ type ReportJSON struct {
 
 // JSON projects the report into its machine-readable shape.
 func (r *Report) JSON() ReportJSON {
-	out := ReportJSON{
-		OracleFailures: map[string]int{},
-		Distinct:       len(r.Found),
-		Found:          make([]FoundJSON, 0, len(r.Found)),
-		KnownNumbers:   r.DistinctKnown(),
-		NewSignatures:  r.UnknownSignatures(),
-		Categories:     map[string]int{},
-	}
-	for _, o := range []csi.Oracle{csi.OracleWriteRead, csi.OracleErrorHandling, csi.OracleDifferential} {
-		out.OracleFailures[o.String()] = r.ByOracle[o]
-	}
-	// The skew oracle only exists on version-skew deployments; emitting
-	// it conditionally keeps single-version report bytes (and therefore
-	// every pre-version content-addressed cache entry) unchanged.
-	if n := r.ByOracle[csi.OracleVersionSkew]; n > 0 {
-		out.OracleFailures[csi.OracleVersionSkew.String()] = n
-	}
-	for c, n := range r.CategoryCounts() {
-		out.Categories[string(c)] = n
-	}
-	out.InConnector, out.Generic = r.ConnectorShare()
+	found := make([]FoundJSON, 0, len(r.Found))
 	for _, f := range r.Found {
 		fj := FoundJSON{
 			Signature: f.Signature,
 			Failures:  len(f.Failures),
-			Oracles:   map[string]int{},
+			Oracles:   make(map[string]int, len(f.Oracles)),
 			Example:   f.Example(),
 		}
 		if f.Known != nil {
@@ -78,7 +62,65 @@ func (r *Report) JSON() ReportJSON {
 		for o, n := range f.Oracles {
 			fj.Oracles[o.String()] = n
 		}
-		out.Found = append(out.Found, fj)
+		found = append(found, fj)
+	}
+	oracles := make(map[string]int, len(r.ByOracle))
+	for o, n := range r.ByOracle {
+		oracles[o.String()] = n
+	}
+	return AssembleReport(found, oracles)
+}
+
+// AssembleReport builds a ReportJSON from its found clusters and the
+// per-oracle failure totals: it orders the clusters, and derives the
+// distinct count, the known numbers, the new signatures, the §8.2
+// category tallies and the connector locality from them. Report.JSON
+// and a cluster coordinator's merge of shard reports both build
+// through it, so the two cannot disagree. found is sorted in place.
+func AssembleReport(found []FoundJSON, oracles map[string]int) ReportJSON {
+	slices.SortFunc(found, func(a, b FoundJSON) int { return foundOrder(a.Known, a.Signature, b.Known, b.Signature) })
+	out := ReportJSON{
+		OracleFailures: map[string]int{"wr": oracles["wr"], "eh": oracles["eh"], "difft": oracles["difft"]},
+		Distinct:       len(found),
+		Found:          found,
+		Categories:     map[string]int{},
+	}
+	// The three §8.1 oracles are always present; any other (the skew
+	// oracle, which only version-skew deployments run) only when it
+	// fired, which keeps single-version report bytes — and every
+	// pre-version content-addressed cache entry — unchanged.
+	for o, n := range oracles {
+		if n > 0 {
+			out.OracleFailures[o] = n
+		}
+	}
+	bySig := inject.BySignature()
+	for _, f := range found {
+		if f.Known == 0 {
+			out.NewSignatures = append(out.NewSignatures, f.Signature)
+			continue
+		}
+		out.KnownNumbers = append(out.KnownNumbers, f.Known)
+		if bySig[f.Signature].InConnector {
+			out.InConnector++
+		} else {
+			out.Generic++
+		}
+	}
+	for c, n := range inject.CategoryCounts(out.KnownNumbers) {
+		out.Categories[string(c)] = n
 	}
 	return out
+}
+
+// foundOrder is the report's cluster order: known discrepancies by
+// registry number, then new signatures, each tie broken by signature.
+func foundOrder(aKnown int, aSig string, bKnown int, bSig string) int {
+	if (aKnown == 0) != (bKnown == 0) {
+		if aKnown == 0 {
+			return 1
+		}
+		return -1
+	}
+	return cmp.Or(cmp.Compare(aKnown, bKnown), strings.Compare(aSig, bSig))
 }

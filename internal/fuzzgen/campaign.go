@@ -109,22 +109,38 @@ type Result struct {
 	Elapsed   time.Duration
 }
 
+// Resolve returns the options with the default configuration-pool size
+// filled in (so Confs 0 and DefaultConfs are one campaign), or the
+// first reason they cannot run: a negative Parallel, N, From or Confs.
+// RunCampaign resolves its options through it, and so does crossd for
+// a fuzz job spec at admission.
+func (o Options) Resolve() (Options, error) {
+	if o.Parallel < 0 {
+		return o, fmt.Errorf("fuzzgen: Parallel must be non-negative, got %d", o.Parallel)
+	}
+	if o.N < 0 {
+		return o, fmt.Errorf("fuzzgen: N must be non-negative, got %d", o.N)
+	}
+	if o.From < 0 {
+		return o, fmt.Errorf("fuzzgen: From must be non-negative, got %d", o.From)
+	}
+	if o.Confs < 0 {
+		return o, fmt.Errorf("fuzzgen: Confs must be non-negative, got %d", o.Confs)
+	}
+	if o.Confs == 0 {
+		o.Confs = DefaultConfs
+	}
+	return o, nil
+}
+
 // RunCampaign generates opts.N cases, executes them batched by session
 // configuration through core.RunTables, clusters the failures, and
 // shrinks the first-seen case of every signature outside the Figure-6
 // registry (and outside the persisted corpus) to a minimal reproducer.
 func RunCampaign(opts Options) (*Result, error) {
-	if opts.Parallel < 0 {
-		return nil, fmt.Errorf("fuzzgen: Parallel must be non-negative, got %d", opts.Parallel)
-	}
-	if opts.N < 0 {
-		return nil, fmt.Errorf("fuzzgen: N must be non-negative, got %d", opts.N)
-	}
-	if opts.From < 0 {
-		return nil, fmt.Errorf("fuzzgen: From must be non-negative, got %d", opts.From)
-	}
-	if opts.Confs == 0 {
-		opts.Confs = DefaultConfs
+	opts, err := opts.Resolve()
+	if err != nil {
+		return nil, err
 	}
 	started := time.Now() //crossvet:wallclock Elapsed is operator-facing; the campaign hash covers Render, which excludes it
 	deadline := time.Time{}

@@ -139,8 +139,7 @@ func (g *Generator) columns(r *Rand) []ColumnSpec {
 // a family, format pairs share a plan, grids do both, and solo cases
 // feed only the write-read and error-handling oracles.
 func (g *Generator) assignments(r *Rand) []Assignment {
-	families := []string{"ss", "sh", "hs"}
-	family := Pick(r, families)
+	family := Pick(r, core.Families())
 	plans := g.plans[family]
 	formats := core.Formats()
 	format := Pick(r, formats)

@@ -10,6 +10,8 @@
 // oracles without consulting the registry.
 package inject
 
+import "sync"
+
 // Category is a §8.2 problem category.
 type Category string
 
@@ -203,8 +205,12 @@ func Registry() []Discrepancy {
 	}
 }
 
-// BySignature returns the signature → discrepancy index.
-func BySignature() map[string]Discrepancy {
+// BySignature returns the signature → discrepancy index. Every report
+// build and render looks signatures up in it, so it is built once and
+// shared: callers read it and never write it.
+func BySignature() map[string]Discrepancy { return bySignature() }
+
+var bySignature = sync.OnceValue(func() map[string]Discrepancy {
 	out := make(map[string]Discrepancy)
 	for _, d := range Registry() {
 		for _, sig := range d.Signatures {
@@ -212,7 +218,7 @@ func BySignature() map[string]Discrepancy {
 		}
 	}
 	return out
-}
+})
 
 // CategoryCounts tallies category membership over a set of discrepancy
 // numbers.

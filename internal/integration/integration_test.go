@@ -5,6 +5,7 @@
 package integration_test
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -135,5 +136,31 @@ func TestCsireplayUnknownScenario(t *testing.T) {
 	cmd := exec.Command(filepath.Join(binDir, "csireplay"), "nope")
 	if err := cmd.Run(); err == nil {
 		t.Error("unknown scenario should exit nonzero")
+	}
+}
+
+// The CLIs reject the options crossd rejects at admission, exiting 1
+// with an error that names the bad value instead of running nothing or
+// running something else.
+func TestCLIsRejectWhatCrossdRejects(t *testing.T) {
+	for _, tc := range []struct {
+		bin  string
+		args []string
+		want string
+	}{
+		{"crosstest", []string{"-family", "bogus"}, `unknown plan family "bogus"`},
+		{"crosstest", []string{"-inputs", "nomatch"}, `input prefix "nomatch" matches no corpus input`},
+		{"crossfuzz", []string{"-confs", "-1"}, "Confs must be non-negative, got -1"},
+		{"crosspart", []string{"-trials", "-3"}, "Trials must be non-negative, got -3"},
+	} {
+		out, err := exec.Command(filepath.Join(binDir, tc.bin), tc.args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s %v: err %v, want exit status 1\n%s", tc.bin, tc.args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s %v: output %q, want it to contain %q", tc.bin, tc.args, out, tc.want)
+		}
 	}
 }

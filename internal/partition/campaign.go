@@ -172,36 +172,95 @@ func randomCutFor(sc *Scenario, seed uint64, trial int) ([2]string, int64) {
 // PlanRandom enumerates the cut schedule a random campaign with the
 // given parameters will inject, without running anything.
 func PlanRandom(seed uint64, scenarios []string, trials int, holdMs int64) ([]PlannedCut, error) {
-	scs, err := selectScenarios(scenarios)
+	o, err := Options{Seed: seed, Scenarios: scenarios, Trials: trials, HoldMs: holdMs}.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	if trials <= 0 {
-		trials = DefaultTrials
-	}
-	if holdMs <= 0 {
-		holdMs = DefaultHoldMs
+	scs, err := selectScenarios(o.Scenarios)
+	if err != nil {
+		return nil, err
 	}
 	var out []PlannedCut
 	for _, sc := range scs {
-		for k := 0; k < trials; k++ {
+		for k := 0; k < o.Trials; k++ {
 			link, at := randomCutFor(sc, seed, k)
 			out = append(out, PlannedCut{
 				Scenario: sc.Name, Trial: k,
 				From: link[0], To: link[1],
-				AtMs: at, HealAtMs: at + holdMs,
+				AtMs: at, HealAtMs: at + o.HoldMs,
 			})
 		}
 	}
 	return out, nil
 }
 
-// The campaign defaults Run and PlanRandom apply to a zero Trials or
-// HoldMs; crossd resolves partition job specs to the same values.
+// The campaign defaults Resolve fills in for a zero Trials or HoldMs.
 const (
 	DefaultTrials = 20
 	DefaultHoldMs = 1000
 )
+
+// Resolve returns the options with the campaign defaults filled in —
+// the full registry, in registry order, for an empty scenario list, the
+// guided strategy, DefaultTrials and DefaultHoldMs — or the first
+// reason they cannot run: an unknown scenario or strategy, a negative
+// Trials or HoldMs, a fixed strategy without a schedule, or a schedule
+// cut that no selected scenario can take. Run and PlanRandom resolve
+// their options through it, and so does crossd for a partition job
+// spec, so a spec with its defaults omitted and the same spec spelled
+// out are one campaign under one cache key.
+func (o Options) Resolve() (Options, error) {
+	scs, err := selectScenarios(o.Scenarios)
+	if err != nil {
+		return o, err
+	}
+	nodes := map[string]bool{}
+	o.Scenarios = make([]string, len(scs))
+	for i, sc := range scs {
+		o.Scenarios[i] = sc.Name
+		for _, n := range sc.Nodes {
+			nodes[n] = true
+		}
+	}
+	if o.Strategy == "" {
+		o.Strategy = StrategyGuided
+	}
+	if !ValidStrategy(string(o.Strategy)) {
+		return o, fmt.Errorf("partition: unknown strategy %q (have %s)", o.Strategy, strings.Join(Strategies(), ", "))
+	}
+	if o.Trials < 0 {
+		return o, fmt.Errorf("partition: Trials must be non-negative, got %d", o.Trials)
+	}
+	if o.Trials == 0 {
+		o.Trials = DefaultTrials
+	}
+	if o.HoldMs < 0 {
+		return o, fmt.Errorf("partition: HoldMs must be non-negative, got %d", o.HoldMs)
+	}
+	if o.HoldMs == 0 {
+		o.HoldMs = DefaultHoldMs
+	}
+	if o.Strategy == StrategyFixed && len(o.Schedule) == 0 {
+		return o, fmt.Errorf("partition: strategy %q needs a non-empty schedule", StrategyFixed)
+	}
+	for _, c := range o.Schedule {
+		if c.From == "" || c.To == "" {
+			return o, fmt.Errorf("partition: schedule cut needs both node names, got %q->%q", c.From, c.To)
+		}
+		for _, n := range []string{c.From, c.To} {
+			if !nodes[n] {
+				return o, fmt.Errorf("partition: schedule names node %q, which no selected scenario has", n)
+			}
+		}
+		if c.AtMs < 0 {
+			return o, fmt.Errorf("partition: schedule cut time must be non-negative, got %d", c.AtMs)
+		}
+		if c.HealAtMs != 0 && c.HealAtMs <= c.AtMs {
+			return o, fmt.Errorf("partition: cut heal time %d must follow the cut at %d (or be 0 to hold)", c.HealAtMs, c.AtMs)
+		}
+	}
+	return o, nil
+}
 
 func selectScenarios(names []string) ([]*Scenario, error) {
 	if len(names) == 0 {
@@ -342,23 +401,12 @@ func runUnit(sc *Scenario, mode Strategy, trial int, opts Options) unitResult {
 // independent and run on opts.Parallel workers; results are assembled
 // in deterministic order regardless of completion order.
 func Run(opts Options) (*Result, error) {
-	if opts.Strategy == "" {
-		opts.Strategy = StrategyGuided
-	}
-	if !ValidStrategy(string(opts.Strategy)) {
-		return nil, fmt.Errorf("partition: unknown strategy %q (have %s)", opts.Strategy, strings.Join(Strategies(), ", "))
-	}
-	if opts.Trials <= 0 {
-		opts.Trials = DefaultTrials
-	}
-	if opts.HoldMs <= 0 {
-		opts.HoldMs = DefaultHoldMs
+	opts, err := opts.Resolve()
+	if err != nil {
+		return nil, err
 	}
 	if opts.Parallel <= 0 {
 		opts.Parallel = 1
-	}
-	if opts.Strategy == StrategyFixed && len(opts.Schedule) == 0 {
-		return nil, fmt.Errorf("partition: strategy %q needs a non-empty schedule", StrategyFixed)
 	}
 	scs, err := selectScenarios(opts.Scenarios)
 	if err != nil {

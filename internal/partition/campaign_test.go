@@ -199,6 +199,10 @@ func TestCampaignErrors(t *testing.T) {
 		{"unknown scenario", Options{Scenarios: []string{"nope"}}, `unknown scenario "nope"`},
 		{"unknown strategy", Options{Strategy: "chaotic"}, `unknown strategy "chaotic"`},
 		{"fixed without schedule", Options{Strategy: StrategyFixed}, "needs a non-empty schedule"},
+		{"negative trials", Options{Trials: -3}, "Trials must be non-negative, got -3"},
+		{"negative hold", Options{HoldMs: -5}, "HoldMs must be non-negative, got -5"},
+		{"cut on an unselected node", Options{Scenarios: []string{"kafka-isr"},
+			Schedule: []Cut{{AtMs: 1, From: "controller", To: "nn"}}}, `names node "nn"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -211,14 +215,17 @@ func TestCampaignErrors(t *testing.T) {
 	if _, err := PlanRandom(1, []string{"nope"}, 1, 1); err == nil {
 		t.Error("PlanRandom accepted an unknown scenario")
 	}
+	if _, err := PlanRandom(1, nil, -3, 1); err == nil {
+		t.Error("PlanRandom accepted a negative trial count")
+	}
 }
 
 // TestFixedSkipsUnknownNodes pins that a fixed schedule spanning
 // several scenarios applies to each only the cuts whose nodes exist
-// there (serve validates against the union of selected scenarios).
+// there (Resolve validates against the union of selected scenarios).
 func TestFixedSkipsUnknownNodes(t *testing.T) {
 	res := mustRun(t, Options{
-		Seed: goldenSeed, Scenarios: []string{"yarn-app-state"},
+		Seed: goldenSeed, Scenarios: []string{"yarn-app-state", "hdfs-replica", "kafka-isr"},
 		Strategy: StrategyFixed,
 		Schedule: []Cut{
 			{AtMs: 2050, From: "am", To: "rm"},       // applies: inside P3's window

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -67,26 +65,4 @@ func (e *Executor) runOptions(ctx context.Context, s *JobSpec, onFailure func(co
 		Metrics:   e.Metrics,
 		OnFailure: onFailure,
 	}
-}
-
-// corpusInputs builds the Figure-6 corpus, optionally restricted by
-// name prefix (the -inputs flag of crosstest, as a job parameter).
-func corpusInputs(prefix string) ([]core.Input, error) {
-	inputs, err := core.BuildCorpus()
-	if err != nil {
-		return nil, err
-	}
-	if prefix == "" {
-		return inputs, nil
-	}
-	var filtered []core.Input
-	for _, in := range inputs {
-		if strings.HasPrefix(in.Name, prefix) {
-			filtered = append(filtered, in)
-		}
-	}
-	if len(filtered) == 0 {
-		return nil, fmt.Errorf("serve: input prefix %q matches no corpus input", prefix)
-	}
-	return filtered, nil
 }

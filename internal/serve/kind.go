@@ -7,9 +7,11 @@ import (
 )
 
 // kind is one job kind's descriptor. A kind lives in its own
-// kind_<name>.go file: its defaults are resolved there exactly once,
-// and its admission rules, content address, execution and cluster split
-// all read that one resolution.
+// kind_<name>.go file: it resolves its defaults there exactly once,
+// through the plane that owns them (core, fuzzgen, partition), so crossd
+// and the CLIs accept and reject the same specs; its admission rules add
+// only crossd's own limits, and its content address, execution and
+// cluster split all read that one resolution.
 type kind struct {
 	// validate rejects a malformed spec of the kind at admission.
 	validate func(s *JobSpec) error

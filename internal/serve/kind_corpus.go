@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sort"
 
@@ -22,19 +21,11 @@ var corpusKind = kind{
 	sharded: true,
 }
 
-// families is the canonical plan-family order (core.Plans() order). A
-// spec without families runs all of them, and corpus shards dispatch in
-// this order however the submission spelled its list.
-var families = []string{"ss", "sh", "hs"}
-
-// validateFamilies is the admission rule of every corpus-backed kind.
+// validateFamilies is the admission rule of every corpus-backed kind:
+// core rejects an unknown plan family.
 func validateFamilies(s *JobSpec) error {
-	for _, f := range s.Families {
-		if !slices.Contains(families, f) {
-			return fmt.Errorf("serve: unknown plan family %q", f)
-		}
-	}
-	return nil
+	_, err := core.PlansIn(s.Families)
+	return err
 }
 
 // corpusKey fills the content-address fields every corpus-backed kind
@@ -53,7 +44,7 @@ func corpusKey(s *JobSpec, ks *keySpec) error {
 }
 
 func executeCorpus(ctx context.Context, e *Executor, s *JobSpec, onFailure func(core.Failure)) (*JobResult, error) {
-	inputs, err := corpusInputs(s.InputPrefix)
+	inputs, err := core.CorpusInputs(s.InputPrefix)
 	if err != nil {
 		return nil, err
 	}
@@ -64,18 +55,19 @@ func executeCorpus(ctx context.Context, e *Executor, s *JobSpec, onFailure func(
 		return nil, err
 	}
 	rj := run.Report.JSON()
-	res := &JobResult{Report: &rj, Rendered: run.Report.Render()}
+	res := &JobResult{Report: &rj, Rendered: core.RenderReportJSON(rj)}
 	if s.Shard {
 		res.Merge = corpusMergeMeta(run.Report)
 	}
 	return res, nil
 }
 
-// splitCorpus shards by plan family. Shards carry Shard, so each result
+// splitCorpus shards by plan family, in core's family order however
+// the submission spelled its list. Shards carry Shard, so each result
 // brings the MergeMeta ranks the deterministic merge needs.
 func splitCorpus(s *JobSpec, _ int) ([]JobSpec, error) {
 	var subs []JobSpec
-	for _, f := range families {
+	for _, f := range core.Families() {
 		if len(s.Families) > 0 && !slices.Contains(s.Families, f) {
 			continue
 		}

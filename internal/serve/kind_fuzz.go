@@ -14,7 +14,10 @@ import (
 var fuzzKind = kind{
 	validate: validateFuzz,
 	key: func(s *JobSpec, ks *keySpec) error {
-		o := s.FuzzOptions()
+		o, err := s.FuzzOptions()
+		if err != nil {
+			return err
+		}
 		ks.Seed, ks.N, ks.From, ks.Confs = o.Seed, o.N, o.From, o.Confs
 		return nil
 	},
@@ -25,17 +28,15 @@ var fuzzKind = kind{
 }
 
 // FuzzOptions resolves the spec into the campaign options it runs
-// under, with the default configuration-pool size filled in (so confs 0
-// and 6 share a key). A cluster merge renders the merged campaign under
-// the same options.
-func (s *JobSpec) FuzzOptions() fuzzgen.Options {
-	o := fuzzgen.Options{Seed: s.Seed, N: s.N, From: s.From, Confs: s.Confs}
-	if o.Confs == 0 {
-		o.Confs = fuzzgen.DefaultConfs
-	}
-	return o
+// under (fuzzgen.Options.Resolve: the default configuration-pool size
+// filled in, so confs 0 and 6 share a key; negative values rejected).
+// A cluster merge renders the merged campaign under the same options.
+func (s *JobSpec) FuzzOptions() (fuzzgen.Options, error) {
+	return fuzzgen.Options{Seed: s.Seed, N: s.N, From: s.From, Confs: s.Confs}.Resolve()
 }
 
+// validateFuzz rejects, at admission, a campaign fuzzgen rejects and
+// one outside crossd's size limits.
 func validateFuzz(s *JobSpec) error {
 	if s.N <= 0 {
 		return fmt.Errorf("serve: fuzz job needs n > 0, got %d", s.N)
@@ -43,17 +44,15 @@ func validateFuzz(s *JobSpec) error {
 	if s.N > 1_000_000 {
 		return fmt.Errorf("serve: fuzz n %d exceeds the 1000000 admission limit", s.N)
 	}
-	if s.Confs < 0 {
-		return fmt.Errorf("serve: confs must be non-negative, got %d", s.Confs)
-	}
-	if s.From < 0 {
-		return fmt.Errorf("serve: from must be non-negative, got %d", s.From)
-	}
-	return nil
+	_, err := s.FuzzOptions()
+	return err
 }
 
 func executeFuzz(ctx context.Context, e *Executor, s *JobSpec, onFailure func(core.Failure)) (*JobResult, error) {
-	o := s.FuzzOptions()
+	o, err := s.FuzzOptions()
+	if err != nil {
+		return nil, err
+	}
 	o.Context, o.Parallel, o.Tracer, o.Metrics, o.OnFailure = ctx, s.Parallel, e.Tracer, e.Metrics, onFailure
 	camp, err := fuzzgen.RunCampaign(o)
 	if err != nil {

@@ -62,7 +62,7 @@ func skewKey(s *JobSpec, ks *keySpec) error {
 }
 
 func executeSkew(ctx context.Context, e *Executor, s *JobSpec, onFailure func(core.Failure)) (*JobResult, error) {
-	inputs, err := corpusInputs(s.InputPrefix)
+	inputs, err := core.CorpusInputs(s.InputPrefix)
 	if err != nil {
 		return nil, err
 	}

@@ -29,9 +29,9 @@ func TestPartitionValidation(t *testing.T) {
 		{"fixed with schedule", JobSpec{Kind: KindPartition, Strategy: "fixed",
 			Schedule: []partition.Cut{{AtMs: 2100, From: "dn1", To: "nn"}}}, ""},
 		{"unknown scenario", JobSpec{Kind: KindPartition, Scenarios: []string{"nope"}},
-			`unknown partition scenario "nope"`},
+			`unknown scenario "nope"`},
 		{"unknown strategy", JobSpec{Kind: KindPartition, Strategy: "chaotic"},
-			`unknown partition strategy "chaotic"`},
+			`unknown strategy "chaotic"`},
 		{"fixed without schedule", JobSpec{Kind: KindPartition, Strategy: "fixed"},
 			"needs a non-empty schedule"},
 		{"cut missing node name", JobSpec{Kind: KindPartition,

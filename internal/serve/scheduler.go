@@ -280,7 +280,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	}
 	if live, ok := s.byKey[key]; ok {
 		s.mu.Unlock()
-		s.record(obs.MetricJobsSubmitted, "kind", spec.Kind)
+		s.count(obs.MetricJobsSubmitted, "kind", spec.Kind)
 		s.opts.Recorder.Record(obs.Event{Type: obs.EvJobCoalesced, Job: live.ID, Key: key, Trace: live.trace})
 		return live, nil
 	}
@@ -308,7 +308,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 		job.result = data
 		close(job.done)
 		s.mu.Unlock()
-		s.record(obs.MetricJobsSubmitted, "kind", spec.Kind)
+		s.count(obs.MetricJobsSubmitted, "kind", spec.Kind)
 		s.count(obs.MetricCacheHits)
 		s.updateCacheGauges()
 		s.stage(obs.StageCacheProbe, probe, job.trace)
@@ -340,7 +340,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	}
 	depth := len(s.queue)
 	s.mu.Unlock()
-	s.record(obs.MetricJobsSubmitted, "kind", spec.Kind)
+	s.count(obs.MetricJobsSubmitted, "kind", spec.Kind)
 	s.count(obs.MetricCacheMisses)
 	s.updateCacheGauges()
 	s.stage(obs.StageCacheProbe, probe, job.trace)
@@ -656,8 +656,7 @@ func reportSHA(data []byte) string {
 }
 
 // metric helpers: all tolerate a nil registry.
-func (s *Scheduler) count(name string, labels ...string) { s.record(name, labels...) }
-func (s *Scheduler) record(name string, labels ...string) {
+func (s *Scheduler) count(name string, labels ...string) {
 	if s.opts.Metrics != nil {
 		s.opts.Metrics.Counter(name, labels...).Inc()
 	}

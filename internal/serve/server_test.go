@@ -490,6 +490,10 @@ func TestServerRejectsMalformedSubmissions(t *testing.T) {
 		`{"kind":"fuzz","n":10,"bogus_field":1}`, // unknown field
 		`{"kind":"warp","n":10}`,                 // unknown kind
 		`not json`,
+		// The plane-owned checks crossd runs at admission.
+		`{"kind":"corpus","families":["bogus"]}`,
+		`{"kind":"fuzz","n":10,"confs":-1}`,
+		`{"kind":"partition","trials":-3}`,
 	} {
 		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
