@@ -134,7 +134,7 @@ func main() {
 	}
 
 	if *sweep {
-		cells, err := core.FixSweep(corpus, core.RunOptions{Parallel: *parallel})
+		cells, err := core.FixSweep(corpus, opts)
 		if err != nil {
 			cli.Fatal(fmt.Errorf("sweep: %w", err))
 		}

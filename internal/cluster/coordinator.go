@@ -74,17 +74,15 @@ func (c *Coordinator) splitFactor() int {
 	return len(c.order)
 }
 
+// count and stage record to the coordinator's registry; a nil registry
+// does nothing.
 func (c *Coordinator) count(name string, labels ...string) {
-	if c.opts.Metrics != nil {
-		c.opts.Metrics.Counter(name, labels...).Inc()
-	}
+	c.opts.Metrics.Counter(name, labels...).Inc()
 }
 
 func (c *Coordinator) stage(stage string, d time.Duration) {
-	if c.opts.Metrics != nil {
-		c.opts.Metrics.Histogram(obs.MetricStageDurationMs, nil, "stage", stage).
-			ObserveExemplar(float64(d)/float64(time.Millisecond), "")
-	}
+	c.opts.Metrics.Histogram(obs.MetricStageDurationMs, nil, "stage", stage).
+		ObserveExemplar(float64(d)/float64(time.Millisecond), "")
 }
 
 // Execute implements serve.Runner. Sub-job oracle failures surface in

@@ -7,20 +7,23 @@
 //     shard's example represents each merged cluster, core.AssembleReport
 //     orders and tallies the merged clusters, and core.RenderReportJSON
 //     (the one report renderer) rebuilds the text.
-//   - fuzz: sub-campaigns (contiguous seed ranges) rebuild a
-//     fuzzgen.Result — sums, rank-merged clusters, and the minimum-rank
-//     shard's reproducers — and the real Render produces the text.
-//   - skew: one cell per pair, concatenated in parent pair order into
-//     a core.SkewMatrix.
+//   - fuzz: sub-campaigns (contiguous seed ranges) sum their tallies
+//     and rank-merge their clusters; fuzzgen's Result.Assemble (the
+//     builder RunCampaign uses) orders them and derives the known hits,
+//     new signatures and the minimum-rank shard's reproducers, and the
+//     real Render produces the text.
+//   - skew: one core.SkewCell per pair, concatenated in parent pair
+//     order into a core.SkewMatrix.
 //   - partition: one scenario per sub, concatenated in expanded
 //     registry order into a partition.Result.
 //
-// Every merged payload is built and stamped by the serve code Execute
-// uses (the spec's resolved options, serve.FuzzResult,
-// serve.SkewResult, JobSpec.Stamp), so a merged result cannot drift
-// from the single-node one. The merges stay in this package rather than
-// in serve's kind files because crossvet holds this package to the
-// determinism contract, while serve is allowed the wall clock.
+// Every merged payload is built and stamped by the code Execute uses
+// (the spec's resolved options, fuzzgen's Result.Assemble,
+// serve.FuzzResult, serve.SkewResult, JobSpec.Stamp), so a merged
+// result cannot drift from the single-node one. The merges stay in
+// this package rather than in serve's kind files because crossvet holds
+// this package to the determinism contract, while serve is allowed the
+// wall clock.
 //
 // Everything here is deterministic: map iteration is always sorted
 // before it can reach rendered output, and the merged result depends
@@ -30,13 +33,11 @@ package merge
 import (
 	"fmt"
 	"maps"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/fuzzgen"
 	"repro/internal/partition"
 	"repro/internal/serve"
-	"repro/internal/versions"
 )
 
 // subRank returns the merge rank a sub-result recorded for a cluster
@@ -107,20 +108,19 @@ func Corpus(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, erro
 }
 
 // Fuzz merges seed-range shard campaigns into the parent campaign
-// result, rebuilding a fuzzgen.Result under the parent's resolved
-// options so the real Render produces the report text.
+// result under the parent's resolved options: it sums the shards'
+// tallies and cluster counts, keeps each cluster's example from the
+// shard with the minimum rank, and leaves the ordering and every
+// derived field to fuzzgen's Result.Assemble, the builder RunCampaign
+// uses, so the real Render produces the report text.
 func Fuzz(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, error) {
 	opts, err := spec.FuzzOptions()
 	if err != nil {
 		return nil, err
 	}
 	camp := &fuzzgen.Result{Opts: opts}
-	type acc struct {
-		cl   fuzzgen.Cluster
-		rank string
-		sub  *serve.JobResult // the minimum-rank shard, for reproducers
-	}
-	clusters := map[string]*acc{}
+	clusters := map[string]*fuzzgen.Cluster{}
+	first := map[string]*serve.JobResult{} // signature -> its minimum-rank shard
 	for _, sub := range subs {
 		if sub == nil || sub.Fuzz == nil {
 			return nil, fmt.Errorf("merge: fuzz sub-result missing campaign payload")
@@ -129,58 +129,33 @@ func Fuzz(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, error)
 		camp.Executed += sub.Fuzz.Executed
 		camp.TableCases += sub.Fuzz.TableCases
 		camp.Failures += sub.Fuzz.Failures
-		for _, cj := range sub.Fuzz.Clusters {
-			rank := subRank(sub, cj.Signature)
-			a, ok := clusters[cj.Signature]
+		for _, cl := range sub.Fuzz.Clusters {
+			cl.FirstRank = subRank(sub, cl.Signature)
+			a, ok := clusters[cl.Signature]
 			if !ok {
-				clusters[cj.Signature] = &acc{
-					cl:   fuzzgen.Cluster{Signature: cj.Signature, Known: cj.Known, Count: cj.Count, Example: cj.Example, FirstRank: rank},
-					rank: rank,
-					sub:  sub,
-				}
+				clusters[cl.Signature], first[cl.Signature] = &cl, sub
 				continue
 			}
-			a.cl.Count += cj.Count
-			if better(rank, a.rank) {
-				a.cl.Example = cj.Example
-				a.cl.FirstRank = rank
-				a.rank = rank
-				a.sub = sub
+			a.Count += cl.Count
+			if better(cl.FirstRank, a.FirstRank) {
+				a.Example, a.FirstRank = cl.Example, cl.FirstRank
+				first[cl.Signature] = sub
 			}
 		}
 	}
-	sigs := make([]string, 0, len(clusters))
-	for s := range clusters {
-		sigs = append(sigs, s)
-	}
-	sort.Strings(sigs)
-	knownSet := map[int]bool{}
-	for _, s := range sigs {
-		a := clusters[s]
-		camp.Clusters = append(camp.Clusters, a.cl)
-		if a.cl.Known > 0 {
-			knownSet[a.cl.Known] = true
-			continue
-		}
-		camp.NewSigs = append(camp.NewSigs, s)
-		// The minimum-rank shard saw the campaign's first failure of
-		// this signature; Shrink is pure, so its reproducer is the one
-		// the unsharded campaign emits.
-		if a.sub.Merge != nil {
-			for i := range a.sub.Merge.Reproducers {
-				if a.sub.Merge.Reproducers[i].Signature == s {
-					r := a.sub.Merge.Reproducers[i]
-					camp.Reproducers = append(camp.Reproducers, &r)
-					break
+	// The minimum-rank shard saw the campaign's first failure of a
+	// signature; Shrink is pure, so its reproducer is the one the
+	// unsharded campaign emits.
+	camp.Assemble(clusters, func(cl *fuzzgen.Cluster) *fuzzgen.Reproducer {
+		if m := first[cl.Signature].Merge; m != nil {
+			for _, r := range m.Reproducers {
+				if r.Signature == cl.Signature {
+					return &r
 				}
 			}
 		}
-	}
-	for n := range knownSet {
-		camp.KnownHit = append(camp.KnownHit, n)
-	}
-	sort.Ints(camp.KnownHit)
-
+		return nil
+	})
 	return spec.Stamp(serve.FuzzResult(camp))
 }
 
@@ -192,20 +167,7 @@ func Skew(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, error)
 		if sub == nil || sub.Skew == nil {
 			return nil, fmt.Errorf("merge: skew sub-result missing matrix payload")
 		}
-		for _, cell := range sub.Skew.Cells {
-			pair, err := versions.ParsePair(cell.Writer + "->" + cell.Reader)
-			if err != nil {
-				return nil, fmt.Errorf("merge: skew cell pair: %w", err)
-			}
-			m.Cells = append(m.Cells, core.SkewCell{
-				Pair:           pair,
-				Known:          cell.Known,
-				SkewIDs:        cell.SkewIDs,
-				SkewSignatures: cell.SkewSignatures,
-				Failures:       cell.Failures,
-				SkewFailures:   cell.SkewFailures,
-			})
-		}
+		m.Cells = append(m.Cells, sub.Skew.Cells...)
 	}
 	return spec.Stamp(serve.SkewResult(m))
 }

@@ -141,21 +141,23 @@ func RunSkew(inputs []Input, pair versions.Pair, opts RunOptions) (*RunResult, e
 	return Run(inputs, opts)
 }
 
-// SkewCell is one writer×reader cell of the version matrix.
+// SkewCell is one writer×reader cell of the version matrix. It is also
+// the cell of crossd's skew job payload: the embedded pair encodes as
+// its "writer" and "reader" stack strings.
 type SkewCell struct {
-	Pair versions.Pair
+	versions.Pair
 	// Known lists the standard-registry discrepancy numbers the cell's
 	// run exposed (the Figure-6 pin for the baseline cell).
-	Known []int
+	Known []int `json:"known"`
 	// SkewIDs lists the version-skew registry entries the cell
 	// confirmed; SkewSignatures the raw skew-only signatures behind
 	// them (including any outside the registry).
-	SkewIDs        []string
-	SkewSignatures []string
+	SkewIDs        []string `json:"skew_ids,omitempty"`
+	SkewSignatures []string `json:"skew_signatures,omitempty"`
 	// Failures tallies oracle violations: the three §8.1 oracles plus
 	// the skew oracle.
-	Failures     int
-	SkewFailures int
+	Failures     int `json:"failures"`
+	SkewFailures int `json:"skew_failures"`
 }
 
 // SkewMatrix is the cross-version discrepancy matrix: one cell per

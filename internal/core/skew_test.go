@@ -359,7 +359,7 @@ func TestRunSkewMatrixSharedProbesMatchPerPairRuns(t *testing.T) {
 			}
 			for i, w := range wantCells {
 				if !reflect.DeepEqual(m.Cells[i], w) {
-					t.Errorf("cell %d (%s):\n got  %+v\n want %+v", i, w.Pair, m.Cells[i], w)
+					t.Errorf("cell %d (%s):\n got  %#v\n want %#v", i, w.Pair, m.Cells[i], w)
 				}
 			}
 			if wantCells[1].SkewFailures == 0 {

@@ -66,18 +66,20 @@ type Options struct {
 // means.
 const DefaultConfs = 6
 
-// Cluster is one failure signature's campaign-level tally.
+// Cluster is one failure signature's campaign-level tally, and one
+// cluster of crossd's fuzz job payload.
 type Cluster struct {
-	Signature string
-	Known     int // discrepancy number in the Figure-6 registry, 0 if new
-	Count     int
-	Example   string
+	Signature string `json:"signature"`
+	Known     int    `json:"known,omitempty"` // discrepancy number in the Figure-6 registry, 0 if new
+	Count     int    `json:"count"`
+	Example   string `json:"example"`
 	// FirstRank orders the cluster's first failure within the campaign's
 	// global emission order: the (configuration × version-pair) cell
 	// ordinal, then the failure's core rank, 0x1f-separated. Merging
 	// shard clusters by minimum FirstRank reproduces the Example (and
-	// reproducer seed case) the unsharded campaign picks.
-	FirstRank string
+	// reproducer seed case) the unsharded campaign picks. A shard sends
+	// it beside its clusters, in the merge metadata, not inside them.
+	FirstRank string `json:"-"`
 }
 
 // Reproducer is one minimized new-signature failure, as persisted to
@@ -294,11 +296,38 @@ batches:
 		}
 	}
 
+	res.Assemble(clusters, func(cl *Cluster) *Reproducer {
+		gc, ok := firstBySig[cl.Signature]
+		if !ok || corpusSigs[cl.Signature] {
+			return nil // not recovered, or already in the regression corpus
+		}
+		orig := cloneCase(gc.c)
+		minimized := Shrink(orig, cl.Signature)
+		return &Reproducer{
+			Signature:     cl.Signature,
+			Detail:        cl.Example,
+			OriginalSize:  orig.Size(),
+			MinimizedSize: minimized.Size(),
+			Case:          minimized,
+		}
+	})
+	res.Elapsed = time.Since(started) //crossvet:wallclock Elapsed is operator-facing; the campaign hash covers Render, which excludes it
+	return res, nil
+}
+
+// Assemble sets the campaign's clusters, in signature order, and what
+// follows from them: the Figure-6 discrepancies hit, the new
+// signatures, and the reproducer of each new signature that reproducer
+// returns (nil for none). RunCampaign assembles the clusters it
+// tallied; a cluster merge assembles the clusters it summed across
+// shards, so the two derive the same report from the same clusters.
+func (res *Result) Assemble(clusters map[string]*Cluster, reproducer func(*Cluster) *Reproducer) {
 	sigs := make([]string, 0, len(clusters))
 	for s := range clusters {
 		sigs = append(sigs, s)
 	}
 	sort.Strings(sigs)
+	res.Clusters = make([]Cluster, 0, len(sigs))
 	knownSet := map[int]bool{}
 	for _, s := range sigs {
 		cl := clusters[s]
@@ -308,29 +337,14 @@ batches:
 			continue
 		}
 		res.NewSigs = append(res.NewSigs, s)
-		if corpusSigs[s] {
-			continue // already in the regression corpus
+		if r := reproducer(cl); r != nil {
+			res.Reproducers = append(res.Reproducers, r)
 		}
-		gc, ok := firstBySig[s]
-		if !ok {
-			continue
-		}
-		orig := cloneCase(gc.c)
-		min := Shrink(orig, s)
-		res.Reproducers = append(res.Reproducers, &Reproducer{
-			Signature:     s,
-			Detail:        cl.Example,
-			OriginalSize:  orig.Size(),
-			MinimizedSize: min.Size(),
-			Case:          min,
-		})
 	}
 	for n := range knownSet {
 		res.KnownHit = append(res.KnownHit, n)
 	}
 	sort.Ints(res.KnownHit)
-	res.Elapsed = time.Since(started) //crossvet:wallclock Elapsed is operator-facing; the campaign hash covers Render, which excludes it
-	return res, nil
 }
 
 // Promote writes the campaign's minimized reproducers into the corpus

@@ -6,6 +6,7 @@ package integration_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -113,6 +114,29 @@ func TestCrosstestExtensionModes(t *testing.T) {
 	}
 }
 
+// crosstest -sweep runs under the same options as the report above it:
+// its default row restricted by -family counts exactly the report's
+// oracle failures, not those of every plan family.
+func TestCrosstestSweepHonorsFamily(t *testing.T) {
+	out := run(t, "crosstest", "-inputs", "char", "-family", "hs", "-sweep")
+	var wr, eh, difft, distinct, failures int
+	var report, row bool
+	for _, line := range strings.Split(out, "\n") {
+		if _, err := fmt.Sscanf(line, "Oracle failures: wr=%d eh=%d difft=%d", &wr, &eh, &difft); err == nil {
+			report = true
+		}
+		if _, err := fmt.Sscanf(line, "default %d %d", &distinct, &failures); err == nil {
+			row = true
+		}
+	}
+	if !report || !row {
+		t.Fatalf("no report totals or no default sweep row:\n%s", out)
+	}
+	if failures != wr+eh+difft {
+		t.Errorf("sweep default row counts %d failures, the report above it %d:\n%s", failures, wr+eh+difft, out)
+	}
+}
+
 func TestCsireplayEndToEnd(t *testing.T) {
 	out := run(t, "csireplay")
 	for _, want := range []string{
@@ -152,6 +176,8 @@ func TestCLIsRejectWhatCrossdRejects(t *testing.T) {
 		{"crosstest", []string{"-inputs", "nomatch"}, `input prefix "nomatch" matches no corpus input`},
 		{"crossfuzz", []string{"-confs", "-1"}, "Confs must be non-negative, got -1"},
 		{"crosspart", []string{"-trials", "-3"}, "Trials must be non-negative, got -3"},
+		{"crosspart", []string{"-parallel", "-1", "-scenarios", "kafka-isr"}, "Parallel must be non-negative, got -1"},
+		{"crossload", []string{"-parallel", "-1", "-peak", "350", "-policy", "naive"}, "Parallel must be non-negative, got -1"},
 	} {
 		out, err := exec.Command(filepath.Join(binDir, tc.bin), tc.args...).CombinedOutput()
 		var exit *exec.ExitError

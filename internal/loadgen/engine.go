@@ -146,9 +146,7 @@ func Run(cfg EngineConfig) (*RunStats, error) {
 	attempt := func() {
 		w := win()
 		w.Attempts++
-		if cfg.Metrics != nil {
-			cfg.Metrics.Counter(obs.MetricLoadAttempts, "cell", cfg.Label).Inc()
-		}
+		cfg.Metrics.Counter(obs.MetricLoadAttempts, "cell", cfg.Label).Inc()
 		if slice := sim.Now() / burstSliceMs; slice != burstSlice {
 			burstSlice, burstCount = slice, 0
 		}
@@ -216,9 +214,7 @@ func Run(cfg EngineConfig) (*RunStats, error) {
 			w := win()
 			w.Goodput++
 			hist.Observe(float64(lat))
-			if cfg.Metrics != nil {
-				cfg.Metrics.Counter(obs.MetricLoadGoodput, "cell", cfg.Label).Inc()
-			}
+			cfg.Metrics.Counter(obs.MetricLoadGoodput, "cell", cfg.Label).Inc()
 			breaker.Record(completedAt, true)
 			scheduleNext(sess)
 		}); rej != nil {
@@ -228,9 +224,7 @@ func Run(cfg EngineConfig) (*RunStats, error) {
 			} else {
 				w.RejectQueue++
 			}
-			if cfg.Metrics != nil {
-				cfg.Metrics.Counter(obs.MetricLoadRejected, "cell", cfg.Label, "reason", rej.Reason).Inc()
-			}
+			cfg.Metrics.Counter(obs.MetricLoadRejected, "cell", cfg.Label, "reason", rej.Reason).Inc()
 			breaker.Record(now, false)
 			retryOrGiveUp(sess, rej.RetryAfterMs)
 			return

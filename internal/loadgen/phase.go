@@ -23,8 +23,9 @@ type PhaseOptions struct {
 	// PeakRPS selects the columns: the spike's peak rate in whole rps.
 	// Empty = DefaultPeaks.
 	PeakRPS []int64
-	// Parallel runs cells concurrently (default 1). Reports are
-	// bit-identical regardless.
+	// Parallel runs cells concurrently (values below 2 run
+	// sequentially; negative is an error). Reports are bit-identical
+	// regardless.
 	Parallel int
 
 	// Admission enables the server-side token bucket in every cell —
@@ -116,6 +117,9 @@ func CellConfig(seed uint64, spec PolicySpec, peak int64, admission bool) Engine
 // RunPhaseDiagram executes the sweep. Cells are independent units on
 // Parallel workers; assembly order is row-major and deterministic.
 func RunPhaseDiagram(opts PhaseOptions) (*PhaseResult, error) {
+	if opts.Parallel < 0 {
+		return nil, fmt.Errorf("loadgen: Parallel must be non-negative, got %d", opts.Parallel)
+	}
 	var specs []PolicySpec
 	if len(opts.Policies) == 0 {
 		specs = Policies()
@@ -136,9 +140,6 @@ func RunPhaseDiagram(opts PhaseOptions) (*PhaseResult, error) {
 		if p <= 0 {
 			return nil, fmt.Errorf("loadgen: peak rps must be positive, got %d", p)
 		}
-	}
-	if opts.Parallel <= 0 {
-		opts.Parallel = 1
 	}
 
 	// Precompute each column's arrival schedule once; every row shares

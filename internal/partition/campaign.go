@@ -78,7 +78,7 @@ type Options struct {
 	Strategy  Strategy // default guided
 	Trials    int      // random trials per scenario (default 20)
 	HoldMs    int64    // random-cut hold before healing (default 1000)
-	Parallel  int      // concurrent units (default 1)
+	Parallel  int      // concurrent units (below 2 run sequentially; negative is an error)
 	Schedule  []Cut    // StrategyFixed's schedule
 
 	Tracer    *obs.Tracer
@@ -204,12 +204,15 @@ const (
 // the full registry, in registry order, for an empty scenario list, the
 // guided strategy, DefaultTrials and DefaultHoldMs — or the first
 // reason they cannot run: an unknown scenario or strategy, a negative
-// Trials or HoldMs, a fixed strategy without a schedule, or a schedule
-// cut that no selected scenario can take. Run and PlanRandom resolve
-// their options through it, and so does crossd for a partition job
-// spec, so a spec with its defaults omitted and the same spec spelled
-// out are one campaign under one cache key.
+// Parallel, Trials or HoldMs, a fixed strategy without a schedule, or a
+// schedule cut that no selected scenario can take. Run and PlanRandom
+// resolve their options through it, and so does crossd for a partition
+// job spec, so a spec with its defaults omitted and the same spec
+// spelled out are one campaign under one cache key.
 func (o Options) Resolve() (Options, error) {
+	if o.Parallel < 0 {
+		return o, fmt.Errorf("partition: Parallel must be non-negative, got %d", o.Parallel)
+	}
 	scs, err := selectScenarios(o.Scenarios)
 	if err != nil {
 		return o, err
@@ -306,9 +309,7 @@ func runUnit(sc *Scenario, mode Strategy, trial int, opts Options) unitResult {
 		typ := obs.EvPartitionHeal
 		if ev.Cut {
 			typ = obs.EvPartitionCut
-			if opts.Metrics != nil {
-				opts.Metrics.Counter(obs.MetricPartitionCuts, "scenario", sc.Name).Inc()
-			}
+			opts.Metrics.Counter(obs.MetricPartitionCuts, "scenario", sc.Name).Inc()
 		}
 		opts.Recorder.Record(obs.Event{Type: typ, Job: sc.Name, Detail: ev.String()})
 	}
@@ -383,9 +384,7 @@ func runUnit(sc *Scenario, mode Strategy, trial int, opts Options) unitResult {
 			Strategy: string(mode), Trial: trial, CutAtMs: res.cutAt,
 		})
 		opts.Recorder.Record(obs.Event{Type: obs.EvInvariantViolated, Job: sc.Name, Detail: v.Signature})
-		if opts.Metrics != nil {
-			opts.Metrics.Counter(obs.MetricPartitionFindings, "scenario", sc.Name, "strategy", string(mode)).Inc()
-		}
+		opts.Metrics.Counter(obs.MetricPartitionFindings, "scenario", sc.Name, "strategy", string(mode)).Inc()
 	}
 	for _, ev := range fab.History() {
 		res.cuts = append(res.cuts, ev.String())
@@ -404,9 +403,6 @@ func Run(opts Options) (*Result, error) {
 	opts, err := opts.Resolve()
 	if err != nil {
 		return nil, err
-	}
-	if opts.Parallel <= 0 {
-		opts.Parallel = 1
 	}
 	scs, err := selectScenarios(opts.Scenarios)
 	if err != nil {

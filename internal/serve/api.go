@@ -176,43 +176,26 @@ func (s *JobSpec) CacheKey() (string, error) {
 	return core.HashSpec(ks)
 }
 
-// ClusterJSON is one failure cluster of a fuzz job result.
-type ClusterJSON struct {
-	Signature string `json:"signature"`
-	Known     int    `json:"known,omitempty"`
-	Count     int    `json:"count"`
-	Example   string `json:"example"`
-}
-
-// FuzzJSON is the machine-readable fuzz-campaign result.
+// FuzzJSON is the machine-readable fuzz-campaign result. Its clusters
+// are the campaign's own, in signature order, and never null.
 type FuzzJSON struct {
-	Seed          uint64        `json:"seed"`
-	N             int           `json:"n"`
-	From          int           `json:"from,omitempty"`
-	Confs         int           `json:"confs"`
-	Executed      int           `json:"executed"`
-	TableCases    int           `json:"table_cases"`
-	Failures      int           `json:"failures"`
-	Clusters      []ClusterJSON `json:"clusters"`
-	KnownHit      []int         `json:"known_hit"`
-	NewSignatures []string      `json:"new_signatures,omitempty"`
+	Seed          uint64            `json:"seed"`
+	N             int               `json:"n"`
+	From          int               `json:"from,omitempty"`
+	Confs         int               `json:"confs"`
+	Executed      int               `json:"executed"`
+	TableCases    int               `json:"table_cases"`
+	Failures      int               `json:"failures"`
+	Clusters      []fuzzgen.Cluster `json:"clusters"`
+	KnownHit      []int             `json:"known_hit"`
+	NewSignatures []string          `json:"new_signatures,omitempty"`
 }
 
-// SkewCellJSON is one writer×reader cell of a skew job result.
-type SkewCellJSON struct {
-	Writer         string   `json:"writer"`
-	Reader         string   `json:"reader"`
-	Known          []int    `json:"known"`
-	SkewIDs        []string `json:"skew_ids,omitempty"`
-	SkewSignatures []string `json:"skew_signatures,omitempty"`
-	Failures       int      `json:"failures"`
-	SkewFailures   int      `json:"skew_failures"`
-}
-
-// SkewJSON is the machine-readable skew-matrix result.
+// SkewJSON is the machine-readable skew-matrix result: the matrix's
+// cells and, beside them, each cell's pair in writer->reader spelling.
 type SkewJSON struct {
-	Pairs []string       `json:"pairs"`
-	Cells []SkewCellJSON `json:"cells"`
+	Pairs []string        `json:"pairs"`
+	Cells []core.SkewCell `json:"cells"`
 }
 
 // MergeMeta is the shard-to-coordinator side channel: everything a

@@ -68,7 +68,10 @@ func FuzzValidPeerResult(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if !validPeerResult(res.Key, data) || validPeerResult(res.Key+"0", data) {
+	if sha, ok := validPeerResult(res.Key, data); !ok || sha != res.ReportSHA {
+		f.Fatalf("a marshaled result must be accepted for its own key %s, with its report hash", res.Key)
+	}
+	if _, ok := validPeerResult(res.Key+"0", data); ok {
 		f.Fatalf("a marshaled result must be accepted for its own key %s only", res.Key)
 	}
 	f.Add(res.Key, data)
@@ -76,11 +79,14 @@ func FuzzValidPeerResult(f *testing.F) {
 	f.Add("k", []byte(`{"key":"k","report":{"distinct":"two"}}`))
 	f.Add("", []byte(`null`))
 	f.Fuzz(func(t *testing.T, key string, data []byte) {
-		ok := validPeerResult(key, data)
+		sha, ok := validPeerResult(key, data)
 		var res JobResult
 		decoded := json.Unmarshal(data, &res) == nil
 		if ok != (decoded && res.Key == key) {
 			t.Fatalf("validPeerResult(%q) = %t, but decodes %t with key %q", key, ok, decoded, res.Key)
+		}
+		if ok && sha != res.ReportSHA {
+			t.Fatalf("validPeerResult(%q) returned report hash %q, the result carries %q", key, sha, res.ReportSHA)
 		}
 	})
 }

@@ -108,17 +108,9 @@ func FuzzResult(camp *fuzzgen.Result) *JobResult {
 		Executed:      camp.Executed,
 		TableCases:    camp.TableCases,
 		Failures:      camp.Failures,
-		Clusters:      make([]ClusterJSON, 0, len(camp.Clusters)),
+		Clusters:      camp.Clusters,
 		KnownHit:      camp.KnownHit,
 		NewSignatures: camp.NewSigs,
-	}
-	for _, cl := range camp.Clusters {
-		fj.Clusters = append(fj.Clusters, ClusterJSON{
-			Signature: cl.Signature,
-			Known:     cl.Known,
-			Count:     cl.Count,
-			Example:   cl.Example,
-		})
 	}
 	return &JobResult{Fuzz: fj, Rendered: camp.Render()}
 }

@@ -94,18 +94,9 @@ func splitSkew(s *JobSpec, _ int) ([]JobSpec, error) {
 // SkewResult builds a skew job's payload and rendering from its matrix:
 // the one builder for an executed matrix and a merged one.
 func SkewResult(m *core.SkewMatrix) *JobResult {
-	sj := &SkewJSON{}
+	sj := &SkewJSON{Cells: m.Cells}
 	for _, cell := range m.Cells {
 		sj.Pairs = append(sj.Pairs, cell.Pair.String())
-		sj.Cells = append(sj.Cells, SkewCellJSON{
-			Writer:         cell.Pair.Writer.String(),
-			Reader:         cell.Pair.Reader.String(),
-			Known:          cell.Known,
-			SkewIDs:        cell.SkewIDs,
-			SkewSignatures: cell.SkewSignatures,
-			Failures:       cell.Failures,
-			SkewFailures:   cell.SkewFailures,
-		})
 	}
 	return &JobResult{Skew: sj, Rendered: m.Render()}
 }

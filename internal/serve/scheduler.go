@@ -310,7 +310,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 		s.mu.Unlock()
 		s.count(obs.MetricJobsSubmitted, "kind", spec.Kind)
 		s.count(obs.MetricCacheHits)
-		s.updateCacheGauges()
+		s.opts.Metrics.SetHitRatio()
 		s.stage(obs.StageCacheProbe, probe, job.trace)
 		s.opts.Recorder.Record(obs.Event{Type: obs.EvCacheHit, Job: job.ID, Key: key, Trace: job.trace})
 		job.span.Set("cache", "hit").End()
@@ -342,7 +342,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	s.mu.Unlock()
 	s.count(obs.MetricJobsSubmitted, "kind", spec.Kind)
 	s.count(obs.MetricCacheMisses)
-	s.updateCacheGauges()
+	s.opts.Metrics.SetHitRatio()
 	s.stage(obs.StageCacheProbe, probe, job.trace)
 	s.gauge(obs.MetricQueueDepth, float64(depth))
 	s.opts.Recorder.Record(obs.Event{Type: obs.EvCacheMiss, Job: job.ID, Key: key, Trace: job.trace})
@@ -468,11 +468,13 @@ func (s *Scheduler) runJob(job *Job) {
 		probeStart := time.Now()
 		data, ok := s.opts.Peers.Fetch(ctx, job.Key)
 		s.stage(obs.StagePeerProbe, time.Since(probeStart), job.trace)
-		if ok && validPeerResult(job.Key, data) {
-			s.count(obs.MetricPeerCacheHits)
-			s.opts.Recorder.Record(obs.Event{Type: obs.EvPeerCacheHit, Job: job.ID, Key: job.Key, Trace: job.trace})
-			s.finishFromPeer(job, data)
-			return
+		if ok {
+			if sha, valid := validPeerResult(job.Key, data); valid {
+				s.count(obs.MetricPeerCacheHits)
+				s.opts.Recorder.Record(obs.Event{Type: obs.EvPeerCacheHit, Job: job.ID, Key: job.Key, Trace: job.trace})
+				s.finishFromPeer(job, data, sha)
+				return
+			}
 		}
 		s.count(obs.MetricPeerCacheMisses)
 		s.opts.Recorder.Record(obs.Event{Type: obs.EvPeerCacheMiss, Job: job.ID, Key: job.Key, Trace: job.trace})
@@ -534,11 +536,12 @@ func (s *Scheduler) runJob(job *Job) {
 	s.complete(job, state, data, err, final)
 }
 
-// finishFromPeer completes a job whose result arrived from the
-// distributed cache tier: stored locally, published, and counted as a
-// finished (cache-hit) job — without one case executing.
-func (s *Scheduler) finishFromPeer(job *Job, data []byte) {
-	final := StreamEvent{Type: StateDone, CacheHit: true, ReportSHA: reportSHA(data)}
+// finishFromPeer completes a job whose result (with report hash sha)
+// arrived from the distributed cache tier: stored locally, published,
+// and counted as a finished (cache-hit) job — without one case
+// executing.
+func (s *Scheduler) finishFromPeer(job *Job, data []byte, sha string) {
+	final := StreamEvent{Type: StateDone, CacheHit: true, ReportSHA: sha}
 	if cerr := s.opts.Cache.Put(job.Key, data); cerr != nil {
 		final.Error = cerr.Error() // disk spill failure is non-fatal
 	}
@@ -595,13 +598,14 @@ func (s *Scheduler) complete(job *Job, state string, data []byte, err error, fin
 
 // validPeerResult guards against a confused or stale peer: the bytes
 // must decode as a JobResult whose content address matches the key we
-// asked for. Anything else is treated as a miss.
-func validPeerResult(key string, data []byte) bool {
+// asked for, and it returns that result's report hash. Anything else
+// is treated as a miss.
+func validPeerResult(key string, data []byte) (sha string, ok bool) {
 	var res JobResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		return false
+	if err := json.Unmarshal(data, &res); err != nil || res.Key != key {
+		return "", false
 	}
-	return res.Key == key
+	return res.ReportSHA, true
 }
 
 // Drain stops admission, lets queued and in-flight jobs finish, and
@@ -646,36 +650,33 @@ func marshalResult(res *JobResult) ([]byte, error) {
 }
 
 // reportSHA recovers the report hash from marshaled result bytes for
-// the cache-hit done event.
+// the cache-hit done event, decoding that one field only: the local
+// cache holds only bytes this node marshaled or validated.
 func reportSHA(data []byte) string {
-	var res JobResult
+	var res struct {
+		ReportSHA string `json:"report_sha256"`
+	}
 	if err := json.Unmarshal(data, &res); err != nil {
 		return ""
 	}
 	return res.ReportSHA
 }
 
-// metric helpers: all tolerate a nil registry.
+// metric helpers: a nil registry, and the nil metrics it returns, do
+// nothing.
 func (s *Scheduler) count(name string, labels ...string) {
-	if s.opts.Metrics != nil {
-		s.opts.Metrics.Counter(name, labels...).Inc()
-	}
+	s.opts.Metrics.Counter(name, labels...).Inc()
 }
 
 // stage records one pipeline-stage latency with the job's trace ID as
 // the bucket exemplar, joining the histogram back to the span chain.
 func (s *Scheduler) stage(stage string, d time.Duration, trace string) {
-	if s.opts.Metrics == nil {
-		return
-	}
 	s.opts.Metrics.Histogram(obs.MetricStageDurationMs, nil, "stage", stage).
 		ObserveExemplar(float64(d)/float64(time.Millisecond), trace)
 }
 
 func (s *Scheduler) gauge(name string, v float64) {
-	if s.opts.Metrics != nil {
-		s.opts.Metrics.Gauge(name).Set(v)
-	}
+	s.opts.Metrics.Gauge(name).Set(v)
 }
 
 // addGauge adjusts a gauge by delta under the scheduler lock (obs
@@ -688,11 +689,4 @@ func (s *Scheduler) addGauge(name string, delta float64) {
 	g := s.opts.Metrics.Gauge(name)
 	g.Set(g.Value() + delta)
 	s.mu.Unlock()
-}
-
-func (s *Scheduler) updateCacheGauges() {
-	if s.opts.Metrics == nil {
-		return
-	}
-	s.opts.Metrics.SetHitRatio()
 }

@@ -283,7 +283,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: "cache entry too large"})
 		return
 	}
-	if !validPeerResult(key, data) {
+	if _, ok := validPeerResult(key, data); !ok {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "body is not a JobResult for key " + key})
 		return
 	}

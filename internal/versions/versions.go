@@ -216,14 +216,30 @@ func SparkVersions() []string { return []string{Spark23, Spark24, Spark32} }
 func HiveVersions() []string { return []string{Hive23, Hive31} }
 
 // Stack is one deployed engine pair: the Spark and Hive versions that
-// run side by side over the shared metastore and warehouse.
+// run side by side over the shared metastore and warehouse. It encodes
+// as its "spark/hive" string and decodes through ParseStack, so a
+// decoded stack always names known profiles.
 type Stack struct {
-	Spark string `json:"spark"`
-	Hive  string `json:"hive"`
+	Spark string
+	Hive  string
 }
 
 // String renders the stack as "spark/hive", e.g. "3.2.1/3.1.2".
 func (s Stack) String() string { return s.Spark + "/" + s.Hive }
+
+// MarshalText encodes the stack as its String form.
+func (s Stack) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText decodes a "spark/hive" stack, rejecting unknown
+// profiles as ParseStack does.
+func (s *Stack) UnmarshalText(text []byte) error {
+	st, err := ParseStack(string(text))
+	if err != nil {
+		return err
+	}
+	*s = st
+	return nil
+}
 
 // Validate rejects a stack naming an unknown profile. It never
 // normalizes: an unknown version is an error, not a fallback to a

@@ -1,6 +1,7 @@
 package versions
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -118,6 +119,19 @@ func TestParseStackAndPair(t *testing.T) {
 	}
 	if rt, err := ParsePair(p.String()); err != nil || rt != p {
 		t.Errorf("ParsePair round trip = %+v, %v", rt, err)
+	}
+	// A pair encodes its stacks as their strings and decodes them
+	// through ParseStack.
+	data, err := json.Marshal(p)
+	if err != nil || string(data) != `{"writer":"2.3.0/2.3.9","reader":"3.2.1/3.1.2"}` {
+		t.Errorf("json.Marshal(pair) = %s, %v", data, err)
+	}
+	var rt Pair
+	if err := json.Unmarshal(data, &rt); err != nil || rt != p {
+		t.Errorf("JSON round trip = %+v, %v", rt, err)
+	}
+	if err := json.Unmarshal([]byte(`{"writer":"2.3.0/2.3.9","reader":"3.2.1/9.9.9"}`), &rt); err == nil {
+		t.Error("JSON decoding accepted an unknown Hive profile")
 	}
 	// A bare stack is the unskewed pair.
 	b, err := ParsePair("3.2.1/3.1.2")
