@@ -118,3 +118,30 @@ func TestNodeClientConflictIsJobFailure(t *testing.T) {
 		}
 	}
 }
+
+// A worker answering for a different content address (another build or
+// corpus fingerprint) fails the parent job, naming the node and both
+// keys, instead of passing its result off as this spec's.
+func TestCoordinatorRejectsResultForAnotherKey(t *testing.T) {
+	_, client := startStub(t, func(_ int, w http.ResponseWriter) {
+		json.NewEncoder(w).Encode(serve.JobResult{Key: "deadbeef", Kind: serve.KindSweep})
+	})
+	coord, err := New(Options{Nodes: map[string]*NodeClient{"stub": client}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := serve.JobSpec{Kind: serve.KindSweep, InputPrefix: "ts"}
+	key, err := spec.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := coord.Execute(context.Background(), spec, nil)
+	if err == nil {
+		t.Fatalf("Execute returned %+v for a worker answering with key deadbeef, want an error", res)
+	}
+	for _, want := range []string{"stub", "deadbeef", key} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/cluster/chash"
-	"repro/internal/cluster/merge"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -122,21 +121,10 @@ func (c *Coordinator) Execute(ctx context.Context, spec serve.JobSpec, onFailure
 }
 
 // Merge reassembles sub-results (in Split's sub-job order) into the
-// parent result. The heavy lifting lives in cluster/merge, which
-// crossvet holds to the determinism contract; this is the kind
-// dispatch, the only branch on the job kind outside internal/serve.
+// parent result by the kind's own merge rule (serve.JobSpec.Merge; each
+// rule lives beside its split rule in serve/kind_<name>.go).
 func Merge(spec serve.JobSpec, subs []*serve.JobResult) (*serve.JobResult, error) {
-	switch spec.Kind {
-	case serve.KindCorpus:
-		return merge.Corpus(spec, subs)
-	case serve.KindFuzz:
-		return merge.Fuzz(spec, subs)
-	case serve.KindSkew:
-		return merge.Skew(spec, subs)
-	case serve.KindPartition:
-		return merge.Partition(spec, subs)
-	}
-	return nil, fmt.Errorf("cluster: kind %q does not merge", spec.Kind)
+	return spec.Merge(subs)
 }
 
 // fanout dispatches the sub-jobs and blocks until every result is in,
@@ -303,6 +291,9 @@ func (d *dispatch) nodeLoop(ctx context.Context, node string) {
 		res, err := client.SubmitWait(ctx, sub.Spec)
 
 		d.mu.Lock()
+		if err == nil && res.Key != sub.Key { // e.g. a worker on another build or corpus
+			err = fmt.Errorf("result key %s, want %s", res.Key, sub.Key)
+		}
 		switch {
 		case err == nil:
 			d.results[idx] = res

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"strings"
 
@@ -68,16 +69,16 @@ func (r *Report) JSON() ReportJSON {
 	for o, n := range r.ByOracle {
 		oracles[o.String()] = n
 	}
-	return AssembleReport(found, oracles)
+	return assembleReport(found, oracles)
 }
 
-// AssembleReport builds a ReportJSON from its found clusters and the
+// assembleReport builds a ReportJSON from its found clusters and the
 // per-oracle failure totals: it orders the clusters, and derives the
 // distinct count, the known numbers, the new signatures, the §8.2
 // category tallies and the connector locality from them. Report.JSON
-// and a cluster coordinator's merge of shard reports both build
-// through it, so the two cannot disagree. found is sorted in place.
-func AssembleReport(found []FoundJSON, oracles map[string]int) ReportJSON {
+// and MergeReports both build through it, so the two cannot disagree.
+// found is sorted in place.
+func assembleReport(found []FoundJSON, oracles map[string]int) ReportJSON {
 	slices.SortFunc(found, func(a, b FoundJSON) int { return foundOrder(a.Known, a.Signature, b.Known, b.Signature) })
 	out := ReportJSON{
 		OracleFailures: map[string]int{"wr": oracles["wr"], "eh": oracles["eh"], "difft": oracles["difft"]},
@@ -111,6 +112,52 @@ func AssembleReport(found []FoundJSON, oracles map[string]int) ReportJSON {
 		out.Categories[string(c)] = n
 	}
 	return out
+}
+
+// ReportShard is one shard of a split corpus run: its report and, by
+// signature, the rank of each cluster's first failure.
+type ReportShard struct {
+	Report ReportJSON
+	Ranks  map[string]string
+}
+
+// MergeReports merges a corpus run's shard reports into the unsplit
+// run's report: it sums the oracle totals and cluster counts, keeps each
+// cluster's example from the shard whose rank is lowest (string order is
+// emission order), and leaves the order and every derived field to
+// assembleReport. A cluster without a rank is an error.
+func MergeReports(shards []ReportShard) (ReportJSON, error) {
+	oracles := map[string]int{}
+	found := []FoundJSON{} // never null in the bytes, as in Report.JSON
+	var ranks []string     // ranks[i]: the rank of found[i]'s example
+	at := map[string]int{} // signature -> index into found
+	for _, sh := range shards {
+		for k, v := range sh.Report.OracleFailures {
+			oracles[k] += v
+		}
+		for _, fj := range sh.Report.Found {
+			rank := sh.Ranks[fj.Signature]
+			if rank == "" {
+				return ReportJSON{}, fmt.Errorf("core: shard cluster %q carries no rank", fj.Signature)
+			}
+			i, ok := at[fj.Signature]
+			if !ok { // an empty cluster with this shard's example
+				i, at[fj.Signature] = len(found), len(found)
+				ranks = append(ranks, rank)
+				found = append(found, fj)
+				found[i].Failures, found[i].Oracles = 0, map[string]int{}
+			}
+			a := &found[i]
+			a.Failures += fj.Failures
+			for o, n := range fj.Oracles {
+				a.Oracles[o] += n
+			}
+			if rank < ranks[i] {
+				a.Example, ranks[i] = fj.Example, rank
+			}
+		}
+	}
+	return assembleReport(found, oracles), nil
 }
 
 // foundOrder is the report's cluster order: known discrepancies by

@@ -296,7 +296,7 @@ batches:
 		}
 	}
 
-	res.Assemble(clusters, func(cl *Cluster) *Reproducer {
+	res.assemble(clusters, func(cl *Cluster) *Reproducer {
 		gc, ok := firstBySig[cl.Signature]
 		if !ok || corpusSigs[cl.Signature] {
 			return nil // not recovered, or already in the regression corpus
@@ -315,13 +315,13 @@ batches:
 	return res, nil
 }
 
-// Assemble sets the campaign's clusters, in signature order, and what
+// assemble sets the campaign's clusters, in signature order, and what
 // follows from them: the Figure-6 discrepancies hit, the new
 // signatures, and the reproducer of each new signature that reproducer
 // returns (nil for none). RunCampaign assembles the clusters it
-// tallied; a cluster merge assembles the clusters it summed across
-// shards, so the two derive the same report from the same clusters.
-func (res *Result) Assemble(clusters map[string]*Cluster, reproducer func(*Cluster) *Reproducer) {
+// tallied; Merge assembles the clusters it summed across shards, so the
+// two derive the same report from the same clusters.
+func (res *Result) assemble(clusters map[string]*Cluster, reproducer func(*Cluster) *Reproducer) {
 	sigs := make([]string, 0, len(clusters))
 	for s := range clusters {
 		sigs = append(sigs, s)
@@ -345,6 +345,48 @@ func (res *Result) Assemble(clusters map[string]*Cluster, reproducer func(*Clust
 		res.KnownHit = append(res.KnownHit, n)
 	}
 	sort.Ints(res.KnownHit)
+}
+
+// Merge reassembles the campaign opts describes from its seed-range
+// shards: it sums their tallies and cluster counts, keeps each cluster's
+// example and reproducer from the shard with the lowest FirstRank (Shrink
+// is pure, so that is the unsplit campaign's reproducer), and leaves the
+// order and every derived field to assemble. A cluster without a rank is
+// an error.
+func Merge(opts Options, shards []*Result) (*Result, error) {
+	res := &Result{Opts: opts}
+	clusters := map[string]*Cluster{}
+	first := map[string]*Result{} // signature -> its lowest-ranked shard
+	for _, sh := range shards {
+		res.Generated += sh.Generated
+		res.Executed += sh.Executed
+		res.TableCases += sh.TableCases
+		res.Failures += sh.Failures
+		for _, cl := range sh.Clusters {
+			if cl.FirstRank == "" {
+				return nil, fmt.Errorf("fuzzgen: shard cluster %q carries no rank", cl.Signature)
+			}
+			a, ok := clusters[cl.Signature]
+			if !ok {
+				clusters[cl.Signature], first[cl.Signature] = &cl, sh
+				continue
+			}
+			a.Count += cl.Count
+			if cl.FirstRank < a.FirstRank {
+				a.Example, a.FirstRank = cl.Example, cl.FirstRank
+				first[cl.Signature] = sh
+			}
+		}
+	}
+	res.assemble(clusters, func(cl *Cluster) *Reproducer {
+		for _, r := range first[cl.Signature].Reproducers {
+			if r != nil && r.Signature == cl.Signature {
+				return r
+			}
+		}
+		return nil
+	})
+	return res, nil
 }
 
 // Promote writes the campaign's minimized reproducers into the corpus

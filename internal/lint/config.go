@@ -81,7 +81,6 @@ func DefaultConfig() *Config {
 	return &Config{
 		DeterministicPkgs: []string{
 			"internal/cluster/chash",
-			"internal/cluster/merge",
 			"internal/core",
 			"internal/fuzzgen",
 			"internal/loadgen",

@@ -1,6 +1,9 @@
 package lint
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // detConfig mirrors DefaultConfig's determinism shape over the
 // fixture: det is listed deterministic, detsim is deterministic by
@@ -33,8 +36,8 @@ func TestDeterminismFixture(t *testing.T) {
 }
 
 // TestDeterminismValidate pins the config guards: a package cannot be
-// both deterministic and allowlisted, and a simulator package cannot
-// be allowlisted.
+// both deterministic and allowlisted, a simulator package cannot be
+// allowlisted, and neither list may name a package the module lacks.
 func TestDeterminismValidate(t *testing.T) {
 	m := loadFixture(t, "determinism")
 	cfg := detConfig()
@@ -46,5 +49,15 @@ func TestDeterminismValidate(t *testing.T) {
 	cfg.WallClockAllowed = []string{"internal/detsim"}
 	if _, err := Run(m, cfg); err == nil {
 		t.Error("allowlisted simulator package not rejected")
+	}
+	cfg = detConfig()
+	cfg.DeterministicPkgs = append(cfg.DeterministicPkgs, "internal/gone")
+	if _, err := Run(m, cfg); err == nil || !strings.Contains(err.Error(), "internal/gone") {
+		t.Errorf("stale deterministic entry: err = %v, want one naming internal/gone", err)
+	}
+	cfg = detConfig()
+	cfg.WallClockAllowed = append(cfg.WallClockAllowed, "internal/gone")
+	if _, err := Run(m, cfg); err == nil || !strings.Contains(err.Error(), "internal/gone") {
+		t.Errorf("stale wall-clock entry: err = %v, want one naming internal/gone", err)
 	}
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/token"
+	"slices"
 )
 
 // Analyzer is one contract checker.
@@ -82,9 +83,16 @@ func Run(m *Module, cfg *Config) (*Report, error) {
 	return rep, nil
 }
 
-// validate rejects configs whose package sets contradict each other:
-// a package cannot be both deterministic and wall-clock-allowed.
+// validate rejects configs whose package sets contradict each other
+// or the module: a package cannot be both deterministic and
+// wall-clock-allowed, and every listed package must exist, so deleting
+// a package cannot leave a stale entry behind.
 func validate(m *Module, cfg *Config) error {
+	for _, pkg := range slices.Concat(cfg.DeterministicPkgs, cfg.WallClockAllowed) {
+		if m.Pkgs[m.Path+"/"+pkg] == nil {
+			return fmt.Errorf("lint: listed package %s is not in module %s", pkg, m.Path)
+		}
+	}
 	for _, det := range cfg.DeterministicPkgs {
 		for _, allowed := range cfg.WallClockAllowed {
 			if det == allowed {

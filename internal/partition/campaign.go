@@ -442,7 +442,6 @@ func Run(opts Options) (*Result, error) {
 
 	// Deterministic assembly, in scenario order then mode then trial —
 	// the order units were enumerated in.
-	res := &Result{Seed: opts.Seed, Strategy: opts.Strategy, Trials: opts.Trials, HoldMs: opts.HoldMs}
 	outcomes := make([]ScenarioOutcome, len(scs))
 	for i, sc := range scs {
 		outcomes[i] = ScenarioOutcome{
@@ -483,8 +482,14 @@ func Run(opts Options) (*Result, error) {
 		emit(outcomes[i].RandomFindings)
 		emit(outcomes[i].FixedFindings)
 	}
-	res.Outcomes = outcomes
-	return res, nil
+	return opts.Result(outcomes), nil
+}
+
+// Result returns the campaign result of these resolved options over
+// the scenario outcomes, in scenario order. Run builds its result here,
+// and so does a merge of single-scenario campaigns.
+func (o Options) Result(outcomes []ScenarioOutcome) *Result {
+	return &Result{Seed: o.Seed, Strategy: o.Strategy, Trials: o.Trials, HoldMs: o.HoldMs, Outcomes: outcomes}
 }
 
 // GuidedOnlyIDs returns the P* IDs found by the guided injector and by

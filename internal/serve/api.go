@@ -205,15 +205,15 @@ type SkewJSON struct {
 type MergeMeta struct {
 	// Ranks maps each failure cluster's signature to the rank of its
 	// first failure in the global emission order (corpus: the core
-	// failure rank; fuzz: cell ordinal + core rank). The coordinator
-	// keeps the Example — and, for fuzz, the reproducer — from the
-	// shard whose rank is minimal: exactly the failure the unsharded
-	// run sees first.
+	// failure rank; fuzz: cell ordinal + core rank). The merge keeps
+	// the Example — and, for fuzz, the reproducer — from the shard
+	// whose rank is minimal: exactly the failure the unsharded run sees
+	// first. A cluster without a rank fails the merge.
 	Ranks map[string]string `json:"ranks,omitempty"`
 	// Reproducers are the shard's minimized reproducers (fuzz only);
 	// Shrink is pure, so the minimum-rank shard's reproducer is the one
 	// the unsharded campaign emits.
-	Reproducers []fuzzgen.Reproducer `json:"reproducers,omitempty"`
+	Reproducers []*fuzzgen.Reproducer `json:"reproducers,omitempty"`
 }
 
 // JobResult is what /result returns (and what the cache stores,

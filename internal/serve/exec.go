@@ -33,19 +33,18 @@ func (e *Executor) Execute(ctx context.Context, spec JobSpec, onFailure func(cor
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	res, err := kinds[spec.Kind].execute(ctx, e, &spec, onFailure)
+	return spec.stamp(kinds[spec.Kind].execute(ctx, e, &spec, onFailure))
+}
+
+// stamp passes on err, or fills in the fields every result of the spec
+// shares — its content address, kind, spec and conf echo, and the hash
+// of the rendered report — and returns res. Execute stamps every result
+// it runs and Merge stamps the result it reassembles, so the two agree
+// byte for byte.
+func (s *JobSpec) stamp(res *JobResult, err error) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return spec.Stamp(res)
-}
-
-// Stamp fills in the fields every result of the spec shares — its
-// content address, kind, spec and conf echo, and the hash of the
-// rendered report — and returns res. Execute stamps every result it
-// runs and a cluster merge stamps the result it reassembles, so the two
-// agree byte for byte.
-func (s *JobSpec) Stamp(res *JobResult) (*JobResult, error) {
 	key, err := s.CacheKey()
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sort"
 
@@ -18,6 +19,7 @@ var corpusKind = kind{
 	},
 	execute: executeCorpus,
 	split:   splitCorpus,
+	merge:   mergeCorpus,
 	sharded: true,
 }
 
@@ -77,6 +79,23 @@ func splitCorpus(s *JobSpec, _ int) ([]JobSpec, error) {
 		subs = append(subs, sub)
 	}
 	return subs, nil
+}
+
+// mergeCorpus merges the family shards' reports through core, which
+// owns the rank order that picks each cluster's example.
+func mergeCorpus(_ *JobSpec, subs []*JobResult) (*JobResult, error) {
+	shards := make([]core.ReportShard, len(subs))
+	for i, sub := range subs {
+		if sub == nil || sub.Report == nil || sub.Merge == nil {
+			return nil, fmt.Errorf("serve: corpus shard %d lacks its report or merge metadata", i)
+		}
+		shards[i] = core.ReportShard{Report: *sub.Report, Ranks: sub.Merge.Ranks}
+	}
+	merged, err := core.MergeReports(shards)
+	if err != nil {
+		return nil, err
+	}
+	return &JobResult{Report: &merged, Rendered: core.RenderReportJSON(merged)}, nil
 }
 
 // corpusMergeMeta captures, per failure cluster, the rank of its first

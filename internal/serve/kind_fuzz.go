@@ -14,7 +14,7 @@ import (
 var fuzzKind = kind{
 	validate: validateFuzz,
 	key: func(s *JobSpec, ks *keySpec) error {
-		o, err := s.FuzzOptions()
+		o, err := s.fuzzOptions()
 		if err != nil {
 			return err
 		}
@@ -23,15 +23,16 @@ var fuzzKind = kind{
 	},
 	execute: executeFuzz,
 	split:   splitFuzz,
+	merge:   mergeFuzz,
 	ranged:  true,
 	sharded: true,
 }
 
-// FuzzOptions resolves the spec into the campaign options it runs
+// fuzzOptions resolves the spec into the campaign options it runs
 // under (fuzzgen.Options.Resolve: the default configuration-pool size
 // filled in, so confs 0 and 6 share a key; negative values rejected).
-// A cluster merge renders the merged campaign under the same options.
-func (s *JobSpec) FuzzOptions() (fuzzgen.Options, error) {
+// A merge renders the merged campaign under the same options.
+func (s *JobSpec) fuzzOptions() (fuzzgen.Options, error) {
 	return fuzzgen.Options{Seed: s.Seed, N: s.N, From: s.From, Confs: s.Confs}.Resolve()
 }
 
@@ -44,12 +45,12 @@ func validateFuzz(s *JobSpec) error {
 	if s.N > 1_000_000 {
 		return fmt.Errorf("serve: fuzz n %d exceeds the 1000000 admission limit", s.N)
 	}
-	_, err := s.FuzzOptions()
+	_, err := s.fuzzOptions()
 	return err
 }
 
 func executeFuzz(ctx context.Context, e *Executor, s *JobSpec, onFailure func(core.Failure)) (*JobResult, error) {
-	o, err := s.FuzzOptions()
+	o, err := s.fuzzOptions()
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +65,7 @@ func executeFuzz(ctx context.Context, e *Executor, s *JobSpec, onFailure func(co
 		// content-addressed spec.
 		return nil, cmp.Or(ctx.Err(), context.Canceled)
 	}
-	res := FuzzResult(camp)
+	res := fuzzResult(camp)
 	if s.Shard {
 		res.Merge = fuzzMergeMeta(camp)
 	}
@@ -97,9 +98,38 @@ func splitFuzz(s *JobSpec, factor int) ([]JobSpec, error) {
 	return subs, nil
 }
 
-// FuzzResult builds a fuzz job's payload and rendering from its
+// mergeFuzz recovers each shard's campaign from its payload and merge
+// metadata (the inverse of fuzzResult and fuzzMergeMeta) and merges
+// them through fuzzgen, which owns the rank order.
+func mergeFuzz(s *JobSpec, subs []*JobResult) (*JobResult, error) {
+	o, err := s.fuzzOptions()
+	if err != nil {
+		return nil, err
+	}
+	shards := make([]*fuzzgen.Result, len(subs))
+	for i, sub := range subs {
+		if sub == nil || sub.Fuzz == nil || sub.Merge == nil {
+			return nil, fmt.Errorf("serve: fuzz shard %d lacks its campaign or merge metadata", i)
+		}
+		fj, m := sub.Fuzz, sub.Merge
+		sh := &fuzzgen.Result{Generated: fj.N, Executed: fj.Executed, TableCases: fj.TableCases,
+			Failures: fj.Failures, Reproducers: m.Reproducers}
+		for _, cl := range fj.Clusters {
+			cl.FirstRank = m.Ranks[cl.Signature]
+			sh.Clusters = append(sh.Clusters, cl)
+		}
+		shards[i] = sh
+	}
+	camp, err := fuzzgen.Merge(o, shards)
+	if err != nil {
+		return nil, err
+	}
+	return fuzzResult(camp), nil
+}
+
+// fuzzResult builds a fuzz job's payload and rendering from its
 // campaign: the one builder for an executed campaign and a merged one.
-func FuzzResult(camp *fuzzgen.Result) *JobResult {
+func fuzzResult(camp *fuzzgen.Result) *JobResult {
 	fj := &FuzzJSON{
 		Seed:          camp.Opts.Seed,
 		N:             camp.Opts.N,
@@ -116,15 +146,12 @@ func FuzzResult(camp *fuzzgen.Result) *JobResult {
 }
 
 // fuzzMergeMeta captures each cluster's first-failure rank and the
-// shard's minimized reproducers; the coordinator keeps the example and
+// shard's minimized reproducers; fuzzgen.Merge keeps the example and
 // reproducer of the minimum-rank shard per signature.
 func fuzzMergeMeta(camp *fuzzgen.Result) *MergeMeta {
-	m := &MergeMeta{Ranks: map[string]string{}}
+	m := &MergeMeta{Ranks: map[string]string{}, Reproducers: camp.Reproducers}
 	for _, cl := range camp.Clusters {
 		m.Ranks[cl.Signature] = cl.FirstRank
-	}
-	for _, r := range camp.Reproducers {
-		m.Reproducers = append(m.Reproducers, *r)
 	}
 	return m
 }

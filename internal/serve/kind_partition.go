@@ -22,7 +22,7 @@ var partitionKind = kind{
 		// campaign are one result), and the scenario list is explicit, so
 		// growing the registry mints new keys instead of serving stale
 		// "all scenarios" results.
-		o, err := s.PartitionOptions()
+		o, err := s.partitionOptions()
 		if err != nil {
 			return err
 		}
@@ -32,13 +32,14 @@ var partitionKind = kind{
 	},
 	execute: executePartition,
 	split:   splitPartition,
+	merge:   mergePartition,
 }
 
-// PartitionOptions resolves the spec into the campaign options it runs
+// partitionOptions resolves the spec into the campaign options it runs
 // under (partition.Options.Resolve: defaults filled in, malformed
-// campaigns rejected). A cluster merge assembles the merged campaign
-// under the same options.
-func (s *JobSpec) PartitionOptions() (partition.Options, error) {
+// campaigns rejected). A merge assembles the merged campaign under the
+// same options.
+func (s *JobSpec) partitionOptions() (partition.Options, error) {
 	return partition.Options{
 		Seed:      s.Seed,
 		Scenarios: s.Scenarios,
@@ -52,7 +53,7 @@ func (s *JobSpec) PartitionOptions() (partition.Options, error) {
 // validatePartition rejects, at admission, a campaign the partition
 // package rejects and one past crossd's trial limit.
 func validatePartition(s *JobSpec) error {
-	if _, err := s.PartitionOptions(); err != nil {
+	if _, err := s.partitionOptions(); err != nil {
 		return err
 	}
 	if s.Trials > 10_000 {
@@ -66,7 +67,7 @@ func validatePartition(s *JobSpec) error {
 // cancellable mid-run; ctx is honored at the admission boundary like
 // every other kind.
 func executePartition(_ context.Context, e *Executor, s *JobSpec, onFailure func(core.Failure)) (*JobResult, error) {
-	o, err := s.PartitionOptions()
+	o, err := s.partitionOptions()
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +85,7 @@ func executePartition(_ context.Context, e *Executor, s *JobSpec, onFailure func
 }
 
 func splitPartition(s *JobSpec, _ int) ([]JobSpec, error) {
-	o, err := s.PartitionOptions()
+	o, err := s.partitionOptions()
 	if err != nil {
 		return nil, err
 	}
@@ -98,4 +99,22 @@ func splitPartition(s *JobSpec, _ int) ([]JobSpec, error) {
 		subs = append(subs, sub)
 	}
 	return subs, nil
+}
+
+// mergePartition concatenates the one-scenario campaigns' outcomes in
+// split order, which is the parent's scenario order.
+func mergePartition(s *JobSpec, subs []*JobResult) (*JobResult, error) {
+	o, err := s.partitionOptions()
+	if err != nil {
+		return nil, err
+	}
+	var outcomes []partition.ScenarioOutcome
+	for i, sub := range subs {
+		if sub == nil || sub.Partition == nil {
+			return nil, fmt.Errorf("serve: partition sub-result %d lacks its campaign", i)
+		}
+		outcomes = append(outcomes, sub.Partition.Outcomes...)
+	}
+	pres := o.Result(outcomes)
+	return &JobResult{Partition: pres, Rendered: pres.Render()}, nil
 }

@@ -23,6 +23,7 @@ var skewKind = kind{
 	key:     skewKey,
 	execute: executeSkew,
 	split:   splitSkew,
+	merge:   mergeSkew,
 }
 
 // skewPairs resolves the spec's version pairs: the submitted pairs in
@@ -74,7 +75,7 @@ func executeSkew(ctx context.Context, e *Executor, s *JobSpec, onFailure func(co
 	if err != nil {
 		return nil, err
 	}
-	return SkewResult(m), nil
+	return skewResult(m), nil
 }
 
 func splitSkew(s *JobSpec, _ int) ([]JobSpec, error) {
@@ -91,9 +92,22 @@ func splitSkew(s *JobSpec, _ int) ([]JobSpec, error) {
 	return subs, nil
 }
 
-// SkewResult builds a skew job's payload and rendering from its matrix:
+// mergeSkew concatenates the one-pair results' cells in split order,
+// which is the parent's pair order and so its cell order.
+func mergeSkew(_ *JobSpec, subs []*JobResult) (*JobResult, error) {
+	m := &core.SkewMatrix{}
+	for i, sub := range subs {
+		if sub == nil || sub.Skew == nil {
+			return nil, fmt.Errorf("serve: skew sub-result %d lacks its matrix", i)
+		}
+		m.Cells = append(m.Cells, sub.Skew.Cells...)
+	}
+	return skewResult(m), nil
+}
+
+// skewResult builds a skew job's payload and rendering from its matrix:
 // the one builder for an executed matrix and a merged one.
-func SkewResult(m *core.SkewMatrix) *JobResult {
+func skewResult(m *core.SkewMatrix) *JobResult {
 	sj := &SkewJSON{Cells: m.Cells}
 	for _, cell := range m.Cells {
 		sj.Pairs = append(sj.Pairs, cell.Pair.String())
