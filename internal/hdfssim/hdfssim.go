@@ -261,11 +261,18 @@ func (fs *FileSystem) DeleteTree(prefix string) error {
 		return ErrSafeMode
 	}
 	for p := range fs.files {
-		if strings.HasPrefix(p, prefix) && (len(p) == len(prefix) || p[len(prefix)] == '/') {
+		if under(p, prefix) {
 			delete(fs.files, p)
 		}
 	}
 	return nil
+}
+
+// under reports whether path p is prefix itself or lies below it: a
+// sibling that merely shares the prefix's spelling ("/t_rw" for "/t")
+// is not under it.
+func under(p, prefix string) bool {
+	return strings.HasPrefix(p, prefix) && (len(p) == len(prefix) || p[len(prefix)] == '/')
 }
 
 // List returns the paths under the given prefix, sorted.
@@ -273,10 +280,9 @@ func (fs *FileSystem) List(prefix string) []string {
 	prefix = clean(prefix)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	dir := prefix + "/"
 	var out []string
 	for p := range fs.files {
-		if strings.HasPrefix(p, dir) || p == prefix {
+		if under(p, prefix) {
 			out = append(out, p)
 		}
 	}

@@ -173,6 +173,46 @@ func TestDeleteTreeSafeMode(t *testing.T) {
 	}
 }
 
+// List and DeleteTree select the same paths: the prefix itself and what
+// lies below it, never a sibling whose name merely starts with it.
+func TestListAndDeleteTreeSelectAlike(t *testing.T) {
+	paths := []string{"/w/t", "/w/t/a/part-0", "/w/t/b/c/part-1", "/w/t_rw/part-0", "/w/t-x", "/w/tx/part-0", "/w/u"}
+	for _, c := range []struct {
+		prefix string
+		want   []string
+	}{
+		{"/w/t", []string{"/w/t", "/w/t/a/part-0", "/w/t/b/c/part-1"}},
+		{"/w/t/a/part-0", []string{"/w/t/a/part-0"}},
+		{"/w/t/b", []string{"/w/t/b/c/part-1"}},
+		{"/w/t_rw", []string{"/w/t_rw/part-0"}},
+		{"/w/t-x", []string{"/w/t-x"}},
+		{"/w/tx", []string{"/w/tx/part-0"}},
+		{"/w/t/a/part", nil},
+	} {
+		fs := New(nil)
+		for _, p := range paths {
+			if err := fs.Write(p, nil, WriteOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := fs.List(c.prefix); !slices.Equal(got, c.want) {
+			t.Errorf("List(%s) = %v, want %v", c.prefix, got, c.want)
+		}
+		if err := fs.DeleteTree(c.prefix); err != nil {
+			t.Fatal(err)
+		}
+		var deleted []string
+		for _, p := range paths {
+			if !fs.Exists(p) {
+				deleted = append(deleted, p)
+			}
+		}
+		if !slices.Equal(deleted, c.want) {
+			t.Errorf("DeleteTree(%s) removed %v, want %v", c.prefix, deleted, c.want)
+		}
+	}
+}
+
 func TestDeleteTreeAllocatesNothing(t *testing.T) {
 	fs := treeFS(t)
 	if n := testing.AllocsPerRun(100, func() { _ = fs.DeleteTree("/w/t") }); n != 0 {

@@ -20,6 +20,7 @@ package hivesim
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,7 +44,9 @@ type Table struct {
 	PartitionCols []serde.Column
 	Format        string
 	Location      string
-	Props         map[string]string
+	// Props are the table properties, nil while the table has none.
+	// Read and write them through Prop and SetProp.
+	Props map[string]string
 
 	partSeq int
 }
@@ -100,22 +103,15 @@ func (m *Metastore) CreateTablePartitioned(name string, columns, partitionCols [
 	if err != nil {
 		return nil, err
 	}
-	if props == nil {
-		props = map[string]string{}
-	} else {
-		cp := make(map[string]string, len(props))
-		for k, v := range props {
-			cp[k] = v
-		}
-		props = cp
-	}
 	t := &Table{
 		Name:          key,
 		Columns:       cols,
 		PartitionCols: partCols,
 		Format:        format,
 		Location:      "/warehouse/" + key,
-		Props:         props,
+	}
+	if len(props) > 0 {
+		t.Props = maps.Clone(props)
 	}
 	m.tables[key] = t
 	return t, nil
@@ -203,6 +199,9 @@ func (t *Table) AllColumns() []serde.Column {
 func (m *Metastore) SetProp(t *Table, key, value string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if t.Props == nil {
+		t.Props = map[string]string{}
+	}
 	t.Props[key] = value
 }
 

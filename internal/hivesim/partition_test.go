@@ -115,6 +115,43 @@ func TestMetastoreHelpers(t *testing.T) {
 	}
 }
 
+// A table created without properties holds none, and SetProp gives it
+// some; a table created with properties owns a copy of them.
+func TestMetastorePropsOwnership(t *testing.T) {
+	ms := NewMetastore()
+	cols := []serde.Column{{Name: "a", Type: sqlval.Int}}
+	for name, props := range map[string]map[string]string{"nil_props": nil, "empty_props": {}} {
+		tbl, err := ms.CreateTable(name, cols, "orc", props)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl.Props != nil || ms.Prop(tbl, "k") != "" {
+			t.Errorf("%s: props = %v, want none", name, tbl.Props)
+		}
+		ms.SetProp(tbl, "k", "v")
+		if ms.Prop(tbl, "k") != "v" {
+			t.Errorf("%s: SetProp did not take", name)
+		}
+		if len(props) != 0 {
+			t.Errorf("%s: SetProp wrote through to the caller's map: %v", name, props)
+		}
+	}
+	props := map[string]string{"k": "v"}
+	tbl, err := ms.CreateTable("owned", cols, "orc", props)
+	if err != nil {
+		t.Fatal(err)
+	}
+	props["k"] = "changed"
+	props["extra"] = "x"
+	if ms.Prop(tbl, "k") != "v" || ms.Prop(tbl, "extra") != "" {
+		t.Errorf("mutating the caller's map reached the table: %v", tbl.Props)
+	}
+	ms.SetProp(tbl, "k", "w")
+	if props["k"] != "changed" {
+		t.Errorf("SetProp wrote through to the caller's map: %v", props)
+	}
+}
+
 func TestProjectWhereOperators(t *testing.T) {
 	h := newHive(t)
 	exec(t, h, `CREATE TABLE t (id INT)`)

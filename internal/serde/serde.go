@@ -255,7 +255,7 @@ func decodeMeta(r *reader) (map[string]string, error) {
 	}
 	meta := make(map[string]string, n)
 	for i := 0; i < n; i++ {
-		k, err := r.str()
+		k, err := r.bytes()
 		if err != nil {
 			return nil, err
 		}
@@ -263,9 +263,23 @@ func decodeMeta(r *reader) (map[string]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		meta[k] = v
+		meta[metaKey(k)] = v
 	}
 	return meta, nil
+}
+
+// metaKey returns a decoded metadata key as a string: a key the formats
+// define is their own constant, any other a copy.
+func metaKey(k []byte) string {
+	switch string(k) {
+	case MetaSparkSchema:
+		return MetaSparkSchema
+	case MetaWriterTimezone:
+		return MetaWriterTimezone
+	case MetaWriterEngine:
+		return MetaWriterEngine
+	}
+	return string(k)
 }
 
 // encodeValue writes v interpreted under its declared type t.

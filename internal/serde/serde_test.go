@@ -87,6 +87,26 @@ func TestParquetRoundTripExact(t *testing.T) {
 	}
 }
 
+// A decoded header names the format's own keys by their constants,
+// without a copy, and copies any other key out of the file's bytes.
+func TestMetaKey(t *testing.T) {
+	for _, k := range []string{MetaSparkSchema, MetaWriterTimezone, MetaWriterEngine} {
+		kb := []byte(k)
+		if got := metaKey(kb); got != k {
+			t.Errorf("metaKey(%q) = %q", k, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { metaKey(kb) }); n != 0 {
+			t.Errorf("metaKey(%q) allocates %.0f objects, want 0", k, n)
+		}
+	}
+	kb := []byte("other.key")
+	got := metaKey(kb)
+	kb[0] = 'X'
+	if got != "other.key" {
+		t.Errorf("metaKey of an unknown key = %q, want a copy %q", got, "other.key")
+	}
+}
+
 func TestORCPositionalNames(t *testing.T) {
 	// Hive's writer convention (SPARK-21686): real names are lost.
 	data, err := (ORC{PositionalNames: true}).Encode(sampleSchema(), nil, sampleRows())

@@ -71,11 +71,25 @@ func (s *Session) SetTracer(tr *obs.Tracer) { s.tracer = tr }
 
 // encodeSchemaDDL renders a schema as "name TYPE, name TYPE".
 func encodeSchemaDDL(schema serde.Schema) string {
-	parts := make([]string, len(schema.Columns))
-	for i, c := range schema.Columns {
-		parts[i] = c.Name + " " + c.Type.String()
+	var buf [8]string // the common widths stay off the heap
+	types := buf[:0]
+	n := 0
+	for _, c := range schema.Columns {
+		t := c.Type.String()
+		types = append(types, t)
+		n += len(", ") + len(c.Name) + len(" ") + len(t)
 	}
-	return strings.Join(parts, ", ")
+	var b strings.Builder
+	b.Grow(n)
+	for i, c := range schema.Columns {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(c.Name)
+		b.WriteByte(' ')
+		b.WriteString(types[i])
+	}
+	return b.String()
 }
 
 // parseSchemaDDL is the inverse of encodeSchemaDDL, splitting on

@@ -2,6 +2,7 @@ package sparksim
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -61,12 +62,24 @@ func TestSchemaDDLRoundTrip(t *testing.T) {
 		{Name: "Attrs", Type: sqlval.MapType(sqlval.String, sqlval.DecimalType(5, 2))},
 		{Name: "S", Type: sqlval.StructType(sqlval.Field{Name: "x", Type: sqlval.Int})},
 	}}
-	parsed, err := parseSchemaDDL(encodeSchemaDDL(schema))
+	ddl := encodeSchemaDDL(schema)
+	if want := "Id INT, Attrs MAP<STRING,DECIMAL(5,2)>, S STRUCT<x:INT>"; ddl != want {
+		t.Errorf("encodeSchemaDDL = %q, want %q", ddl, want)
+	}
+	parsed, err := parseSchemaDDL(ddl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !parsed.Equal(schema) {
 		t.Errorf("round trip = %v, want %v", parsed, schema)
+	}
+	// Wider than encodeSchemaDDL's on-stack type buffer.
+	var wide serde.Schema
+	for i := 0; i < 11; i++ {
+		wide.Columns = append(wide.Columns, serde.Column{Name: fmt.Sprintf("c%d", i), Type: sqlval.VarcharType(i + 1)})
+	}
+	if parsed, err := parseSchemaDDL(encodeSchemaDDL(wide)); err != nil || !parsed.Equal(wide) {
+		t.Errorf("wide round trip = %v, %v, want %v", parsed, err, wide)
 	}
 }
 

@@ -21,8 +21,8 @@ type CreateTable struct {
 	// PartitionedBy are the partition columns; their values select the
 	// directory a row lands in.
 	PartitionedBy []ColumnDef
-	Format        string // "orc", "parquet", "avro"; empty means engine default
-	Props         map[string]string
+	Format        string            // "orc", "parquet", "avro"; empty means engine default
+	Props         map[string]string // TBLPROPERTIES; nil when absent
 }
 
 func (*CreateTable) stmt() {}

@@ -6,28 +6,16 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fuzzgen"
 	"repro/internal/sqlparse"
 )
 
 // harnessStatements builds the statements the harness and the fuzzer
-// issue: a CREATE, INSERT and SELECT per base-corpus input, and a
-// multi-column CREATE, INSERT and truncated INSERT per generated fuzz
-// case.
+// issue: the base corpus's statements, and a multi-column CREATE,
+// INSERT and truncated INSERT per generated fuzz case.
 func harnessStatements(t *testing.T) []string {
 	t.Helper()
-	base, err := core.BuildBaseCorpus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []string
-	for _, in := range base {
-		out = append(out,
-			"CREATE TABLE t_w_sql_r_df_orc_0001 (c "+in.Type.String()+") STORED AS orc",
-			"INSERT INTO t_w_sql_r_df_orc_0001 VALUES ("+in.Literal+")",
-			"SELECT * FROM t_w_sql_r_df_orc_0001")
-	}
+	out := corpusStatements(t)
 	gen := fuzzgen.NewGenerator(1, 6)
 	for i := 0; i < 300; i++ {
 		c := gen.Case(i)

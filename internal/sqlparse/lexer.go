@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 type tokenKind int
@@ -24,7 +25,7 @@ const (
 
 type token struct {
 	kind tokenKind
-	text string // identifiers are upper-cased; strings are unquoted
+	text string // a keyword's upper-case spelling, any other name as written; strings are unquoted
 	raw  string // original spelling
 	pos  int
 }
@@ -98,7 +99,7 @@ func lex(dst []token, src string) ([]token, error) {
 			raw := l.src[start:l.pos]
 			// X'...' hex binary literal.
 			if (raw == "X" || raw == "x") && l.pos < len(l.src) && l.src[l.pos] == '\'' {
-				s, err := l.stringLit()
+				s, _, err := l.stringLit()
 				if err != nil {
 					return l.toks, err
 				}
@@ -107,15 +108,15 @@ func lex(dst []token, src string) ([]token, error) {
 				l.toks = append(l.toks, token{kind: tokString, text: s, raw: "X", pos: start})
 				continue
 			}
-			l.toks = append(l.toks, token{kind: tokIdent, text: strings.ToUpper(raw), raw: raw, pos: start})
+			l.toks = append(l.toks, token{kind: tokIdent, text: identText(raw), raw: raw, pos: start})
 		case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
 			l.lexNumber()
 		case c == '\'':
-			s, err := l.stringLit()
+			s, raw, err := l.stringLit()
 			if err != nil {
 				return l.toks, err
 			}
-			l.toks = append(l.toks, token{kind: tokString, text: s, raw: "'" + s + "'", pos: start})
+			l.toks = append(l.toks, token{kind: tokString, text: s, raw: raw, pos: start})
 		case c == '`':
 			// Backquoted identifier: preserves case and special chars.
 			l.pos++
@@ -125,7 +126,7 @@ func lex(dst []token, src string) ([]token, error) {
 			}
 			raw := l.src[l.pos : l.pos+end]
 			l.pos += end + 1
-			l.toks = append(l.toks, token{kind: tokIdent, text: strings.ToUpper(raw), raw: raw, pos: start})
+			l.toks = append(l.toks, token{kind: tokIdent, text: identText(raw), raw: raw, pos: start})
 		case strings.IndexByte("(),=<>*.-+;:", c) >= 0:
 			// Two-char operators.
 			if l.pos+1 < len(l.src) {
@@ -195,7 +196,29 @@ func (l *lexer) lexNumber() {
 	l.toks = append(l.toks, token{kind: tokNumber, text: raw, raw: raw, pos: start})
 }
 
-func (l *lexer) stringLit() (string, error) {
+// stringLit scans the quoted literal at l.pos and returns its value and
+// its raw spelling. A literal without escapes is a slice of the source
+// and its raw spelling the quoted span; only an escaped one is built.
+func (l *lexer) stringLit() (text, raw string, err error) {
+	start := l.pos
+	for i := start + 1; i < len(l.src); i++ {
+		switch l.src[i] {
+		case '\\':
+			return l.escapedStringLit()
+		case '\'':
+			if i+1 < len(l.src) && l.src[i+1] == '\'' {
+				return l.escapedStringLit()
+			}
+			l.pos = i + 1
+			return l.src[start+1 : i], l.src[start:l.pos], nil
+		}
+	}
+	return "", "", &ParseError{Pos: start, Detail: "unterminated string literal"}
+}
+
+// escapedStringLit is stringLit for a literal with escapes. Its raw
+// spelling is the unescaped value between quotes, as errors quote it.
+func (l *lexer) escapedStringLit() (text, raw string, err error) {
 	start := l.pos
 	l.pos++ // opening quote
 	var b strings.Builder
@@ -208,7 +231,8 @@ func (l *lexer) stringLit() (string, error) {
 				continue
 			}
 			l.pos++
-			return b.String(), nil
+			s := b.String()
+			return s, "'" + s + "'", nil
 		}
 		if c == '\\' && l.pos+1 < len(l.src) {
 			l.pos++
@@ -230,7 +254,86 @@ func (l *lexer) stringLit() (string, error) {
 		b.WriteByte(c)
 		l.pos++
 	}
-	return "", &ParseError{Pos: start, Detail: "unterminated string literal"}
+	return "", "", &ParseError{Pos: start, Detail: "unterminated string literal"}
+}
+
+// keywords maps the upper-case spelling of every word the parser
+// matches to itself. An identifier that folds onto one takes it as its
+// text; any other keeps its spelling, so lexing a name copies nothing.
+var keywords = keywordTable(
+	"CREATE", "DROP", "INSERT", "SELECT", "TABLE", "IF", "NOT", "EXISTS",
+	"PARTITIONED", "BY", "STORED", "AS", "USING", "TBLPROPERTIES",
+	"INTO", "OVERWRITE", "VALUES", "FROM", "WHERE", "GROUP", "ORDER",
+	"ASC", "DESC", "LIMIT", "COUNT", "SUM", "MIN", "MAX", "AVG",
+	"NULL", "TRUE", "FALSE", "DATE", "TIMESTAMP", "CAST",
+	"ARRAY", "MAP", "NAMED_STRUCT", "STRUCT",
+	"DECIMAL", "NUMERIC", "CHAR", "VARCHAR",
+)
+
+// maxKeywordLen bounds the keywords' length: it sizes identText's fold
+// buffer.
+const maxKeywordLen = 16
+
+func keywordTable(words ...string) map[string]string {
+	m := make(map[string]string, len(words))
+	for _, w := range words {
+		if len(w) > maxKeywordLen {
+			panic("sqlparse: keyword " + w + " exceeds maxKeywordLen")
+		}
+		m[w] = w
+	}
+	return m
+}
+
+// identText returns an identifier's token text: the keyword its
+// upper-case fold spells, or raw itself.
+func identText(raw string) string {
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(raw); i++ {
+		c := raw[i]
+		if c >= utf8.RuneSelf {
+			// Only a backquoted name holds a non-ASCII letter, and
+			// strings.ToUpper folds some (ı, ſ) onto ASCII letters.
+			if kw, ok := keywords[strings.ToUpper(raw)]; ok {
+				return kw
+			}
+			return raw
+		}
+		if i < len(buf) {
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			buf[i] = c
+		}
+	}
+	if len(raw) > len(buf) {
+		return raw
+	}
+	if kw, ok := keywords[string(buf[:len(raw)])]; ok {
+		return kw
+	}
+	return raw
+}
+
+// folded returns the token's text with an identifier upper-cased: the
+// spelling keyword matching sees. A keyword's text is returned as is.
+func (t token) folded() string {
+	if t.kind != tokIdent {
+		return t.text
+	}
+	return strings.ToUpper(t.text)
+}
+
+// format returns a STORED AS or USING name: the lower-case spelling of
+// the folded name. For an ASCII name that is its own lower-case
+// spelling, which a lower-case name is already.
+func (t token) format() string {
+	for i := 0; i < len(t.text); i++ {
+		if t.text[i] >= utf8.RuneSelf {
+			return strings.ToLower(t.folded())
+		}
+	}
+	return strings.ToLower(t.text)
 }
 
 func isIdentStart(c byte) bool {

@@ -7,9 +7,9 @@ import (
 
 // TestLexAllocations pins the lexer's allocations on a harness INSERT
 // and the pooled token buffer behind Parse. Into a buffer with room,
-// lexing allocates only the upper-cased copy of the lower-case table
-// name (punctuation shares the source text). Once the pool holds a
-// buffer, Parse allocates exactly that plus what the parser builds from
+// lexing allocates nothing: keywords take their text from the keyword
+// table, names and punctuation share the source text. Once the pool
+// holds a buffer, Parse allocates exactly what the parser builds from
 // ready tokens: the token buffer itself costs nothing.
 func TestLexAllocations(t *testing.T) {
 	const src = "INSERT INTO t_w_sql_r_df_orc_0001 VALUES (CAST(12 AS TINYINT))"
@@ -20,15 +20,37 @@ func TestLexAllocations(t *testing.T) {
 	if len(toks) != 13 {
 		t.Fatalf("lexed %d tokens, want 13", len(toks))
 	}
-	if a := testing.AllocsPerRun(1000, func() { lex(toks[:0], src) }); a != 1 {
-		t.Errorf("lex into a buffer with room allocates %.1f/op, want 1", a)
+	if a := testing.AllocsPerRun(1000, func() { lex(toks[:0], src) }); a != 0 {
+		t.Errorf("lex into a buffer with room allocates %.1f/op, want 0", a)
 	}
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random share of returned buffers under the race detector")
 	}
 	parser := testing.AllocsPerRun(1000, func() { parse(toks) })
-	if a := testing.AllocsPerRun(1000, func() { Parse(src) }); a != parser+1 {
-		t.Errorf("Parse allocates %.1f/op, want %.1f (parser) + 1 (lexer)", a, parser)
+	if a := testing.AllocsPerRun(1000, func() { Parse(src) }); a != parser {
+		t.Errorf("Parse allocates %.1f/op, want %.1f (parser)", a, parser)
+	}
+}
+
+// TestParseHarnessAllocations pins Parse's allocations on the CREATE,
+// INSERT and SELECT the harness issues for one case. Each statement
+// costs its node and slices, and a parameterized type its spelling;
+// no identifier, string literal or format name is copied.
+func TestParseHarnessAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of returned buffers under the race detector")
+	}
+	for _, c := range []struct {
+		src  string
+		want float64
+	}{
+		{"CREATE TABLE t_w_sql_r_df_orc_0001 (TestCol VARCHAR(3)) STORED AS orc", 3}, // statement, columns, "VARCHAR(3)",
+		{"INSERT INTO t_w_sql_r_df_orc_0001 VALUES ('abc')", 4},                      // statement, row, boxed literal, rows,
+		{"SELECT * FROM t_w_sql_r_df_orc_0001", 2},                                   // statement, items,
+	} {
+		if a := testing.AllocsPerRun(1000, func() { Parse(c.src) }); a != c.want {
+			t.Errorf("Parse(%q) allocates %.1f/op, want %.0f", c.src, a, c.want)
+		}
 	}
 }
 

@@ -93,7 +93,7 @@ func (p *parser) createTable() (Statement, error) {
 	if _, err := p.expect(tokIdent, "TABLE"); err != nil {
 		return nil, err
 	}
-	stmt := &CreateTable{Props: map[string]string{}}
+	stmt := &CreateTable{}
 	if p.accept(tokIdent, "IF") {
 		if _, err := p.expect(tokIdent, "NOT"); err != nil {
 			return nil, err
@@ -163,19 +163,20 @@ func (p *parser) createTable() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		stmt.Format = strings.ToLower(f.text)
+		stmt.Format = f.format()
 	}
 	if p.accept(tokIdent, "USING") {
 		f, err := p.expect(tokIdent, "")
 		if err != nil {
 			return nil, err
 		}
-		stmt.Format = strings.ToLower(f.text)
+		stmt.Format = f.format()
 	}
 	if p.accept(tokIdent, "TBLPROPERTIES") {
 		if _, err := p.expect(tokPunct, "("); err != nil {
 			return nil, err
 		}
+		stmt.Props = map[string]string{}
 		for {
 			k, err := p.expect(tokString, "")
 			if err != nil {
@@ -201,34 +202,44 @@ func (p *parser) createTable() (Statement, error) {
 	return stmt, nil
 }
 
+// typeSpellingCap sizes the builder of a parameterized type's spelling:
+// DECIMAL(38,18) or MAP<STRING,ARRAY<INT>> fits in one allocation.
+const typeSpellingCap = 32
+
 // parseType consumes a type spelling, gathering the tokens that belong
 // to it (parameters, angle brackets) and delegating to sqlval.ParseType.
+// A type without parameters is its folded name, built from nothing.
 func (p *parser) parseType() (sqlval.Type, error) {
 	start := p.pos
 	name, err := p.expect(tokIdent, "")
 	if err != nil {
 		return sqlval.Null, err
 	}
+	spelling := name.folded()
 	var b strings.Builder
-	b.WriteString(name.text)
-	switch name.text {
+	switch spelling {
 	case "DECIMAL", "NUMERIC", "CHAR", "VARCHAR":
 		if p.accept(tokPunct, "(") {
+			b.Grow(typeSpellingCap)
+			b.WriteString(spelling)
 			b.WriteByte('(')
 			for !p.at(tokPunct, ")") {
 				if p.at(tokEOF, "") {
 					return sqlval.Null, p.errorf("unterminated type parameters")
 				}
-				b.WriteString(p.cur().text)
+				b.WriteString(p.cur().folded())
 				p.pos++
 			}
 			p.pos++
 			b.WriteByte(')')
+			spelling = b.String()
 		}
 	case "ARRAY", "MAP", "STRUCT":
 		if _, err := p.expect(tokPunct, "<"); err != nil {
 			return sqlval.Null, err
 		}
+		b.Grow(typeSpellingCap)
+		b.WriteString(spelling)
 		b.WriteByte('<')
 		depth := 1
 		for depth > 0 {
@@ -256,8 +267,9 @@ func (p *parser) parseType() (sqlval.Type, error) {
 			}
 			p.pos++
 		}
+		spelling = b.String()
 	}
-	typ, err := sqlval.ParseType(b.String())
+	typ, err := sqlval.ParseType(spelling)
 	if err != nil {
 		p.pos = start
 		return sqlval.Null, p.errorf("bad type: %v", err)

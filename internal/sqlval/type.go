@@ -373,8 +373,8 @@ func (p *typeParser) expect(c byte) error {
 }
 
 // number reads a type parameter and rejects one above max, the widest
-// the type word holds; what names the parameter in the error.
-func (p *typeParser) number(what string, max int) (int, error) {
+// the type word holds; word and param name the parameter in the error.
+func (p *typeParser) number(word, param string, max int) (int, error) {
 	p.skipSpace()
 	start := p.pos
 	for p.pos < len(p.src) && p.src[p.pos] >= '0' && p.src[p.pos] <= '9' {
@@ -387,7 +387,7 @@ func (p *typeParser) number(what string, max int) (int, error) {
 	for _, c := range p.src[start:p.pos] {
 		n = n*10 + int(c-'0')
 		if n > max {
-			return 0, fmt.Errorf("sqlval: %s %s exceeds %d in type %q", what, p.src[start:p.pos], max, p.src)
+			return 0, fmt.Errorf("sqlval: %s %s %s exceeds %d in type %q", word, param, p.src[start:p.pos], max, p.src)
 		}
 	}
 	return n, nil
@@ -422,7 +422,7 @@ func (p *typeParser) parse() (Type, error) {
 		p.skipSpace()
 		if p.pos < len(p.src) && p.src[p.pos] == '(' {
 			p.pos++
-			prec, err := p.number("DECIMAL precision", maxTypePrecision)
+			prec, err := p.number("DECIMAL", "precision", maxTypePrecision)
 			if err != nil {
 				return Null, err
 			}
@@ -430,7 +430,7 @@ func (p *typeParser) parse() (Type, error) {
 			p.skipSpace()
 			if p.pos < len(p.src) && p.src[p.pos] == ',' {
 				p.pos++
-				scale, err = p.number("DECIMAL scale", maxTypePrecision)
+				scale, err = p.number("DECIMAL", "scale", maxTypePrecision)
 				if err != nil {
 					return Null, err
 				}
@@ -445,7 +445,7 @@ func (p *typeParser) parse() (Type, error) {
 		if err := p.expect('('); err != nil {
 			return Null, err
 		}
-		n, err := p.number(w+" length", maxTypeLength)
+		n, err := p.number(w, "length", maxTypeLength)
 		if err != nil {
 			return Null, err
 		}
