@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -16,26 +15,20 @@ import (
 // signatures, and every failure with the same signature is the same
 // discrepancy observed through a different input or interface pair.
 func classifyError(err error) string {
-	// errors.As moves its target to the heap; one struct holds all five
-	// targets, so a call allocates once rather than once per target.
-	var t struct {
-		ae  *sparksim.AvroUnavailableError
-		ise *sparksim.IncompatibleSchemaError
-		sde *hivesim.SerDeError
-		ue  *serde.UnsupportedError
-		ce  *sqlval.CastError
-	}
+	var k knownErrors
+	k.walk(err)
+	// The priority the types had as errors.As targets.
 	switch {
-	case errors.As(err, &t.ae):
+	case k.avro:
 		return "avro-unavailable"
-	case errors.As(err, &t.ise):
+	case k.schema:
 		return "avro-incompatible-schema"
-	case errors.As(err, &t.sde):
+	case k.serDe:
 		return "legacy-binary-decimal"
-	case errors.As(err, &t.ue):
+	case k.unsupported:
 		return "avro-map-key"
-	case errors.As(err, &t.ce):
-		return classifyCast(t.ce)
+	case k.cast != nil:
+		return classifyCast(k.cast)
 	}
 	// Unrecognized errors cluster by their leading token so genuinely
 	// new failure modes remain visible instead of merging.
@@ -44,6 +37,47 @@ func classifyError(err error) string {
 		msg = msg[:i]
 	}
 	return "error-" + strings.ReplaceAll(msg, " ", "-")
+}
+
+// knownErrors records which of the error types classifyError knows an
+// error's tree holds, keeping the first CastError.
+type knownErrors struct {
+	avro, schema, serDe, unsupported bool
+	cast                             *sqlval.CastError
+}
+
+// walk visits err's tree in the order errors.As does (depth first,
+// each error before what it wraps) with one type switch per error, so
+// a classification costs no errors.As target on the heap. No error of
+// this module implements an As method, which errors.As would consult.
+func (k *knownErrors) walk(err error) {
+	for err != nil {
+		switch t := err.(type) {
+		case *sparksim.AvroUnavailableError:
+			k.avro = true
+		case *sparksim.IncompatibleSchemaError:
+			k.schema = true
+		case *hivesim.SerDeError:
+			k.serDe = true
+		case *serde.UnsupportedError:
+			k.unsupported = true
+		case *sqlval.CastError:
+			if k.cast == nil {
+				k.cast = t
+			}
+		}
+		switch u := err.(type) {
+		case interface{ Unwrap() error }:
+			err = u.Unwrap()
+		case interface{ Unwrap() []error }:
+			for _, e := range u.Unwrap() {
+				k.walk(e)
+			}
+			return
+		default:
+			return
+		}
+	}
 }
 
 func classifyCast(ce *sqlval.CastError) string {
@@ -115,20 +149,39 @@ func classifyValueDiff(a, b sqlval.Value) string {
 	return fmt.Sprintf("value-mismatch-%s", strings.ToLower(ka.String()))
 }
 
-// outcomeKey summarizes a case for differential comparison: the error
+// outcome summarizes a case for differential comparison: the error
 // signature when the case failed, otherwise the read value and its
 // type. Warnings are deliberately excluded — the §8.1 oracles compare
 // data and behaviour, and warnings are surfaced in the report instead.
-func outcomeKey(c *CaseResult) string {
-	if c.Write.Err != nil {
-		return "werr:" + classifyError(c.Write.Err)
-	}
-	if c.Read.Err != nil {
-		return "rerr:" + classifyError(c.Read.Err)
-	}
-	if !c.Read.HasRow {
-		return "norow"
+// The oracles compare outcomes as structs and render one (String) only
+// for a failure's Detail. Equal structs render equal strings and the
+// converse holds too: the tags render distinct prefixes, and no Kind
+// name contains ':'.
+type outcome struct {
+	tag  string      // "werr:", "rerr:", "norow" or "ok:"; "" for no case
+	sig  string      // werr and rerr: the error's signature
+	kind sqlval.Kind // ok only
+	val  string      // ok only: the value's text
+}
+
+func outcomeKey(c *CaseResult) outcome {
+	switch {
+	case c.Write.Err != nil:
+		return outcome{tag: "werr:", sig: classifyError(c.Write.Err)}
+	case c.Read.Err != nil:
+		return outcome{tag: "rerr:", sig: classifyError(c.Read.Err)}
+	case !c.Read.HasRow:
+		return outcome{tag: "norow"}
 	}
 	v := c.Read.Value
-	return "ok:" + v.Kind().String() + ":" + v.String()
+	return outcome{tag: "ok:", kind: v.Kind(), val: v.String()}
+}
+
+// String renders the outcome as the oracles' details print it:
+// werr:<sig>, rerr:<sig>, norow or ok:<KIND>:<value>.
+func (o outcome) String() string {
+	if o.tag == "ok:" {
+		return o.tag + o.kind.String() + ":" + o.val
+	}
+	return o.tag + o.sig
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -33,15 +35,13 @@ type CaseResult struct {
 	// Span is the case's root span when the run traces (nil otherwise);
 	// the spans beneath it are the case's cross-system interactions.
 	Span *obs.Span
-	// Rank encodes the case's position in the run's global enumeration
-	// order as a string whose lexicographic order equals enumeration
-	// order. Fields are fixed-width decimals joined by 0x1f (below every
-	// printable key character, so a shorter rank that is a prefix of a
-	// longer one still sorts first). A sharded run stamps the same ranks
-	// its unsharded equivalent would, which is what lets a coordinator
-	// merge sub-reports and pick the same representative failures the
+	// rank is the case's position in the run's global enumeration
+	// order; a failure of the case renders it into the failure's Rank.
+	// A sharded run stamps the same coordinates its unsharded
+	// equivalent would, which is what lets a coordinator merge
+	// sub-reports and pick the same representative failures the
 	// single-node run picks.
-	Rank string
+	rank rankCoord
 }
 
 // Describe renders the case coordinates for logs.
@@ -189,7 +189,7 @@ func run(inputs []Input, opts RunOptions, probes *readerProbes) (*RunResult, err
 			for fi, format := range formats {
 				slab = append(slab, CaseResult{
 					Input: in, Plan: plan, Format: format, Table: caseTable(plan.Name(), format, in.ID),
-					Rank: caseRank(i, planPos[plan.Name()], fi),
+					rank: rankCoord{ord: int64(i), plan: int32(planPos[plan.Name()]), col: int32(fi)},
 				})
 				cases = append(cases, &slab[len(slab)-1])
 			}
@@ -376,37 +376,46 @@ func caseTable(plan, format string, id int) string {
 	return string(appendPadded(b, int64(id), 4))
 }
 
-// caseRank encodes an input×plan×format coordinate of Run's
-// enumeration (input slice index, unfiltered plan index, format index).
-func caseRank(input, plan, format int) string {
-	var buf [32]byte
-	b := appendPadded(buf[:0], int64(input), 6)
-	b = append(b, rankSep...)
-	b = appendPadded(b, int64(plan), 3)
-	b = append(b, rankSep...)
-	return string(appendPadded(b, int64(format), 3))
+// rankCoord is a case's coordinate in its run's enumeration: Run's
+// (input slice index, unfiltered plan index, format index), or a table
+// case's (ordinal, column), which plan -1 marks. Rendered, its fields
+// are fixed-width decimals joined by rankSep, so string order over
+// rendered ranks is enumeration order.
+type rankCoord struct {
+	ord       int64
+	plan, col int32
 }
 
-// tableRank encodes a column of an explicitly-ordered TableCase
-// (RunTables enumeration: case ordinal, then column).
-func tableRank(ord int64, column int) string {
-	var buf [32]byte
-	b := appendPadded(buf[:0], ord, 10)
-	b = append(b, rankSep...)
-	return string(appendPadded(b, int64(column), 3))
+// tableColumn is the coordinate of column col of the table case with
+// ordinal ord (RunTables enumeration: case ordinal, then column).
+func tableColumn(ord int64, col int) rankCoord {
+	return rankCoord{ord: ord, plan: -1, col: int32(col)}
 }
 
-// failureRank prefixes a case rank with its oracle-block tag; blocks
-// are emitted in tag order by applyOracles.
-func failureRank(block string, caseRank string) string {
-	return block + rankSep + caseRank
+// failureRank ranks a write/read or error-handling failure of the
+// case: its oracle-block tag, then the rendered coordinate,
+// %06d␟%03d␟%03d for a Run case and %010d␟%03d for a table case's
+// column. Blocks are emitted in tag order by applyOracles.
+func (r rankCoord) failureRank(block byte) string {
+	var buf [48]byte
+	b := append(buf[:0], block)
+	b = append(b, rankSep...)
+	if r.plan < 0 {
+		b = appendPadded(b, r.ord, 10)
+	} else {
+		b = appendPadded(b, r.ord, 6)
+		b = append(b, rankSep...)
+		b = appendPadded(b, int64(r.plan), 3)
+	}
+	b = append(b, rankSep...)
+	return string(appendPadded(b, int64(r.col), 3))
 }
 
 // diffRank ranks a differential failure: its block tag, its probe
 // group's key, then the peer's ordinal within the group.
-func diffRank(tag, groupKey string, peer int) string {
+func diffRank(block byte, groupKey []byte, peer int) string {
 	var buf [64]byte
-	b := append(buf[:0], tag...)
+	b := append(buf[:0], block)
 	b = append(b, rankSep...)
 	b = append(b, groupKey...)
 	b = append(b, rankSep...)
@@ -466,7 +475,7 @@ func writeReadOracle(cases []*CaseResult) []Failure {
 				Case:      c,
 				Signature: classifyError(c.Write.Err),
 				Detail:    fmt.Sprintf("write of valid data failed: %v", c.Write.Err),
-				Rank:      failureRank("0", c.Rank),
+				Rank:      c.rank.failureRank('0'),
 			})
 		case c.Read.Err != nil:
 			out = append(out, Failure{
@@ -474,7 +483,7 @@ func writeReadOracle(cases []*CaseResult) []Failure {
 				Case:      c,
 				Signature: classifyError(c.Read.Err),
 				Detail:    fmt.Sprintf("read of written data failed: %v", c.Read.Err),
-				Rank:      failureRank("0", c.Rank),
+				Rank:      c.rank.failureRank('0'),
 			})
 		case !c.Read.HasRow:
 			out = append(out, Failure{
@@ -482,7 +491,7 @@ func writeReadOracle(cases []*CaseResult) []Failure {
 				Case:      c,
 				Signature: "row-missing",
 				Detail:    "written row not returned",
-				Rank:      failureRank("0", c.Rank),
+				Rank:      c.rank.failureRank('0'),
 			})
 		case !c.Read.Value.EqualData(c.Input.Expected):
 			out = append(out, Failure{
@@ -490,7 +499,7 @@ func writeReadOracle(cases []*CaseResult) []Failure {
 				Case:      c,
 				Signature: classifyValueDiff(c.Input.Expected, *c.Read.Value),
 				Detail:    fmt.Sprintf("wrote %s, read %s", c.Input.Expected, c.Read.Value),
-				Rank:      failureRank("0", c.Rank),
+				Rank:      c.rank.failureRank('0'),
 			})
 		}
 	}
@@ -516,7 +525,7 @@ func errorHandlingOracle(cases []*CaseResult) []Failure {
 			Case:      c,
 			Signature: classifyTargetFamily(c.Input.Type),
 			Detail:    fmt.Sprintf("invalid input stored silently as %s", c.Read.Value),
-			Rank:      failureRank("1", c.Rank),
+			Rank:      c.rank.failureRank('1'),
 		})
 	}
 	return out
@@ -526,117 +535,131 @@ func errorHandlingOracle(cases []*CaseResult) []Failure {
 // interfaces (within a plan family, per format) and across backend
 // formats (within a plan).
 func differentialOracle(cases []*CaseResult) []Failure {
-	keys := newOutcomeKeys(cases)
-	return append(acrossInterfaces(cases, keys), acrossFormats(cases, keys)...)
+	p := newProbeGroups(cases)
+	return append(p.failures(acrossInterfaces), p.failures(acrossFormats)...)
 }
 
-// acrossInterfaces is the differential oracle's first half: one probe
-// group per input, plan family and format.
-func acrossInterfaces(cases []*CaseResult, keys *outcomeKeys) []Failure {
-	type familyFormat struct {
-		id             int
-		family, format string
+// probeGroups is what the differential oracle's two halves share: the
+// cases, each case's outcome (computed once, as a case joins a group
+// in each half) and one permutation of the cases that each half sorts
+// into its probe groups.
+type probeGroups struct {
+	cases    []*CaseResult
+	outcomes []outcome // the zero outcome until computed
+	perm     []int32
+}
+
+func newProbeGroups(cases []*CaseResult) *probeGroups {
+	return &probeGroups{cases: cases, outcomes: make([]outcome, len(cases)), perm: make([]int32, len(cases))}
+}
+
+func (p *probeGroups) outcome(ci int32) outcome {
+	if p.outcomes[ci].tag == "" {
+		p.outcomes[ci] = outcomeKey(p.cases[ci])
 	}
-	groups := diffGrouper[familyFormat]{index: map[familyFormat]int{}}
-	for ci, c := range cases {
-		groups.add(familyFormat{c.Input.ID, c.Plan.Family, c.Format}, ci, func() string {
-			return strconv.Itoa(c.Input.ID) + "|" + c.Plan.Family + "|" + c.Format
-		})
+	return p.outcomes[ci]
+}
+
+// A probeScope is one half of the differential oracle: across
+// interfaces, one probe group per input, plan family and format; across
+// formats, one per input and plan.
+type probeScope uint8
+
+const (
+	acrossInterfaces probeScope = iota
+	acrossFormats
+)
+
+// appendGroupKey appends a case's probe-group key under scope:
+// "<id>|<family>|<format>" or "<id>|<plan>". No family, format or plan
+// name contains '|', so equal keys mean the same group.
+func appendGroupKey(dst []byte, c *CaseResult, scope probeScope) []byte {
+	dst = strconv.AppendInt(dst, int64(c.Input.ID), 10)
+	return appendGroupRest(append(dst, '|'), c, scope)
+}
+
+// appendGroupRest appends the group key past "<id>|".
+func appendGroupRest(dst []byte, c *CaseResult, scope probeScope) []byte {
+	if scope == acrossFormats {
+		return append(dst, c.Plan.Name()...)
 	}
-	return diffGroups(groups.groups, keys, "across interfaces", "2")
+	dst = append(dst, c.Plan.Family...)
+	dst = append(dst, '|')
+	return append(dst, c.Format...)
 }
 
-// acrossFormats is the differential oracle's second half: one probe
-// group per input and plan.
-func acrossFormats(cases []*CaseResult, keys *outcomeKeys) []Failure {
-	type inputPlan struct {
-		id   int
-		plan string
+// compareGroupKeys compares two cases' group keys under scope in byte
+// order. Distinct ids render distinct "<id>|" prefixes, which differ
+// within their common length ('|' is no digit), so the prefixes alone
+// decide, and the keys of one input's cases compare past them.
+func compareGroupKeys(a, b *CaseResult, scope probeScope) int {
+	if a.Input.ID != b.Input.ID {
+		var ka, kb [24]byte
+		return bytes.Compare(
+			append(strconv.AppendInt(ka[:0], int64(a.Input.ID), 10), '|'),
+			append(strconv.AppendInt(kb[:0], int64(b.Input.ID), 10), '|'))
 	}
-	groups := diffGrouper[inputPlan]{index: map[inputPlan]int{}}
-	for ci, c := range cases {
-		name := c.Plan.Name()
-		groups.add(inputPlan{c.Input.ID, name}, ci, func() string {
-			return strconv.Itoa(c.Input.ID) + "|" + name
-		})
+	var ka, kb [48]byte
+	return bytes.Compare(appendGroupRest(ka[:0], a, scope), appendGroupRest(kb[:0], b, scope))
+}
+
+// failures judges one half's probe groups. Sorting the permutation by
+// group key, ties in run order, lays each group out as one contiguous
+// run with its members in run order, and visits the groups in key
+// order: failure order (and therefore cluster membership order and
+// report examples) must not depend on grouping order, or two identical
+// runs render different reports. Keys compare as bytes, so input 10
+// sorts before input 9. The keys render into stack buffers, and only a
+// group with a failure renders its whole key, for the failures' ranks.
+func (p *probeGroups) failures(scope probeScope) []Failure {
+	for i := range p.perm {
+		p.perm[i] = int32(i)
 	}
-	return diffGroups(groups.groups, keys, "across formats", "3")
-}
-
-// diffGroup is one differential probe group: the indexes of its cases
-// in run order, under the group's string key. The key is formatted once
-// per group and orders both the groups and the failures' ranks.
-type diffGroup struct {
-	key     string
-	members []int
-}
-
-// diffGrouper collects cases into groups under a comparable struct key.
-// The struct key and the string key are one-to-one because no family,
-// format or plan name contains '|'.
-type diffGrouper[K comparable] struct {
-	index  map[K]int
-	groups []diffGroup
-}
-
-func (g *diffGrouper[K]) add(k K, ci int, key func() string) {
-	gi, ok := g.index[k]
-	if !ok {
-		gi = len(g.groups)
-		g.index[k] = gi
-		g.groups = append(g.groups, diffGroup{key: key()})
+	slices.SortFunc(p.perm, func(a, b int32) int {
+		if c := compareGroupKeys(p.cases[a], p.cases[b], scope); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	detail, rankTag := "inconsistent across interfaces: ", byte('2')
+	if scope == acrossFormats {
+		detail, rankTag = "inconsistent across formats: ", '3'
 	}
-	g.groups[gi].members = append(g.groups[gi].members, ci)
-}
-
-// outcomeKeys memoizes outcomeKey per case: a case joins two probe
-// groups, but its outcome is summarized once.
-type outcomeKeys struct {
-	cases []*CaseResult
-	memo  []string // "" until computed; outcomeKey is never empty
-}
-
-func newOutcomeKeys(cases []*CaseResult) *outcomeKeys {
-	return &outcomeKeys{cases: cases, memo: make([]string, len(cases))}
-}
-
-func (o *outcomeKeys) get(ci int) string {
-	if o.memo[ci] == "" {
-		o.memo[ci] = outcomeKey(o.cases[ci])
-	}
-	return o.memo[ci]
-}
-
-func diffGroups(groups []diffGroup, keys *outcomeKeys, scope, rankTag string) []Failure {
-	// Iterate in sorted key order: failure order (and therefore cluster
-	// membership order and report examples) must not depend on grouping
-	// order, or two identical runs render different reports. The order
-	// is string order, so input 10 sorts before input 9.
-	slices.SortFunc(groups, func(a, b diffGroup) int { return strings.Compare(a.key, b.key) })
 	var out []Failure
-	for _, g := range groups {
-		if len(g.members) < 2 {
+	for start := 0; start < len(p.perm); {
+		base := p.cases[p.perm[start]]
+		end := start + 1
+		for end < len(p.perm) && compareGroupKeys(base, p.cases[p.perm[end]], scope) == 0 {
+			end++
+		}
+		group := p.perm[start:end]
+		start = end
+		if len(group) < 2 {
 			continue
 		}
-		base := keys.cases[g.members[0]]
-		baseKey := keys.get(g.members[0])
-		for pi, ci := range g.members[1:] {
-			peerKey := keys.get(ci)
+		var keyBuf [64]byte
+		var gk []byte // the group's key, rendered at its first failure
+		baseKey := p.outcome(group[0])
+		for pi, ci := range group[1:] {
+			peerKey := p.outcome(ci)
 			if peerKey == baseKey {
 				continue
 			}
-			peer := keys.cases[ci]
+			if gk == nil {
+				gk = appendGroupKey(keyBuf[:0], base, scope)
+			}
+			peer := p.cases[ci]
 			out = append(out, Failure{
 				Oracle:    csi.OracleDifferential,
 				Case:      base,
 				Peer:      peer,
 				Signature: classifyDiffPair(base, peer),
-				Detail:    "inconsistent " + scope + ": " + base.Describe() + " [" + baseKey + "] vs " + peer.Describe() + " [" + peerKey + "]",
-				// The group key (sorted-string order) then the peer ordinal:
-				// diff groups never straddle a family or seed-range shard, so
+				Detail:    detail + base.Describe() + " [" + baseKey.String() + "] vs " + peer.Describe() + " [" + peerKey.String() + "]",
+				// The group key (byte order) then the peer ordinal: diff
+				// groups never straddle a family or seed-range shard, so
 				// this reproduces the unsharded emission order within the
 				// block.
-				Rank: diffRank(rankTag, g.key, pi),
+				Rank: diffRank(rankTag, gk, pi),
 			})
 		}
 	}

@@ -78,7 +78,7 @@ func refDiffGroups(groups map[string][]*CaseResult, scope, rankTag string) []Fai
 				Peer:      peer,
 				Signature: classifyDiffPair(base, peer),
 				Detail:    fmt.Sprintf("inconsistent %s: %s [%s] vs %s [%s]", scope, refDescribe(base), baseKey, refDescribe(peer), peerKey),
-				Rank:      failureRank(rankTag, k+rankSep+fmt.Sprintf("%06d", pi)),
+				Rank:      rankTag + rankSep + k + rankSep + fmt.Sprintf("%06d", pi),
 			})
 		}
 	}
@@ -131,7 +131,7 @@ func genDiffCases(seed int64) []*CaseResult {
 					in := &Input{ID: id, Name: fmt.Sprintf("in_%d_%d", id, k), Type: typ,
 						Literal: fmt.Sprint(rng.Intn(100)), Valid: rng.Intn(4) > 0}
 					c := &CaseResult{Input: in, Plan: plan, Format: format,
-						Table: caseTable(plan.Name(), format, id), Rank: caseRank(id, pi, fi)}
+						Table: caseTable(plan.Name(), format, id), rank: rankCoord{ord: int64(id), plan: int32(pi), col: int32(fi)}}
 					outcome(c)
 					cases = append(cases, c)
 				}
@@ -146,7 +146,7 @@ func TestDifferentialOracleMatchesFmtReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		cases := genDiffCases(seed)
 		for _, c := range cases {
-			if got, want := outcomeKey(c), refOutcomeKey(c); got != want {
+			if got, want := outcomeKey(c).String(), refOutcomeKey(c); got != want {
 				t.Fatalf("seed %d: outcomeKey = %q, want %q", seed, got, want)
 			}
 			if got, want := c.Describe(), refDescribe(c); got != want {
@@ -170,10 +170,11 @@ func TestDifferentialOracleMatchesFmtReference(t *testing.T) {
 	}
 }
 
-// Group keys sort as strings, so input 10 sorts before input 9.
+// Group keys sort as strings, so input 10 sorts before input 9, and
+// input 100 before input 10 ('|' sorts above the digits).
 func TestDiffGroupsSortAsStrings(t *testing.T) {
 	var cases []*CaseResult
-	for _, id := range []int{9, 10} {
+	for _, id := range []int{9, 10, 1, 100} {
 		for _, p := range Plans()[:2] {
 			c := &CaseResult{Input: &Input{ID: id}, Plan: p, Format: "orc"}
 			if p.Read == DataFrame {
@@ -183,8 +184,14 @@ func TestDiffGroupsSortAsStrings(t *testing.T) {
 		}
 	}
 	got := differentialOracle(cases)
-	if len(got) != 2 || got[0].Case.Input.ID != 10 || got[1].Case.Input.ID != 9 {
-		t.Fatalf("failures out of string-key order: %+v", got)
+	want := []int{100, 10, 1, 9}
+	if len(got) != len(want) {
+		t.Fatalf("%d failures, want %d: %+v", len(got), len(want), got)
+	}
+	for i, id := range want {
+		if got[i].Case.Input.ID != id {
+			t.Fatalf("failures out of string-key order: %+v", got)
+		}
 	}
 }
 
@@ -201,11 +208,14 @@ func TestRankEncodersMatchFmt(t *testing.T) {
 			}
 		}
 		i := int(v)
-		if got, want := caseRank(i, i, i), fmt.Sprintf("%06d%s%03d%s%03d", i, rankSep, i, rankSep, i); got != want {
-			t.Errorf("caseRank(%d) = %q, want %q", i, got, want)
+		// Plan and column indexes are small; the coordinate holds them
+		// as int32, so the rendering is checked over that range.
+		j := int32(max(0, min(v, math.MaxInt32)))
+		if got, want := (rankCoord{ord: v, plan: j, col: j}).failureRank('0'), fmt.Sprintf("0%s%06d%s%03d%s%03d", rankSep, v, rankSep, j, rankSep, j); got != want {
+			t.Errorf("Run case rank (%d, %d) = %q, want %q", v, j, got, want)
 		}
-		if got, want := tableRank(v, i), fmt.Sprintf("%010d%s%03d", v, rankSep, i); got != want {
-			t.Errorf("tableRank(%d) = %q, want %q", v, got, want)
+		if got, want := tableColumn(v, int(j)).failureRank('1'), fmt.Sprintf("1%s%010d%s%03d", rankSep, v, rankSep, j); got != want {
+			t.Errorf("table column rank (%d, %d) = %q, want %q", v, j, got, want)
 		}
 		if got, want := caseTable("w_sql_r_df", "parquet", i), fmt.Sprintf("t_%s_%s_%04d", "w_sql_r_df", "parquet", i); got != want {
 			t.Errorf("caseTable(%d) = %q, want %q", i, got, want)
@@ -237,11 +247,14 @@ func TestKeyEncoderAllocations(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() { _ = p.Name() }); a != 0 {
 		t.Errorf("Plan.Name allocates %.1f/op, want 0", a)
 	}
-	if a := testing.AllocsPerRun(1000, func() { _ = caseRank(421, 7, 2) }); a != 1 {
-		t.Errorf("caseRank allocates %.1f/op, want 1", a)
+	// A failure's rank is one string: tag, separator and coordinate
+	// render into one stack buffer.
+	run, column := rankCoord{ord: 421, plan: 7, col: 2}, tableColumn(123456789, 11)
+	if a := testing.AllocsPerRun(1000, func() { _ = run.failureRank('0') }); a != 1 {
+		t.Errorf("Run case failureRank allocates %.1f/op, want 1", a)
 	}
-	if a := testing.AllocsPerRun(1000, func() { _ = tableRank(123456789, 11) }); a != 1 {
-		t.Errorf("tableRank allocates %.1f/op, want 1", a)
+	if a := testing.AllocsPerRun(1000, func() { _ = column.failureRank('1') }); a != 1 {
+		t.Errorf("table column failureRank allocates %.1f/op, want 1", a)
 	}
 }
 

@@ -118,7 +118,7 @@ func columnResults(tc *TableCase, span *obs.Span, write WriteOutcome, read WideO
 			Write:  write,
 			Read:   read.column(i),
 			Span:   span,
-			Rank:   tableRank(tc.Ord, i),
+			rank:   tableColumn(tc.Ord, i),
 		}
 		out[i] = &results[i]
 	}

@@ -66,7 +66,7 @@ func RunWide(inputs []Input, opts RunOptions) (*WideResult, error) {
 	}
 	opts.Metrics = nil // the table-case counters are the fuzz campaign's
 	res, err := runTables(cases, opts, func(all []*CaseResult) []Failure {
-		return append(writeReadOracle(all), acrossFormats(all, newOutcomeKeys(all))...)
+		return append(writeReadOracle(all), newProbeGroups(all).failures(acrossFormats)...)
 	})
 	if err != nil {
 		return nil, err

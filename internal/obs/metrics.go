@@ -3,7 +3,9 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -195,10 +197,20 @@ func (r *Registry) lookup(kind, name string, buckets []float64, labels []string)
 	if fam.kind != kind {
 		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, fam.kind, kind))
 	}
-	attrs := pairAttrs(labels)
-	key := labelKey(attrs)
-	s, ok := fam.series[key]
+	// The pairs sort into a stack array and the key renders into a stack
+	// buffer, so a repeat lookup allocates nothing; a new series copies
+	// both.
+	var pairs [4]Attr
+	attrs := pairs[:0]
+	for i := 0; i+1 < len(labels); i += 2 { // a trailing unpaired key is ignored
+		attrs = append(attrs, Attr{Key: labels[i], Value: labels[i+1]})
+	}
+	slices.SortStableFunc(attrs, func(a, b Attr) int { return strings.Compare(a.Key, b.Key) })
+	var buf [128]byte
+	kb := appendLabelKey(buf[:0], attrs)
+	s, ok := fam.series[string(kb)]
 	if !ok {
+		key := string(kb)
 		switch kind {
 		case "counter":
 			s = &Counter{}
@@ -208,31 +220,30 @@ func (r *Registry) lookup(kind, name string, buckets []float64, labels []string)
 			s = &Histogram{bounds: fam.buckets, counts: make([]int64, len(fam.buckets)+1)}
 		}
 		fam.series[key] = s
-		fam.labels[key] = attrs
+		fam.labels[key] = slices.Clone(attrs)
 	}
 	return s
 }
 
-// pairAttrs converts ("k", "v", ...) pairs to sorted attributes; a
-// trailing unpaired key is ignored.
-func pairAttrs(labels []string) []Attr {
-	out := make([]Attr, 0, len(labels)/2)
-	for i := 0; i+1 < len(labels); i += 2 {
-		out = append(out, Attr{Key: labels[i], Value: labels[i+1]})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
 // labelKey renders attributes in the Prometheus label-set syntax, used
 // both as the series key and in the text exposition.
-func labelKey(attrs []Attr) string {
-	if len(attrs) == 0 {
-		return ""
-	}
-	parts := make([]string, len(attrs))
+func labelKey(attrs []Attr) string { return string(appendLabelKey(nil, attrs)) }
+
+// appendLabelKey appends labelKey's rendering: {k="v",...}, each value
+// quoted as %q quotes it, and nothing for no attributes.
+func appendLabelKey(dst []byte, attrs []Attr) []byte {
 	for i, a := range attrs {
-		parts[i] = fmt.Sprintf("%s=%q", a.Key, a.Value)
+		if i == 0 {
+			dst = append(dst, '{')
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, a.Key...)
+		dst = append(dst, '=')
+		dst = strconv.AppendQuote(dst, a.Value)
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	if len(attrs) > 0 {
+		dst = append(dst, '}')
+	}
+	return dst
 }
