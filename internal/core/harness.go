@@ -97,8 +97,13 @@ type RunOptions struct {
 	// Tracer, when non-nil, records a causal span tree per case; each
 	// Failure then carries the rendered cross-system propagation chain.
 	Tracer *obs.Tracer
-	// Metrics, when non-nil, records per-plan/per-format/per-oracle
-	// case counts and durations into the registry.
+	// Metrics, when non-nil, records per-case metrics into the registry.
+	// Run records the crosstest_* series: case counts per plan and
+	// format and per value-checking oracle, case durations per plan
+	// family, failures per oracle and the distinct discrepancies.
+	// RunTables records crossfuzz_cases_total, crossfuzz_plan_cases_total
+	// and crossfuzz_case_duration_ms, one count per table case. RunWide
+	// and RunPartitions record none.
 	Metrics *obs.Registry
 	// OnFailure, when non-nil, is invoked once per oracle failure after
 	// the oracles run, in the run's deterministic failure order and
@@ -107,10 +112,11 @@ type RunOptions struct {
 	OnFailure func(Failure)
 }
 
-// deployment stands up the system under test every harness mode runs
-// on: a skew deployment when Versions is set, the SparkConf overrides
-// applied and the Tracer attached.
-func (opts RunOptions) deployment() (*Deployment, error) {
+// loop stands up the system under test every harness entry point runs
+// on — a skew deployment when Versions is set, the SparkConf overrides
+// applied and the Tracer attached — and the case loop over it, which
+// judges with oracles and records series when Metrics is set.
+func (opts RunOptions) loop(series *caseSeries, oracles func([]*CaseResult) []Failure) (*caseLoop, error) {
 	if opts.Parallel < 0 {
 		return nil, fmt.Errorf("core: Parallel must be non-negative, got %d", opts.Parallel)
 	}
@@ -125,25 +131,10 @@ func (opts RunOptions) deployment() (*Deployment, error) {
 	if opts.Tracer != nil {
 		d.SetTracer(opts.Tracer)
 	}
-	return d, nil
-}
-
-// caseSpan opens a case's root span (nil when untraced), named after
-// its plan and format: attrs are its key/value attributes, followed on
-// a skew deployment by the writer and reader stacks.
-func (d *Deployment) caseSpan(tr *obs.Tracer, plan Plan, format string, attrs ...string) *obs.Span {
-	if tr == nil {
-		return nil
+	if opts.Metrics == nil {
+		series = nil
 	}
-	sp := tr.Span(nil, IfaceSystem(plan.Write), csi.DataPlane, plan.Name()+"/"+format)
-	for i := 0; i+1 < len(attrs); i += 2 {
-		sp.Set(attrs[i], attrs[i+1])
-	}
-	if d.Pair != nil {
-		sp.Set(obs.AttrWriterStack, d.Pair.Writer.String()).
-			Set(obs.AttrReaderStack, d.Pair.Reader.String())
-	}
-	return sp
+	return &caseLoop{d: d, opts: opts, series: series, oracles: oracles}, nil
 }
 
 // RunResult is the outcome of a harness run.
@@ -162,7 +153,7 @@ func Run(inputs []Input, opts RunOptions) (*RunResult, error) {
 // run is Run, sharing the reader-stack control probes through probes
 // when a skew matrix passes a table (nil otherwise).
 func run(inputs []Input, opts RunOptions, probes *readerProbes) (*RunResult, error) {
-	d, err := opts.deployment()
+	l, err := opts.loop(&crosstestSeries, applyOracles)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +179,7 @@ func run(inputs []Input, opts RunOptions, probes *readerProbes) (*RunResult, err
 		for _, plan := range plans {
 			for fi, format := range formats {
 				slab = append(slab, CaseResult{
-					Input: in, Plan: plan, Format: format, Table: caseTable(plan.Name(), format, in.ID),
+					Input: in, Plan: plan, Format: format, Table: caseTable("t_", plan.Name(), format, in.ID, 4),
 					rank: rankCoord{ord: int64(i), plan: int32(planPos[plan.Name()]), col: int32(fi)},
 				})
 				cases = append(cases, &slab[len(slab)-1])
@@ -197,97 +188,190 @@ func run(inputs []Input, opts RunOptions, probes *readerProbes) (*RunResult, err
 	}
 	// The first cell of a matrix to read on a stack fills its probe
 	// table; a later cell copies from it. Each case owns the slot at its
-	// slab position, so the pool runs over positions.
-	copyProbes := probes != nil && probes.slots != nil
-	if probes != nil && !copyProbes {
+	// slab position, which is its unit's.
+	l.skew, l.probes, l.copyProbes = l.d.Pair != nil, probes, probes != nil && probes.slots != nil
+	if probes != nil && !l.copyProbes {
 		probes.slots = make([]rwProbe, len(cases))
 	}
-	positions := make([]int, len(cases))
+	return l.run(cases, len(cases), caseUnits(cases, false))
+}
+
+// A unit is one table of a harness run: created with cols and written
+// through plan's write interface in format, read back through its read
+// interface, and projected onto res, column i into result i. A Run case
+// is a one-column unit (nil cols: ColumnName carrying res[0]'s input),
+// a table case an N-column unit, and a partition case a unit
+// partitioned by res[0]'s input beside an INT column; its one result
+// takes the partition column, which a SELECT * returns last.
+type unit struct {
+	plan          Plan
+	format, table string
+	cols          []WideColumn
+	partition     bool
+	res           []*CaseResult
+	attrs         [4]string // the span's two key/value attributes
+}
+
+// caseUnits describes each of cases as a unit of its own.
+func caseUnits(cases []*CaseResult, partition bool) func(int) unit {
+	return func(i int) unit {
+		c := cases[i]
+		return unit{plan: c.Plan, format: c.Format, table: c.Table, partition: partition,
+			res: cases[i : i+1], attrs: [4]string{"input", c.Input.Name, "table", c.Table}}
+	}
+}
+
+// caseLoop is the harness's one case loop, set up for one entry point:
+// exec runs each unit, and judge, the one tail, judges their results
+// with oracles, then with the version-skew oracle when skew is set.
+type caseLoop struct {
+	d       *Deployment
+	opts    RunOptions
+	series  *caseSeries // nil records none
+	oracles func([]*CaseResult) []Failure
+	// skew, set for Run on a skew deployment, runs probeSkew on each
+	// unit's one result, sharing the reader-stack control through
+	// probes when a matrix passes its stack's table.
+	skew       bool
+	probes     *readerProbes
+	copyProbes bool
+}
+
+// caseSeries names the metric series an entry point records, per unit
+// and per run; an empty name is not recorded. The names are constants,
+// so a case builds none.
+type caseSeries struct {
+	cases, planCases, duration, oracleCases, oracleFailures, discrepancies string
+}
+
+var (
+	crosstestSeries = caseSeries{"crosstest_cases_total", "crosstest_plan_cases_total", "crosstest_case_duration_ms",
+		"crosstest_oracle_cases_total", "crosstest_oracle_failures_total", "crosstest_distinct_discrepancies"}
+	crossfuzzSeries = caseSeries{"crossfuzz_cases_total", "crossfuzz_plan_cases_total", "crossfuzz_case_duration_ms", "", "", ""}
+)
+
+// run executes n units through the worker pool, at describing unit i,
+// then judges cases, the units' results.
+func (l *caseLoop) run(cases []*CaseResult, n int, at func(int) unit) (*RunResult, error) {
+	positions := make([]int, n)
 	for i := range positions {
 		positions[i] = i
 	}
-	execute := func(i int) {
-		c := cases[i]
-		var started time.Time
-		if opts.Metrics != nil {
-			started = time.Now() //crossvet:wallclock case timing feeds only the obs histogram, never the report or its hash
-		}
-		c.Span = d.caseSpan(opts.Tracer, c.Plan, c.Format, "input", c.Input.Name, "table", c.Table)
-		c.Write = d.WriteSpan(c.Span, c.Plan.Write, c.Table, c.Format, *c.Input)
-		if c.Write.Err == nil {
-			c.Read = d.ReadSpan(c.Span, c.Plan.Read, c.Table)
-		}
+	if err := RunPool(l.opts.Context, l.opts.Parallel, positions, func(i int) { l.exec(i, at(i)) }); err != nil {
+		return nil, err
+	}
+	// The oracles read only the cases, and every case released its
+	// tables: past this point the deployment's warehouse and metastore
+	// are empty.
+	return l.judge(cases), nil
+}
+
+// exec runs u, the run's i-th unit: it opens the unit's root span,
+// named after its plan and format and carrying attrs and, on a skew
+// deployment, the two stacks; writes the table, reads it back if the
+// write succeeded and projects the read onto the results; runs the
+// skew probes; ends the span, releases the table and counts the unit.
+func (l *caseLoop) exec(i int, u unit) {
+	d := l.d
+	var started time.Time
+	if l.series != nil {
+		started = time.Now() //crossvet:wallclock case timing feeds only the obs histogram, never the report or its hash
+	}
+	var span *obs.Span // the unit's root span, nil when untraced
+	if tr := l.opts.Tracer; tr != nil {
+		span = tr.Span(nil, IfaceSystem(u.plan.Write), csi.DataPlane, u.plan.Name()+"/"+u.format).
+			Set(u.attrs[0], u.attrs[1]).Set(u.attrs[2], u.attrs[3])
 		if d.Pair != nil {
-			// Skew probes: the same table re-read on the writer stack, and
-			// a sibling table produced entirely on the reader stack. On an
-			// unskewed pair both stacks carry one profile and conf and
-			// read the same bytes, so the writer-stack read is the read.
-			if c.Write.Err == nil {
-				c.WriterRead = c.Read
-				if d.Pair.Skewed() {
-					c.WriterRead = d.WriterReadSpan(c.Span, c.Plan.Read, c.Table)
-				}
-			}
-			if copyProbes {
-				p := &probes.slots[i]
-				c.RWWrite, c.RWRead = p.write, p.read
-				c.Span.Set(obs.AttrProbeFrom, probes.from)
-			} else {
-				rw := c.Table + "_rw"
-				c.RWWrite = d.ReaderWriteSpan(c.Span, c.Plan.Write, rw, c.Format, *c.Input)
-				if c.RWWrite.Err == nil {
-					c.RWRead = d.ReadSpan(c.Span, c.Plan.Read, rw)
-				}
-				defer d.release(rw)
-				if probes != nil {
-					probes.slots[i] = rwProbe{c.RWWrite, c.RWRead}
-				}
-			}
+			span.Set(obs.AttrWriterStack, d.Pair.Writer.String()).Set(obs.AttrReaderStack, d.Pair.Reader.String())
 		}
-		c.Span.Fail(c.Write.Err).Fail(c.Read.Err).End()
-		d.release(c.Table)
-		if opts.Metrics != nil {
-			opts.Metrics.Counter("crosstest_cases_total").Inc()
-			opts.Metrics.Counter("crosstest_plan_cases_total", "plan", c.Plan.Name(), "format", c.Format).Inc()
+	}
+	var write WriteOutcome
+	if u.partition {
+		write = createInsert(d.Spark, d.Hive, span, u.plan.Write,
+			"CREATE TABLE "+u.table+" (N INT) PARTITIONED BY (Tag STRING) STORED AS "+u.format,
+			"INSERT INTO "+u.table+" VALUES (1, "+u.res[0].Input.Literal+")")
+	} else {
+		var one [1]WideColumn // stays on the stack
+		cols := u.cols
+		if cols == nil {
+			one[0] = WideColumn{ColumnName, *u.res[0].Input}
+			cols = one[:]
+		}
+		write = writeVia(d.Spark, d.Hive, span, u.plan.Write, u.table, u.format, cols)
+	}
+	var read WideOutcome
+	if write.Err == nil {
+		read = readVia(d.ReadSpark, d.ReadHive, span, u.plan.Read, u.table)
+	}
+	for k, c := range u.res {
+		if u.partition {
+			k = len(read.Row) - 1
+		}
+		c.Write, c.Read, c.Span = write, read.column(k), span
+	}
+	if l.skew {
+		l.probeSkew(i, u.res[0])
+	}
+	span.Fail(write.Err).Fail(read.ReadErr).End()
+	d.release(u.table)
+	if s := l.series; s != nil {
+		m := l.opts.Metrics
+		m.Counter(s.cases).Inc()
+		m.Counter(s.planCases, "plan", u.plan.Name(), "format", u.format).Inc()
+		if s.oracleCases != "" {
 			// Each case feeds exactly one value-checking oracle: valid
 			// inputs the write/read oracle, invalid inputs the
 			// error-handling oracle — so the per-oracle counts partition
 			// the total.
 			oracle := csi.OracleWriteRead
-			if !c.Input.Valid {
+			if !u.res[0].Input.Valid {
 				oracle = csi.OracleErrorHandling
 			}
-			opts.Metrics.Counter("crosstest_oracle_cases_total", "oracle", oracle.String()).Inc()
-			opts.Metrics.Histogram("crosstest_case_duration_ms", nil, "family", c.Plan.Family).
-				//crossvet:wallclock case timing feeds only the obs histogram, never the report or its hash
-				Observe(float64(time.Since(started)) / float64(time.Millisecond))
+			m.Counter(s.oracleCases, "oracle", oracle.String()).Inc()
 		}
+		m.Histogram(s.duration, nil, "family", u.plan.Family).
+			//crossvet:wallclock case timing feeds only the obs histogram, never the report or its hash
+			Observe(float64(time.Since(started)) / float64(time.Millisecond))
 	}
-	if err := RunPool(opts.Context, opts.Parallel, positions, execute); err != nil {
-		return nil, err
-	}
+}
 
-	// The oracles read only the cases, and every case released its
-	// tables: past this point the deployment's warehouse and metastore
-	// are empty.
-	failures := applyOracles(cases)
-	if opts.Versions != nil {
+// judge is the harness's one tail. It renders each failure's
+// propagation chain from its case's span subtree when the run traced —
+// failures sharing a case span, such as a differential base and its
+// peers or the columns of one table case, share one rendering — then
+// forwards the failures to the streaming hook in order and builds the
+// report.
+func (l *caseLoop) judge(cases []*CaseResult) *RunResult {
+	failures := l.oracles(cases)
+	if l.skew {
 		failures = append(failures, versionSkewOracle(cases)...)
 	}
-	attachChains(opts.Tracer, failures)
-	emitFailures(opts.OnFailure, failures)
-	report := buildReport(failures)
-	if opts.Metrics != nil {
-		for _, o := range []csi.Oracle{csi.OracleWriteRead, csi.OracleErrorHandling, csi.OracleDifferential, csi.OracleVersionSkew} {
-			opts.Metrics.Counter("crosstest_oracle_failures_total", "oracle", o.String()).Add(int64(report.ByOracle[o]))
+	if tr := l.opts.Tracer; tr != nil {
+		rendered := map[*obs.Span]string{}
+		for i := range failures {
+			sp := failures[i].Case.Span
+			chain, ok := rendered[sp]
+			if !ok {
+				chain = obs.RenderChain(tr.Chain(sp))
+				rendered[sp] = chain
+			}
+			failures[i].Chain = chain
 		}
-		opts.Metrics.Gauge("crosstest_distinct_discrepancies").Set(float64(len(report.Found)))
 	}
-	return &RunResult{
-		Cases:    cases,
-		Failures: failures,
-		Report:   report,
-	}, nil
+	if hook := l.opts.OnFailure; hook != nil {
+		for _, f := range failures {
+			hook(f)
+		}
+	}
+	report := buildReport(failures)
+	if s := l.series; s != nil && s.oracleFailures != "" {
+		m := l.opts.Metrics
+		for _, o := range []csi.Oracle{csi.OracleWriteRead, csi.OracleErrorHandling, csi.OracleDifferential, csi.OracleVersionSkew} {
+			m.Counter(s.oracleFailures, "oracle", o.String()).Add(int64(report.ByOracle[o]))
+		}
+		m.Gauge(s.discrepancies).Set(float64(len(report.Found)))
+	}
+	return &RunResult{Cases: cases, Failures: failures, Report: report}
 }
 
 // RunPool drains items through n worker goroutines (n < 2 runs them
@@ -364,16 +448,17 @@ func appendPadded(dst []byte, v int64, width int) []byte {
 	return append(dst, d...)
 }
 
-// caseTable names Run's table for one input×plan×format case:
-// t_<plan>_<format>_<id, zero-padded to 4>.
-func caseTable(plan, format string, id int) string {
+// caseTable names a case's table:
+// <prefix><plan>_<format>_<id, zero-padded to width>. Run's tables are
+// t_…_%04d, partition cases' pt_…_%02d.
+func caseTable(prefix, plan, format string, id, width int) string {
 	var buf [64]byte
-	b := append(buf[:0], "t_"...)
+	b := append(buf[:0], prefix...)
 	b = append(b, plan...)
 	b = append(b, '_')
 	b = append(b, format...)
 	b = append(b, '_')
-	return string(appendPadded(b, int64(id), 4))
+	return string(appendPadded(b, int64(id), width))
 }
 
 // rankCoord is a case's coordinate in its run's enumeration: Run's
@@ -422,36 +507,6 @@ func diffRank(block byte, groupKey []byte, peer int) string {
 	return string(appendPadded(b, int64(peer), 6))
 }
 
-// attachChains renders each failure's propagation chain from its case's
-// span subtree (a no-op when the run did not trace). Failures sharing a
-// case span — a differential base and its peers, the columns of one
-// table case — share one rendering.
-func attachChains(tr *obs.Tracer, failures []Failure) {
-	if tr == nil {
-		return
-	}
-	rendered := map[*obs.Span]string{}
-	for i := range failures {
-		sp := failures[i].Case.Span
-		chain, ok := rendered[sp]
-		if !ok {
-			chain = obs.RenderChain(tr.Chain(sp))
-			rendered[sp] = chain
-		}
-		failures[i].Chain = chain
-	}
-}
-
-// emitFailures forwards failures to a streaming hook, in order.
-func emitFailures(hook func(Failure), failures []Failure) {
-	if hook == nil {
-		return
-	}
-	for _, f := range failures {
-		hook(f)
-	}
-}
-
 func applyOracles(cases []*CaseResult) []Failure {
 	var failures []Failure
 	failures = append(failures, writeReadOracle(cases)...)
@@ -468,40 +523,20 @@ func writeReadOracle(cases []*CaseResult) []Failure {
 		if !c.Input.Valid {
 			continue
 		}
+		var sig, detail string
 		switch {
 		case c.Write.Err != nil:
-			out = append(out, Failure{
-				Oracle:    csi.OracleWriteRead,
-				Case:      c,
-				Signature: classifyError(c.Write.Err),
-				Detail:    fmt.Sprintf("write of valid data failed: %v", c.Write.Err),
-				Rank:      c.rank.failureRank('0'),
-			})
+			sig, detail = classifyError(c.Write.Err), fmt.Sprintf("write of valid data failed: %v", c.Write.Err)
 		case c.Read.Err != nil:
-			out = append(out, Failure{
-				Oracle:    csi.OracleWriteRead,
-				Case:      c,
-				Signature: classifyError(c.Read.Err),
-				Detail:    fmt.Sprintf("read of written data failed: %v", c.Read.Err),
-				Rank:      c.rank.failureRank('0'),
-			})
+			sig, detail = classifyError(c.Read.Err), fmt.Sprintf("read of written data failed: %v", c.Read.Err)
 		case !c.Read.HasRow:
-			out = append(out, Failure{
-				Oracle:    csi.OracleWriteRead,
-				Case:      c,
-				Signature: "row-missing",
-				Detail:    "written row not returned",
-				Rank:      c.rank.failureRank('0'),
-			})
+			sig, detail = "row-missing", "written row not returned"
 		case !c.Read.Value.EqualData(c.Input.Expected):
-			out = append(out, Failure{
-				Oracle:    csi.OracleWriteRead,
-				Case:      c,
-				Signature: classifyValueDiff(c.Input.Expected, *c.Read.Value),
-				Detail:    fmt.Sprintf("wrote %s, read %s", c.Input.Expected, c.Read.Value),
-				Rank:      c.rank.failureRank('0'),
-			})
+			sig, detail = classifyValueDiff(c.Input.Expected, *c.Read.Value), fmt.Sprintf("wrote %s, read %s", c.Input.Expected, c.Read.Value)
+		default:
+			continue
 		}
+		out = append(out, Failure{Oracle: csi.OracleWriteRead, Case: c, Signature: sig, Detail: detail, Rank: c.rank.failureRank('0')})
 	}
 	return out
 }

@@ -131,7 +131,7 @@ func genDiffCases(seed int64) []*CaseResult {
 					in := &Input{ID: id, Name: fmt.Sprintf("in_%d_%d", id, k), Type: typ,
 						Literal: fmt.Sprint(rng.Intn(100)), Valid: rng.Intn(4) > 0}
 					c := &CaseResult{Input: in, Plan: plan, Format: format,
-						Table: caseTable(plan.Name(), format, id), rank: rankCoord{ord: int64(id), plan: int32(pi), col: int32(fi)}}
+						Table: caseTable("t_", plan.Name(), format, id, 4), rank: rankCoord{ord: int64(id), plan: int32(pi), col: int32(fi)}}
 					outcome(c)
 					cases = append(cases, c)
 				}
@@ -217,8 +217,11 @@ func TestRankEncodersMatchFmt(t *testing.T) {
 		if got, want := tableColumn(v, int(j)).failureRank('1'), fmt.Sprintf("1%s%010d%s%03d", rankSep, v, rankSep, j); got != want {
 			t.Errorf("table column rank (%d, %d) = %q, want %q", v, j, got, want)
 		}
-		if got, want := caseTable("w_sql_r_df", "parquet", i), fmt.Sprintf("t_%s_%s_%04d", "w_sql_r_df", "parquet", i); got != want {
+		if got, want := caseTable("t_", "w_sql_r_df", "parquet", i, 4), fmt.Sprintf("t_%s_%s_%04d", "w_sql_r_df", "parquet", i); got != want {
 			t.Errorf("caseTable(%d) = %q, want %q", i, got, want)
+		}
+		if got, want := caseTable("pt_", "w_hive_r_sql", "orc", i, 2), fmt.Sprintf("pt_%s_%s_%02d", "w_hive_r_sql", "orc", i); got != want {
+			t.Errorf("partition caseTable(%d) = %q, want %q", i, got, want)
 		}
 	}
 }

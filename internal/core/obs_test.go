@@ -145,43 +145,97 @@ func subtreeSize(spans []obs.Span, rootID int64) int {
 	return n
 }
 
-// TestRunMetrics checks the acceptance arithmetic: the per-oracle case
-// counts partition the total, and failure counters match the report.
+// TestRunMetrics pins the metric series each harness entry point
+// records: Run the crosstest_* series, RunTables the crossfuzz_* case
+// series, RunWide and RunPartitions none. For Run it also checks the
+// acceptance arithmetic: the per-oracle case counts partition the
+// total, and the failure counters match the report.
 func TestRunMetrics(t *testing.T) {
 	inputs := subset(t, "char_short", "bool_invalid_yes", "ts_noon")
-	reg := obs.NewRegistry()
-	res, err := Run(inputs, RunOptions{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
+	var cols []WideColumn
+	for i, in := range inputs {
+		cols = append(cols, WideColumn{Name: fmt.Sprintf("c%d", i), Input: in})
 	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
+	var tables []*TableCase
+	for _, p := range Plans() {
+		tables = append(tables, &TableCase{Label: "m_" + p.Name(), Columns: cols, Plan: p, Format: "orc", Ord: int64(len(tables))})
 	}
-	got, err := obs.ParsePrometheus(&buf)
-	if err != nil {
-		t.Fatalf("metrics are not valid Prometheus text: %v", err)
-	}
-	total := got["crosstest_cases_total"]
-	if total != float64(len(res.Cases)) {
-		t.Errorf("crosstest_cases_total = %v, want %d", total, len(res.Cases))
-	}
-	wr := got[`crosstest_oracle_cases_total{oracle="wr"}`]
-	eh := got[`crosstest_oracle_cases_total{oracle="eh"}`]
-	if wr+eh != total {
-		t.Errorf("oracle case counts %v + %v != total %v", wr, eh, total)
-	}
-	for _, o := range []csi.Oracle{csi.OracleWriteRead, csi.OracleErrorHandling, csi.OracleDifferential} {
-		key := `crosstest_oracle_failures_total{oracle="` + o.String() + `"}`
-		if got[key] != float64(res.Report.ByOracle[o]) {
-			t.Errorf("%s = %v, want %d", key, got[key], res.Report.ByOracle[o])
-		}
-	}
-	if got["crosstest_distinct_discrepancies"] != float64(len(res.Report.Found)) {
-		t.Errorf("distinct discrepancies gauge = %v, want %d",
-			got["crosstest_distinct_discrepancies"], len(res.Report.Found))
-	}
-	if got[`crosstest_case_duration_ms_count{family="ss"}`] == 0 {
-		t.Error("no duration observations for family ss")
+	for _, tc := range []struct {
+		name, prefix string // prefix names the mode's series
+		run          func(RunOptions) (*RunResult, error)
+		series       []string // without the prefix, sorted
+		cases        int      // what <prefix>cases_total counts
+	}{
+		{"Run", "crosstest_", func(o RunOptions) (*RunResult, error) { return Run(inputs, o) },
+			[]string{"case_duration_ms_bucket", "case_duration_ms_count", "case_duration_ms_sum", "cases_total",
+				"distinct_discrepancies", "oracle_cases_total", "oracle_failures_total", "plan_cases_total"},
+			len(inputs) * len(Plans()) * len(Formats())},
+		{"RunTables", "crossfuzz_", func(o RunOptions) (*RunResult, error) { return RunTables(tables, o) },
+			[]string{"case_duration_ms_bucket", "case_duration_ms_count", "case_duration_ms_sum", "cases_total",
+				"plan_cases_total"},
+			len(tables)},
+		{"RunWide", "", func(o RunOptions) (*RunResult, error) {
+			w, err := RunWide(inputs, o)
+			if err != nil {
+				return nil, err
+			}
+			return &RunResult{Failures: w.Failures, Report: w.Report}, nil
+		}, nil, 0},
+		{"RunPartitions", "", func(o RunOptions) (*RunResult, error) { return RunPartitions("orc", o) }, nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			res, err := tc.run(RunOptions{Metrics: reg, Parallel: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := reg.WritePrometheus(&buf); err != nil {
+				t.Fatal(err)
+			}
+			got, err := obs.ParsePrometheus(&buf)
+			if err != nil {
+				t.Fatalf("metrics are not valid Prometheus text: %v", err)
+			}
+			var names []string
+			for key := range got {
+				name, _, _ := strings.Cut(key, "{")
+				if name = strings.TrimPrefix(name, tc.prefix); !slices.Contains(names, name) {
+					names = append(names, name)
+				}
+			}
+			slices.Sort(names)
+			if !slices.Equal(names, tc.series) {
+				t.Errorf("series %q (past the prefix %q), want %q", names, tc.prefix, tc.series)
+			}
+			if tc.prefix == "" {
+				return
+			}
+			total := got[tc.prefix+"cases_total"]
+			if total != float64(tc.cases) {
+				t.Errorf("%scases_total = %v, want %d", tc.prefix, total, tc.cases)
+			}
+			if tc.name != "Run" {
+				return
+			}
+			wr := got[`crosstest_oracle_cases_total{oracle="wr"}`]
+			eh := got[`crosstest_oracle_cases_total{oracle="eh"}`]
+			if wr+eh != total {
+				t.Errorf("oracle case counts %v + %v != total %v", wr, eh, total)
+			}
+			for _, o := range []csi.Oracle{csi.OracleWriteRead, csi.OracleErrorHandling, csi.OracleDifferential} {
+				key := `crosstest_oracle_failures_total{oracle="` + o.String() + `"}`
+				if got[key] != float64(res.Report.ByOracle[o]) {
+					t.Errorf("%s = %v, want %d", key, got[key], res.Report.ByOracle[o])
+				}
+			}
+			if got["crosstest_distinct_discrepancies"] != float64(len(res.Report.Found)) {
+				t.Errorf("distinct discrepancies gauge = %v, want %d",
+					got["crosstest_distinct_discrepancies"], len(res.Report.Found))
+			}
+			if got[`crosstest_case_duration_ms_count{family="ss"}`] == 0 {
+				t.Error("no duration observations for family ss")
+			}
+		})
 	}
 }

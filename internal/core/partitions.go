@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/csi"
 	"repro/internal/sqlval"
@@ -39,95 +40,62 @@ func PartitionCorpus() []PartitionInput {
 	}
 }
 
-// partitionPlans are the Figure 6 plans whose write interface supports
-// partitioned DDL (the DataFrame writer is excluded: partitioned saves
-// go through SQL in this simulator, as in many real pipelines).
-func partitionPlans() []Plan {
-	var out []Plan
-	for _, p := range Plans() {
-		if p.Write != DataFrame {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // RunPartitions executes the partition-mode cross-test over one format
 // and applies the write-read and differential oracles to the partition
 // value read back.
 func RunPartitions(format string, opts RunOptions) (*RunResult, error) {
-	d, err := opts.deployment()
+	return runPartitions(format, PartitionCorpus(), opts)
+}
+
+// runPartitions is RunPartitions over the given partition values: one
+// partitioned unit per value and plan.
+func runPartitions(format string, corpus []PartitionInput, opts RunOptions) (*RunResult, error) {
+	l, err := opts.loop(nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	plans := partitionPlans()
-	var cases []*CaseResult
-	for _, pin := range PartitionCorpus() {
+	// The plans whose write interface supports partitioned DDL (the
+	// DataFrame writer is excluded: partitioned saves go through SQL in
+	// this simulator, as in many real pipelines).
+	plans := slices.DeleteFunc(Plans(), func(p Plan) bool { return p.Write == DataFrame })
+	cases := make([]*CaseResult, 0, len(corpus)*len(plans))
+	for _, pin := range corpus {
 		// Adapt to the harness's Input carrier: the column under test is
 		// the partition column.
-		in := &Input{
-			ID:       pin.ID,
-			Name:     "partition_" + pin.Name,
-			Type:     sqlval.String,
-			Literal:  pin.Literal,
-			Valid:    true,
-			Expected: sqlval.StringVal(pin.Value),
-		}
+		in := &Input{ID: pin.ID, Name: "partition_" + pin.Name, Type: sqlval.String, Literal: pin.Literal,
+			Valid: true, Expected: sqlval.StringVal(pin.Value)}
 		for _, plan := range plans {
-			table := fmt.Sprintf("pt_%s_%s_%02d", plan.Name(), format, pin.ID)
-			cases = append(cases, &CaseResult{Input: in, Plan: plan, Format: format, Table: table})
+			cases = append(cases, &CaseResult{Input: in, Plan: plan, Format: format,
+				Table: caseTable("pt_", plan.Name(), format, pin.ID, 2)})
 		}
 	}
-	execute := func(c *CaseResult) {
-		c.Span = d.caseSpan(opts.Tracer, c.Plan, c.Format, "input", c.Input.Name, "table", c.Table)
-		c.Write = createInsert(d.Spark, d.Hive, c.Span, c.Plan.Write,
-			"CREATE TABLE "+c.Table+" (N INT) PARTITIONED BY (Tag STRING) STORED AS "+c.Format,
-			"INSERT INTO "+c.Table+" VALUES (1, "+c.Input.Literal+")")
-		if c.Write.Err == nil {
-			// The partition column comes last in a SELECT *.
-			read := readVia(d.ReadSpark, d.ReadHive, c.Span, c.Plan.Read, c.Table)
-			c.Read = read.column(len(read.Row) - 1)
-		}
-		c.Span.Fail(c.Write.Err).Fail(c.Read.Err).End()
-		d.release(c.Table)
-	}
-	if err := RunPool(opts.Context, opts.Parallel, cases, execute); err != nil {
-		return nil, err
-	}
+	l.oracles = func(cases []*CaseResult) []Failure { return partitionOracles(cases, len(plans)) }
+	return l.run(cases, len(cases), caseUnits(cases, true))
+}
 
+// partitionOracles judges partition cases: the write-read oracle on the
+// partition value read back, then the differential oracle across the
+// plans of each input, whose cases are one consecutive run of plans.
+func partitionOracles(cases []*CaseResult, plans int) []Failure {
 	var failures []Failure
 	for _, c := range cases {
+		var sig, detail string
 		switch {
 		case c.Write.Err != nil:
-			failures = append(failures, Failure{
-				Oracle: csi.OracleWriteRead, Case: c,
-				Signature: classifyError(c.Write.Err),
-				Detail:    fmt.Sprintf("partitioned write failed: %v", c.Write.Err),
-			})
+			sig, detail = classifyError(c.Write.Err), fmt.Sprintf("partitioned write failed: %v", c.Write.Err)
 		case c.Read.Err != nil:
-			failures = append(failures, Failure{
-				Oracle: csi.OracleWriteRead, Case: c,
-				Signature: classifyError(c.Read.Err),
-				Detail:    fmt.Sprintf("partitioned read failed: %v", c.Read.Err),
-			})
+			sig, detail = classifyError(c.Read.Err), fmt.Sprintf("partitioned read failed: %v", c.Read.Err)
 		case !c.Read.HasRow:
-			failures = append(failures, Failure{
-				Oracle: csi.OracleWriteRead, Case: c,
-				Signature: "row-missing", Detail: "partition row not returned",
-			})
+			sig, detail = "row-missing", "partition row not returned"
 		case !c.Read.Value.EqualData(c.Input.Expected):
-			failures = append(failures, Failure{
-				Oracle: csi.OracleWriteRead, Case: c,
-				Signature: "partition-path-escaping",
-				Detail: fmt.Sprintf("partition value round trip: wrote %s, read %s",
-					c.Input.Expected, c.Read.Value),
-			})
+			sig, detail = "partition-path-escaping", fmt.Sprintf("partition value round trip: wrote %s, read %s", c.Input.Expected, c.Read.Value)
+		default:
+			continue
 		}
+		failures = append(failures, Failure{Oracle: csi.OracleWriteRead, Case: c, Signature: sig, Detail: detail})
 	}
-	// Differential across plans per input, in input order: each input's
-	// cases are one consecutive run of len(plans).
-	for i := 0; i < len(cases); i += len(plans) {
-		group := cases[i : i+len(plans)]
+	for i := 0; i < len(cases); i += plans {
+		group := cases[i : i+plans]
 		base := group[0]
 		baseKey := outcomeKey(base)
 		for _, peer := range group[1:] {
@@ -142,7 +110,5 @@ func RunPartitions(format string, opts RunOptions) (*RunResult, error) {
 			})
 		}
 	}
-	attachChains(opts.Tracer, failures)
-	emitFailures(opts.OnFailure, failures)
-	return &RunResult{Cases: cases, Failures: failures, Report: buildReport(failures)}, nil
+	return failures
 }

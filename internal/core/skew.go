@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/csi"
 	"repro/internal/inject"
+	"repro/internal/obs"
 	"repro/internal/sparksim"
 	"repro/internal/sqlval"
 	"repro/internal/versions"
@@ -205,13 +206,11 @@ func RunSkewMatrix(inputs []Input, pairs []versions.Pair, opts RunOptions) (*Ske
 }
 
 // readerProbes is one reader stack's probe table in a skew matrix. The
-// reader-stack control writes and reads the "_rw" sibling on the reader
-// stack only, under the run's conf, so its outcome does not depend on
-// the writer: the first cell reading on the stack runs it and records
-// it here, and the later cells copy it instead of rerunning it. A slot
-// is a case's, at the case's position in Run's slab, so parallel
-// workers never share one. The outcomes, errors and rows are shared
-// read-only, like every ReadOutcome's row.
+// reader-stack control runs on the reader stack only, under the run's
+// conf, so the first cell reading on the stack records it here and the
+// later cells copy it. A slot is the case's at its position in Run's
+// slab, so parallel workers never share one; outcomes, errors and rows
+// are shared read-only, like every ReadOutcome's row.
 type readerProbes struct {
 	from  string    // the pair of the cell that runs the probes
 	slots []rwProbe // nil until that cell sizes it to its case count
@@ -221,6 +220,35 @@ type readerProbes struct {
 type rwProbe struct {
 	write WriteOutcome
 	read  ReadOutcome
+}
+
+// probeSkew runs the skew probes of c, the run's slot-th case, once its
+// main write and read are in: the same table re-read on the writer
+// stack, and a sibling table produced entirely on the reader stack. On
+// an unskewed pair both stacks carry one profile and conf and read the
+// same bytes, so the writer-stack read is the read.
+func (l *caseLoop) probeSkew(slot int, c *CaseResult) {
+	d, p := l.d, l.probes
+	if c.Write.Err == nil {
+		c.WriterRead = c.Read
+		if d.Pair.Skewed() {
+			c.WriterRead = d.WriterReadSpan(c.Span, c.Plan.Read, c.Table)
+		}
+	}
+	if l.copyProbes {
+		c.RWWrite, c.RWRead = p.slots[slot].write, p.slots[slot].read
+		c.Span.Set(obs.AttrProbeFrom, p.from)
+		return
+	}
+	rw := c.Table + "_rw"
+	c.RWWrite = d.ReaderWriteSpan(c.Span, c.Plan.Write, rw, c.Format, *c.Input)
+	if c.RWWrite.Err == nil {
+		c.RWRead = d.ReadSpan(c.Span, c.Plan.Read, rw)
+	}
+	d.release(rw)
+	if p != nil {
+		p.slots[slot] = rwProbe{c.RWWrite, c.RWRead}
+	}
 }
 
 // buildSkewCell condenses one pair's run into its matrix cell.

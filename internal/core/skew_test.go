@@ -386,7 +386,7 @@ func TestUnskewedWriterReadEqualsRead(t *testing.T) {
 		in := base[i]
 		for _, plan := range Plans() {
 			for _, format := range Formats() {
-				table := caseTable(plan.Name(), format, in.ID)
+				table := caseTable("t_", plan.Name(), format, in.ID, 4)
 				if d.Write(plan.Write, table, format, in).Err != nil {
 					continue
 				}

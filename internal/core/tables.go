@@ -3,9 +3,6 @@ package core
 import (
 	"strconv"
 	"strings"
-	"time"
-
-	"repro/internal/obs"
 )
 
 // Explicit-assignment table cases generalize the harness beyond the
@@ -49,77 +46,44 @@ func (tc *TableCase) Results() []*CaseResult { return tc.results }
 // the same columns through different plans of a family (or different
 // formats of a plan) form a differential probe group.
 func RunTables(cases []*TableCase, opts RunOptions) (*RunResult, error) {
-	return runTables(cases, opts, applyOracles)
+	return runTables(cases, opts, &crossfuzzSeries, applyOracles)
 }
 
-// runTables executes table cases on the deployment opts describe and
-// judges their per-column results with oracles. Fuzz-campaign metrics
-// (crossfuzz_*) are recorded when opts.Metrics is set.
-func runTables(cases []*TableCase, opts RunOptions, oracles func([]*CaseResult) []Failure) (*RunResult, error) {
-	d, err := opts.deployment()
+// runTables executes table cases on the deployment opts describe, one
+// N-column unit each, recording series when opts.Metrics is set, and
+// judges their per-column results with oracles.
+func runTables(cases []*TableCase, opts RunOptions, series *caseSeries, oracles func([]*CaseResult) []Failure) (*RunResult, error) {
+	l, err := opts.loop(series, oracles)
 	if err != nil {
 		return nil, err
 	}
-	execute := func(tc *TableCase) {
-		var started time.Time
-		if opts.Metrics != nil {
-			started = time.Now() //crossvet:wallclock case timing feeds only the obs histogram, never the report or its hash
-		}
-		span := d.caseSpan(opts.Tracer, tc.Plan, tc.Format, "table", tc.Label, "columns", strconv.Itoa(len(tc.Columns)))
-		write := writeVia(d.Spark, d.Hive, span, tc.Plan.Write, tc.Label, tc.Format, tc.Columns)
-		var read WideOutcome
-		if write.Err == nil {
-			read = readVia(d.ReadSpark, d.ReadHive, span, tc.Plan.Read, tc.Label)
-		}
-		span.Fail(write.Err).Fail(read.ReadErr).End()
-		tc.results = columnResults(tc, span, write, read)
-		d.release(tc.Label)
-		if opts.Metrics != nil {
-			opts.Metrics.Counter("crossfuzz_cases_total").Inc()
-			opts.Metrics.Counter("crossfuzz_plan_cases_total", "plan", tc.Plan.Name(), "format", tc.Format).Inc()
-			opts.Metrics.Histogram("crossfuzz_case_duration_ms", nil, "family", tc.Plan.Family).
-				//crossvet:wallclock case timing feeds only the obs histogram, never the report or its hash
-				Observe(float64(time.Since(started)) / float64(time.Millisecond))
-		}
-	}
-	if err := RunPool(opts.Context, opts.Parallel, cases, execute); err != nil {
-		return nil, err
-	}
-
 	var all []*CaseResult
 	for _, tc := range cases {
+		tc.results = columnResults(tc)
 		all = append(all, tc.results...)
 	}
-	failures := oracles(all)
-	attachChains(opts.Tracer, failures)
-	emitFailures(opts.OnFailure, failures)
-	return &RunResult{Cases: all, Failures: failures, Report: buildReport(failures)}, nil
+	return l.run(all, len(cases), func(i int) unit {
+		tc := cases[i]
+		return unit{plan: tc.Plan, format: tc.Format, table: tc.Label, cols: tc.Columns, res: tc.results,
+			attrs: [4]string{"table", tc.Label, "columns", strconv.Itoa(len(tc.Columns))}}
+	})
 }
 
-// columnResults projects a table case's row-level write/read outcome
-// onto one pseudo CaseResult per column, the granularity the oracles
-// operate at. Row-level warnings attach to every column: the engines
-// report feedback per statement, not per column, so a warning caused by
-// one column also counts as feedback for its neighbours. Every column
-// carries the table case's span (nil when untraced), so a column's
-// failure chain is its table case's subtree. The results live in one
-// slab per table case, and each borrows its column's Input from the
-// table case, so the caller must not change tc.Columns while the
-// results are in use.
-func columnResults(tc *TableCase, span *obs.Span, write WriteOutcome, read WideOutcome) []*CaseResult {
+// columnResults lays out a table case's results: one pseudo CaseResult
+// per column, the granularity the oracles operate at, onto which the
+// run projects the row-level write and read. Row-level warnings attach
+// to every column: the engines report feedback per statement, so a
+// warning caused by one column also counts for its neighbours. Every
+// column carries the table case's span, so its failure chain is the
+// table case's subtree. The results live in one slab per table case
+// and borrow their Inputs from tc.Columns, which must not change while
+// they are in use.
+func columnResults(tc *TableCase) []*CaseResult {
 	out := make([]*CaseResult, len(tc.Columns))
 	results := make([]CaseResult, len(tc.Columns))
 	for i := range tc.Columns {
-		results[i] = CaseResult{
-			Input:  &tc.Columns[i].Input,
-			Plan:   tc.Plan,
-			Format: tc.Format,
-			Table:  tc.Label,
-			Write:  write,
-			Read:   read.column(i),
-			Span:   span,
-			rank:   tableColumn(tc.Ord, i),
-		}
+		results[i] = CaseResult{Input: &tc.Columns[i].Input, Plan: tc.Plan, Format: tc.Format, Table: tc.Label,
+			rank: tableColumn(tc.Ord, i)}
 		out[i] = &results[i]
 	}
 	return out

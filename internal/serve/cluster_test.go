@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -167,6 +168,54 @@ func TestPeerCacheRejectsMismatchedResult(t *testing.T) {
 	}
 	if n := exec.Executions(); n != 1 {
 		t.Errorf("executions = %d, want 1 (recompute after rejecting peer bytes)", n)
+	}
+}
+
+// A peer's bytes for the right key must also carry what stamp sets: a
+// report hash that is the sha256 of the rendered report, and a spec
+// that hashes to the key. A result with a forged hash, or another
+// spec's result relabelled with the key, is ignored like a wrong key.
+func TestPeerCacheRejectsForgedResult(t *testing.T) {
+	spec := smallFuzzSpec()
+	key, _ := spec.CacheKey()
+	other := spec
+	other.Seed = 6
+	for _, tc := range []struct {
+		name   string
+		forge  func(*JobResult)
+		source JobSpec
+	}{
+		{"wrong-sha", func(r *JobResult) { r.ReportSHA = core.HashBytes([]byte(r.Rendered + "\n")) }, spec},
+		{"foreign-spec", func(r *JobResult) { r.Key = key }, other},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var res JobResult
+			if err := json.Unmarshal(runOnce(t, tc.source), &res); err != nil {
+				t.Fatal(err)
+			}
+			tc.forge(&res)
+			forged, err := marshalResult(&res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := validPeerResult(key, forged); ok {
+				t.Fatal("validPeerResult accepts the forged result")
+			}
+			peers := newFakePeers()
+			peers.store[key] = forged
+			s, exec := newTestScheduler(t, SchedulerOptions{Peers: peers})
+			job, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, job)
+			if st := job.Status(); st.State != StateDone || st.CacheHit {
+				t.Fatalf("forged peer result must not short-circuit: %+v", st)
+			}
+			if n := exec.Executions(); n != 1 {
+				t.Errorf("executions = %d, want 1 (recompute after rejecting peer bytes)", n)
+			}
+		})
 	}
 }
 

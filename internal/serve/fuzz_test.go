@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // FuzzJobSpec holds admission total: any bytes decode, validate, key
@@ -57,7 +59,9 @@ func FuzzJobSpec(f *testing.F) {
 
 // FuzzValidPeerResult holds the peer-cache boundary total: any bytes a
 // peer serves are checked without panicking, and accepted only when
-// they decode as a JobResult for the key asked for.
+// they decode as a JobResult for the key asked for whose spec hashes to
+// that key, whose kind is its spec's, and whose report hash is that of
+// its rendered report.
 func FuzzValidPeerResult(f *testing.F) {
 	spec := smallFuzzSpec()
 	res, err := new(Executor).Execute(context.Background(), spec, nil)
@@ -78,12 +82,21 @@ func FuzzValidPeerResult(f *testing.F) {
 	f.Add(res.Key, data[:len(data)/2])
 	f.Add("k", []byte(`{"key":"k","report":{"distinct":"two"}}`))
 	f.Add("", []byte(`null`))
+	forged := *res
+	forged.ReportSHA = core.HashBytes(nil)
+	if data, err = marshalResult(&forged); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(res.Key, data)
 	f.Fuzz(func(t *testing.T, key string, data []byte) {
 		sha, ok := validPeerResult(key, data)
 		var res JobResult
 		decoded := json.Unmarshal(data, &res) == nil
-		if ok != (decoded && res.Key == key) {
-			t.Fatalf("validPeerResult(%q) = %t, but decodes %t with key %q", key, ok, decoded, res.Key)
+		specKey, specErr := res.Spec.CacheKey()
+		stamped := res.Kind == res.Spec.Kind && res.ReportSHA == core.HashBytes([]byte(res.Rendered)) &&
+			specErr == nil && specKey == key
+		if ok != (decoded && res.Key == key && stamped) {
+			t.Fatalf("validPeerResult(%q) = %t, but decodes %t with key %q, stamped %t", key, ok, decoded, res.Key, stamped)
 		}
 		if ok && sha != res.ReportSHA {
 			t.Fatalf("validPeerResult(%q) returned report hash %q, the result carries %q", key, sha, res.ReportSHA)

@@ -596,13 +596,18 @@ func (s *Scheduler) complete(job *Job, state string, data []byte, err error, fin
 	close(job.done)
 }
 
-// validPeerResult guards against a confused or stale peer: the bytes
-// must decode as a JobResult whose content address matches the key we
-// asked for, and it returns that result's report hash. Anything else
-// is treated as a miss.
+// validPeerResult guards against a confused, stale or forged peer: the
+// bytes must decode as a JobResult for the key we asked for that
+// carries everything stamp sets — a spec that hashes to that key, the
+// spec's kind, and the sha256 of its rendered report — and it returns
+// that report hash. Anything else is treated as a miss.
 func validPeerResult(key string, data []byte) (sha string, ok bool) {
 	var res JobResult
-	if err := json.Unmarshal(data, &res); err != nil || res.Key != key {
+	if err := json.Unmarshal(data, &res); err != nil || res.Key != key || res.Kind != res.Spec.Kind ||
+		res.ReportSHA != core.HashBytes([]byte(res.Rendered)) {
+		return "", false
+	}
+	if specKey, err := res.Spec.CacheKey(); err != nil || specKey != key {
 		return "", false
 	}
 	return res.ReportSHA, true
